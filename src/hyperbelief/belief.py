@@ -13,15 +13,16 @@ combination rules are provided:
   tuples of empty inputs to the union of the singletons they mention, with
   total ignorance as the last resort).
 
-Per-key sums use ``math.fsum`` over a fixed tuple order, so results are
-bit-reproducible across runs.
+All three rules read one fold over the sources, which merges the focal
+tuples into (reduced meet, join) states as it goes.  Each state's mass and
+each output key's mass is an ``math.fsum`` over a fixed order (source order,
+then focal order), so results are bit-reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterator, Mapping, Sequence
 
 from .lattice import (
@@ -64,8 +65,8 @@ class BBA:
         for prop, mass in self.masses.items():
             if prop.frame != self.frame:
                 raise ValueError("mass keyed by a proposition from another frame")
-            if mass < 0.0:
-                raise ValueError(f"negative mass {mass} on {prop}")
+            if not (isfinite(mass) and mass >= 0.0):
+                raise ValueError(f"mass {mass} on {prop} is not a finite non-negative number")
             key = reduce_under_model(prop, self.model)
             merged.setdefault(key, []).append(mass)
         final = {k: fsum(v) for k, v in sorted(merged.items(), key=lambda kv: kv[0].sort_key)}
@@ -152,29 +153,31 @@ def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model]:
     return frame, model
 
 
-def _tuple_products(bbas: Sequence[BBA]):
-    """Yield (focal tuple, mass product) over all source combinations."""
-    for combo in product(*[b.items() for b in bbas]):
-        pi = 1.0
-        for _, mass in combo:
-            pi *= mass
-        yield tuple(prop for prop, _ in combo), pi
+def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Proposition, Proposition], float]:
+    """Fold the sources into merged (reduced meet, join) states with their masses.
 
-
-def _reduced_meet(props: Sequence[Proposition], model: Model) -> Proposition:
-    meet = props[0]
-    for p in props[1:]:
-        meet = reduce_under_model(conjoin(meet, p), model)
-    return reduce_under_model(meet, model)
+    Each step pairs every state with every focal of the next source and
+    merges equal states by ``fsum``, so the table stays as small as the
+    distinct states allow instead of growing with the product of the sources.
+    BBA keys are reduced, so their joins need no further reduction.
+    """
+    states = {(p, p): m for p, m in bbas[0].items()}
+    for b in bbas[1:]:
+        step: dict[tuple[Proposition, Proposition], list[float]] = {}
+        for (meet, join), mass in states.items():
+            for p, m in b.items():
+                key = (reduce_under_model(conjoin(meet, p), model), disjoin(join, p))
+                step.setdefault(key, []).append(mass * m)
+        states = {k: fsum(v) for k, v in step.items()}
+    return states
 
 
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Unnormalized conjunctive rule; conflicting mass is kept on ∅."""
     frame, model = _common_context(bbas)
     contributions: dict[Proposition, list[float]] = {}
-    for props, pi in _tuple_products(bbas):
-        meet = _reduced_meet(props, model)
-        contributions.setdefault(meet, []).append(pi)
+    for (meet, _), mass in _fold(bbas, model).items():
+        contributions.setdefault(meet, []).append(mass)
     masses = {k: fsum(v) for k, v in contributions.items()}
     result = BBA(frame, model, masses)
     return CombinationReport(result, result.mass_on_empty(), None)
@@ -201,14 +204,14 @@ def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
 def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Hybrid DSm rule: conflicting mass is rerouted, never normalized away.
 
-    Each source tuple routes its mass product to the first of:
+    Each folded state routes its mass to the first of:
 
-    1. the reduced meet of the tuple, when non-empty;
-    2. for tuples whose inputs are all empty under the model, the union of
+    1. its reduced meet, when non-empty;
+    2. for states whose inputs were all empty under the model, the union of
        the singletons the inputs mention (total ignorance when that union is
        itself empty);
-    3. otherwise the reduced join of the tuple, falling back to total
-       ignorance if the join is empty.
+    3. otherwise its join, falling back to total ignorance if the join is
+       empty.
 
     ``conflict_mass`` reports the total mass rerouted by branches 2 and 3.
     """
@@ -216,24 +219,15 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     ignorance = total_ignorance(frame)
     contributions: dict[Proposition, list[float]] = {}
     rerouted: list[float] = []
-    for props, pi in _tuple_products(bbas):
-        meet = _reduced_meet(props, model)
-        if not meet.is_empty:
-            contributions.setdefault(meet, []).append(pi)
-            continue
-        rerouted.append(pi)
-        if all(p.is_empty for p in props):
-            # Stored keys are reduced, so an empty input names no singletons:
-            # the union-of-mentioned-singletons reroute degenerates to ignorance.
-            target = ignorance
-        else:
-            join = props[0]
-            for p in props[1:]:
-                join = disjoin(join, p)
-            target = reduce_under_model(join, model)
-        if target.is_empty:
-            target = ignorance
-        contributions.setdefault(target, []).append(pi)
+    for (meet, join), mass in _fold(bbas, model).items():
+        target = meet
+        if meet.is_empty:
+            rerouted.append(mass)
+            # An empty join means every input was empty: stored keys are
+            # reduced, so they name no singletons and the reroute to the
+            # union of mentioned singletons degenerates to ignorance.
+            target = join if not join.is_empty else ignorance
+        contributions.setdefault(target, []).append(mass)
     masses = {k: fsum(v) for k, v in contributions.items()}
     result = BBA(frame, model, masses)
     return CombinationReport(result, fsum(rerouted), None)

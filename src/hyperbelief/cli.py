@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .analysis import CLASSICAL_PRINCIPLES, parse_formula, tautology_check
@@ -46,17 +46,6 @@ class ScenarioError(ValueError):
     """Scenario text that cannot be turned into a valid Scenario."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    path: str | None = None
-    engine: str | None = None
-    fmt: str = "table"
-    n: int = 2
-    allow_large: bool = False
-    verbose: bool = False
-
-
 # ------------------------------------------------------------------- parsing
 
 
@@ -78,6 +67,15 @@ def _get(mapping: dict, key: str, kind, where: str, default=None, required=False
     return _expect(mapping[key], kind, f"{where}{key}")
 
 
+def _fields(value, where: str, known: tuple[str, ...]) -> dict:
+    """A JSON object whose keys all lie in ``known``; ``where`` prefixes field paths."""
+    blob = _expect(value, dict, where.rstrip(".") or "scenario")
+    for key in blob:
+        if key not in known:
+            raise ScenarioError(f"unknown field {where}{key}")
+    return blob
+
+
 def _proposition(frame: Frame, nested, where: str) -> Proposition:
     terms = _expect(nested, list, where)
     for i, term in enumerate(terms):
@@ -96,7 +94,11 @@ def parse_scenario(text: str) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
-    data = _expect(data, dict, "scenario")
+    data = _fields(
+        data,
+        "",
+        ("frame", "constraints", "rules", "observations", "queries", "engines", "dst_axes"),
+    )
 
     names = _get(data, "frame", list, "", required=True)
     for i, name in enumerate(names):
@@ -124,7 +126,7 @@ def parse_scenario(text: str) -> Scenario:
 
     rules = []
     for i, blob in enumerate(_get(data, "rules", list, "", default=[])):
-        blob = _expect(blob, dict, f"rules[{i}]")
+        blob = _fields(blob, f"rules[{i}].", ("if", "then", "weight"))
         antecedent = _proposition(frame, _get(blob, "if", list, f"rules[{i}].", required=True), f"rules[{i}].if")
         consequent = _proposition(frame, _get(blob, "then", list, f"rules[{i}].", required=True), f"rules[{i}].then")
         weight = _get(blob, "weight", float, f"rules[{i}].", required=True)
@@ -147,8 +149,8 @@ def parse_scenario(text: str) -> Scenario:
         _expect(engine, str, f"engines[{i}]")
 
     dst_axes = None
-    axes_blob = _get(data, "dst_axes", dict, "")
-    if axes_blob is not None:
+    if "dst_axes" in data:
+        axes_blob = _fields(data["dst_axes"], "dst_axes.", ("axes", "map"))
         axes = _get(axes_blob, "axes", list, "dst_axes.", required=True)
         for i, axis in enumerate(axes):
             axis = _expect(axis, list, f"dst_axes.axes[{i}]")
@@ -273,27 +275,27 @@ def _exit_code(report: FusionReport) -> int:
     return EXIT_OK
 
 
-def _run_fuse(config: CliConfig) -> int:
-    scenario = parse_scenario(_read_input(config.path))
-    if config.engine:
-        engines = ENGINES if config.engine == "all" else (config.engine,)
+def _run_fuse(args: argparse.Namespace) -> int:
+    scenario = parse_scenario(_read_input(args.path))
+    if args.engine:
+        engines = ENGINES if args.engine == "all" else (args.engine,)
         try:
             scenario = replace(scenario, engines=engines)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-    if config.verbose:
+    if args.verbose:
         print(
             f"running {', '.join(scenario.engines)} on {len(scenario.rules)} rule(s), "
             f"{len(scenario.observations)} observation(s)",
             file=sys.stderr,
         )
     report = run_scenario(scenario)
-    sys.stdout.write(emit_report(report, config.fmt))
+    sys.stdout.write(emit_report(report, args.fmt))
     return _exit_code(report)
 
 
-def _run_compare(config: CliConfig) -> int:
-    scenario = parse_scenario(_read_input(config.path))
+def _run_compare(args: argparse.Namespace) -> int:
+    scenario = parse_scenario(_read_input(args.path))
     engines = tuple(
         engine
         for engine in ENGINES
@@ -303,25 +305,25 @@ def _run_compare(config: CliConfig) -> int:
         print("note: dst skipped (scenario declares no dst_axes)", file=sys.stderr)
     scenario = replace(scenario, engines=engines)
     report = run_scenario(scenario)
-    sys.stdout.write(emit_report(report, config.fmt))
+    sys.stdout.write(emit_report(report, args.fmt))
     return _exit_code(report)
 
 
-def _run_enumerate(config: CliConfig) -> int:
-    if config.n < 1:
+def _run_enumerate(args: argparse.Namespace) -> int:
+    if args.n < 1:
         raise ScenarioError("--n must be at least 1")
     names = tuple(
-        _ENUM_NAMES[i] if i < len(_ENUM_NAMES) else f"s{i}" for i in range(config.n)
+        _ENUM_NAMES[i] if i < len(_ENUM_NAMES) else f"s{i}" for i in range(args.n)
     )
     frame = Frame(names)
-    props = enumerate_hyper_power_set(frame, allow_large=config.allow_large)
+    props = enumerate_hyper_power_set(frame, allow_large=args.allow_large)
     for prop in props:
         print(prop)
     print(f"total {len(props)}")
     return EXIT_OK
 
 
-def _run_check_logic(config: CliConfig) -> int:
+def _run_check_logic(args: argparse.Namespace) -> int:
     all_hold = True
     for name, text in CLASSICAL_PRINCIPLES.items():
         holds = tautology_check(parse_formula(text))
@@ -359,18 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        path=getattr(args, "path", None),
-        engine=getattr(args, "engine", None),
-        fmt=getattr(args, "fmt", "table"),
-        n=getattr(args, "n", 2),
-        allow_large=getattr(args, "allow_large", False),
-        verbose=args.verbose,
-    )
-
-
 _COMMANDS = {
     "fuse": _run_fuse,
     "compare": _run_compare,
@@ -384,9 +374,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.subcommand](config)
+        return _COMMANDS[args.subcommand](args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -212,6 +212,13 @@ def _classify_kind(n: int, minimal_constraints: frozenset[frozenset[int]]) -> st
     return "hybrid"
 
 
+def _contains_constraint(term: frozenset[int], constraints: frozenset[frozenset[int]]) -> bool:
+    """True when ``term`` contains a declared-empty set; looks its subsets up when they are fewer."""
+    if 1 << len(term) < len(constraints):
+        return any(frozenset(s) in constraints for k in range(2, len(term) + 1) for s in combinations(term, k))
+    return any(c <= term for c in constraints)
+
+
 def reduce_under_model(a: Proposition, model: Model) -> Proposition:
     """Drop every term that contains a declared-empty index set.
 
@@ -223,14 +230,10 @@ def reduce_under_model(a: Proposition, model: Model) -> Proposition:
         raise ValueError("proposition and model belong to different frames")
     if not model.empty_intersections:
         return a
-    kept = tuple(t for t in a.terms if not any(c <= t for c in model.empty_intersections))
+    kept = tuple(t for t in a.terms if not _contains_constraint(t, model.empty_intersections))
     if len(kept) == len(a.terms):
         return a
     return Proposition(a.frame, kept)
-
-
-def is_empty_under(a: Proposition, model: Model) -> bool:
-    return reduce_under_model(a, model).is_empty
 
 
 def leq(a: Proposition, b: Proposition, model: Model) -> bool:

@@ -19,6 +19,7 @@ three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Mapping, Sequence
 
@@ -162,6 +163,28 @@ class Scenario:
                 raise ValueError(
                     f"dst_axes.map does not cover singleton(s): {', '.join(unmapped)}"
                 )
+        self._sources  # encode now, so a contradicted input fails here
+
+    @cached_property
+    def _sources(self) -> tuple[tuple[BBA, ...], tuple[BBA, ...]]:
+        """The rule BBAs and the observation BBAs, in declared order.
+
+        An input the model contradicts raises ValueError naming its field.
+        """
+
+        def encode(field: str, items: Sequence, to_bba) -> tuple[BBA, ...]:
+            bbas = []
+            for i, item in enumerate(items):
+                try:
+                    bbas.append(to_bba(item, self.frame, self.model))
+                except ValueError as exc:
+                    raise ValueError(f"{field}[{i}]: {exc}") from exc
+            return tuple(bbas)
+
+        return (
+            encode("rules", self.rules, rule_to_conditional_bba),
+            encode("observations", self.observations, observation_to_bba),
+        )
 
     def used_singletons(self) -> frozenset[str]:
         used = set()
@@ -243,21 +266,16 @@ def _intervals(fused: BBA, queries: Sequence[Proposition]) -> tuple[QueryResult,
 
 
 def _run_dsm(scenario: Scenario) -> EngineResult:
-    sources = [
-        rule_to_conditional_bba(rule, scenario.frame, scenario.model)
-        for rule in scenario.rules
-    ]
-    if len(sources) >= 2:
-        prior_report = dsm_hybrid_combine(sources)
+    rules, observations = scenario._sources
+    if len(rules) >= 2:
+        prior_report = dsm_hybrid_combine(rules)
         fused, stage_conflicts = prior_report.result, [prior_report.conflict_mass]
-    elif sources:
-        fused, stage_conflicts = sources[0], [0.0]
+    elif rules:
+        fused, stage_conflicts = rules[0], [0.0]
     else:
         fused, stage_conflicts = vacuous(scenario.frame, scenario.model), [0.0]
-    for obs in scenario.observations:
-        report = dsm_hybrid_combine(
-            [fused, observation_to_bba(obs, scenario.frame, scenario.model)]
-        )
+    for obs in observations:
+        report = dsm_hybrid_combine([fused, obs])
         fused = report.result
         stage_conflicts.append(report.conflict_mass)
     conflict = max(stage_conflicts)
@@ -290,14 +308,8 @@ def _run_dst(scenario: Scenario) -> EngineResult:
             atom_frame, atom_model, {refined(k): v for k, v in bba.items()}
         )
 
-    sources = [
-        lift(rule_to_conditional_bba(rule, scenario.frame, scenario.model))
-        for rule in scenario.rules
-    ]
-    sources += [
-        lift(observation_to_bba(obs, scenario.frame, scenario.model))
-        for obs in scenario.observations
-    ]
+    rules, observations = scenario._sources
+    sources = [lift(bba) for bba in (*rules, *observations)]
     queries = [refined(q) for q in scenario.queries]
     try:
         if len(sources) >= 2:

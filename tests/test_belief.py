@@ -1,6 +1,7 @@
 """Tests for mass assignments, Bel/Pl, and the three combination rules."""
 
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, given
@@ -83,8 +84,10 @@ def test_zero_mass_entries_are_dropped():
 
 
 def test_negative_mass_rejected():
-    with pytest.raises(ValueError, match="negative"):
-        BBA(TPFRAME, TPMODEL, {P: -0.1, B: 1.1})
+    nan, inf = float("nan"), float("inf")
+    for masses in ({P: -0.1, B: 1.1}, {P: nan, B: 1.0}, {P: inf, B: 1.0}, {P: -inf, B: 1.0}):
+        with pytest.raises(ValueError, match="negative"):
+            BBA(TPFRAME, TPMODEL, masses)
 
 
 def test_unnormalized_total_rejected():
@@ -307,6 +310,41 @@ def test_free_model_hybrid_equals_conjunctive_exactly():
     assert hybrid.conflict_mass == 0.0 == conj.conflict_mass
 
 
+def test_twenty_sources_match_closed_forms():
+    # even sources say a, odd ones say b, each with weight w_i and the rest
+    # on a∪b; with A, B the products of (1 - w_i) over the even and the odd
+    # sources, the conjunctive rule gives a∪b: AB, a: (1-A)B, b: A(1-B) and
+    # conflict (1-A)(1-B), which hybrid DSm sends to the join a∪b
+    frame = Frame(("a", "b"))
+    model = Model.shafer(frame)
+    a, b = frame.singleton("a"), frame.singleton("b")
+    weights = [0.03 + 0.002 * i for i in range(20)]
+    sources = [
+        BBA(frame, model, {(a if i % 2 == 0 else b): w, a | b: 1 - w})
+        for i, w in enumerate(weights)
+    ]
+    big_a = prod(1 - w for w in weights[0::2])
+    big_b = prod(1 - w for w in weights[1::2])
+    conflict = (1 - big_a) * (1 - big_b)
+
+    conj = conjunctive_combine(sources)
+    assert conj.result.mass(a | b) == EXACT(big_a * big_b, **TIGHT)
+    assert conj.result.mass(a) == EXACT((1 - big_a) * big_b, **TIGHT)
+    assert conj.result.mass(b) == EXACT(big_a * (1 - big_b), **TIGHT)
+    assert conj.conflict_mass == EXACT(conflict, **TIGHT)
+
+    dempster = dempster_combine(sources)
+    assert dempster.normalization_constant == EXACT(1 - conflict, **TIGHT)
+    assert dempster.result.mass(a) == EXACT((1 - big_a) * big_b / (1 - conflict), **TIGHT)
+    assert dempster.result.mass(b) == EXACT(big_a * (1 - big_b) / (1 - conflict), **TIGHT)
+
+    hybrid = dsm_hybrid_combine(sources)
+    assert hybrid.result.mass(a | b) == EXACT(big_a * big_b + conflict, **TIGHT)
+    assert hybrid.result.mass(a) == EXACT((1 - big_a) * big_b, **TIGHT)
+    assert hybrid.result.mass(b) == EXACT(big_a * (1 - big_b), **TIGHT)
+    assert hybrid.conflict_mass == EXACT(conflict, **TIGHT)
+
+
 # ------------------------------------------------------------------ properties
 
 
@@ -314,7 +352,7 @@ def combined_sources(draw_conflict=False):
     @st.composite
     def inner(draw):
         model = draw(framed_models(min_n=1, max_n=3))
-        k = draw(st.integers(2, 3))
+        k = draw(st.integers(2, 5))
         sources = tuple(
             draw(bbas(model, allow_conflict_mass=draw_conflict)) for _ in range(k)
         )

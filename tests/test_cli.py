@@ -226,3 +226,36 @@ def test_check_logic_exits_zero(capsys):
 def test_verbose_writes_to_stderr(capsys):
     assert main(["-v", "fuse", str(TP2_PATH)]) == EXIT_OK
     assert "running" in capsys.readouterr().err
+
+
+def test_contradicted_inputs_exit_two(capsys, monkeypatch):
+    import io
+
+    blob = json.loads(TP2_TEXT)
+    blob["rules"][1]["then"] = [["f", "nf"]]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+    assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
+    assert "rules[1]" in capsys.readouterr().err
+
+    blob = json.loads(TP2_TEXT)
+    blob["observations"].append([["p", "f", "nf"]])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+    assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
+    assert "observations[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("owner", "field"),
+    [((), "observation"), (("rules", 2), "rules[2].wieght"), (("dst_axes",), "dst_axes.maps")],
+)
+def test_unknown_keys_exit_two(capsys, monkeypatch, owner, field):
+    import io
+
+    blob = json.loads(TP2_TEXT)
+    target = blob
+    for step in owner:
+        target = target[step]
+    target[field.rsplit(".", 1)[-1]] = []
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+    assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
+    assert f"unknown field {field}" in capsys.readouterr().err

@@ -191,6 +191,23 @@ def test_reduce_is_idempotent(case):
     assert reduce_under_model(reduced, model) == reduced
 
 
+@given(modeled_props(k=1))
+def test_reduce_drops_exactly_the_terms_in_empty_regions(case):
+    model, (a,) = case
+    empty = oracle.empty_regions(model)
+    assert reduce_under_model(a, model).terms == tuple(t for t in a.terms if t not in empty)
+
+
+def test_shafer_reduce_keeps_singletons_and_drops_pairs():
+    frame = Frame(tuple(f"x{i}" for i in range(12)))
+    model = Model.shafer(frame)
+    evens = canonicalize(frame, [[i] for i in range(0, 12, 2)])
+    odds = canonicalize(frame, [[i] for i in range(1, 12, 2)])
+    assert reduce_under_model(evens, model) is evens
+    assert reduce_under_model(evens & odds, model).is_empty
+    assert reduce_under_model(evens & (odds | evens), model) == evens
+
+
 @given(modeled_props(k=2))
 def test_reduce_preserves_order(case):
     model, (a, b) = case
