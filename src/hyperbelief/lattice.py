@@ -16,7 +16,7 @@ representative of the proposition in the constrained lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -162,14 +162,14 @@ def disjoin(a: Proposition, b: Proposition) -> Proposition:
 class Model:
     """A frame plus the index sets whose joint intersection is declared empty.
 
-    ``kind`` is "free" (no constraints), "shafer" (every pair of distinct
-    singletons exclusive) or "hybrid" (anything in between).  Constraint sets
-    are kept minimal: a set that contains another declared set is redundant.
+    ``kind`` follows from the constraints: "free" (none), "shafer" (every pair
+    of distinct singletons exclusive) or "hybrid" (anything in between).
+    Constraint sets are kept minimal: a set that contains another is redundant.
     """
 
     frame: Frame
     empty_intersections: frozenset[frozenset[int]]
-    kind: str
+    kind: str = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.frame)
@@ -181,42 +181,24 @@ class Model:
             if any(not 0 <= i < n for i in cs):
                 raise ValueError("constraint index out of range")
             sets.add(cs)
-        minimal = frozenset(c for c in sets if not any(o < c for o in sets))
+        # a pair cannot strictly contain another set of two or more members
+        minimal = frozenset(c for c in sets if len(c) == 2 or not any(o < c for o in sets))
         object.__setattr__(self, "empty_intersections", minimal)
-        expected = _classify_kind(n, minimal)
-        if self.kind != expected:
-            raise ValueError(f"model kind {self.kind!r} does not match constraints ({expected})")
+        pairs = sum(len(c) == 2 for c in minimal)
+        kind = "free" if not minimal else "shafer" if pairs == n * (n - 1) // 2 else "hybrid"
+        object.__setattr__(self, "kind", kind)
 
     @classmethod
     def free(cls, frame: Frame) -> "Model":
-        return cls(frame, frozenset(), "free")
+        return cls(frame, frozenset())
 
     @classmethod
     def shafer(cls, frame: Frame) -> "Model":
-        pairs = frozenset(frozenset(p) for p in product(range(len(frame)), repeat=2) if len(set(p)) == 2)
-        return cls(frame, pairs, _classify_kind(len(frame), pairs))
+        return cls(frame, frozenset(map(frozenset, combinations(range(len(frame)), 2))))
 
     @classmethod
     def from_constraints(cls, frame: Frame, constraints: Iterable[Iterable[int]]) -> "Model":
-        sets = frozenset(frozenset(c) for c in constraints)
-        minimal = frozenset(c for c in sets if not any(o < c for o in sets))
-        return cls(frame, sets, _classify_kind(len(frame), minimal))
-
-
-def _classify_kind(n: int, minimal_constraints: frozenset[frozenset[int]]) -> str:
-    if not minimal_constraints:
-        return "free"
-    all_pairs = {frozenset((i, j)) for i in range(n) for j in range(i + 1, n)}
-    if minimal_constraints == all_pairs:
-        return "shafer"
-    return "hybrid"
-
-
-def _contains_constraint(term: frozenset[int], constraints: frozenset[frozenset[int]]) -> bool:
-    """True when ``term`` contains a declared-empty set; looks its subsets up when they are fewer."""
-    if 1 << len(term) < len(constraints):
-        return any(frozenset(s) in constraints for k in range(2, len(term) + 1) for s in combinations(term, k))
-    return any(c <= term for c in constraints)
+        return cls(frame, frozenset(map(frozenset, constraints)))
 
 
 def reduce_under_model(a: Proposition, model: Model) -> Proposition:
@@ -230,7 +212,7 @@ def reduce_under_model(a: Proposition, model: Model) -> Proposition:
         raise ValueError("proposition and model belong to different frames")
     if not model.empty_intersections:
         return a
-    kept = tuple(t for t in a.terms if not _contains_constraint(t, model.empty_intersections))
+    kept = tuple(t for t in a.terms if not any(c <= t for c in model.empty_intersections))
     if len(kept) == len(a.terms):
         return a
     return Proposition(a.frame, kept)

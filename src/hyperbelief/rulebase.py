@@ -8,9 +8,11 @@ three ways:
 
 * ``dsm``   — hybrid DSm fusion directly on the constrained lattice: all rule
   BBAs in one pass, then each observation in order.
-* ``dst``   — every proposition is refined onto an exclusive atom frame
-  (``dst_axes``) and everything is fused with Dempster's rule; total conflict
-  is reported as an inconsistency, not raised.
+* ``dst``   — every proposition is refined to its set of atoms on an
+  exclusive frame (``dst_axes``), and Dempster's rule is one fold over those
+  atom sets, starting from the vacuous assignment: meet is ``&`` and the
+  conflict is the mass on the empty set.  Total conflict is reported as an
+  inconsistency, not raised.
 * ``bayes`` — no fusion at all: if the scenario is a three-rule triangle
   (x→c, y→c', x→y with observation x∧y and c, c' exclusive), the chain-rule
   point estimates and their defects are reported.
@@ -21,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Mapping, Sequence
+from math import fsum
+from typing import Iterable, Mapping, Sequence
 
 from .analysis import BayesEstimates, indifference_estimates
 from .belief import (
     BBA,
-    TotalConflictError,
+    TOTAL_CONFLICT_EPS,
     belief,
-    dempster_combine,
     dsm_hybrid_combine,
     plausibility,
     vacuous,
@@ -294,32 +296,28 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
     )
 
 
+def _merged(pairs: Iterable[tuple[frozenset[int], float]]) -> dict[frozenset[int], float]:
+    """Sum the masses of equal atom sets with ``fsum``, in first-seen order."""
+    grouped: dict[frozenset[int], list[float]] = {}
+    for atoms, mass in pairs:
+        grouped.setdefault(atoms, []).append(mass)
+    return {atoms: fsum(masses) for atoms, masses in grouped.items()}
+
+
 def _run_dst(scenario: Scenario) -> EngineResult:
     axes = scenario.dst_axes
-    atom_frame = axes.axes.to_frame()
-    atom_model = Model.shafer(atom_frame)
 
-    def refined(prop: Proposition) -> Proposition:
-        atoms = refine_to_atoms(prop, axes.axes, axes.literal_map)
-        return atoms_to_proposition(atoms, atom_frame)
-
-    def lift(bba: BBA) -> BBA:
-        return BBA(
-            atom_frame, atom_model, {refined(k): v for k, v in bba.items()}
-        )
+    def atoms(prop: Proposition) -> frozenset[int]:
+        return refine_to_atoms(prop, axes.axes, axes.literal_map)
 
     rules, observations = scenario._sources
-    sources = [lift(bba) for bba in (*rules, *observations)]
-    queries = [refined(q) for q in scenario.queries]
-    try:
-        if len(sources) >= 2:
-            report = dempster_combine(sources)
-            fused, conflict, k = report.result, report.conflict_mass, report.normalization_constant
-        elif sources:
-            fused, conflict, k = sources[0], 0.0, 1.0
-        else:
-            fused, conflict, k = vacuous(atom_frame, atom_model), 0.0, 1.0
-    except TotalConflictError:
+    sources = [_merged((atoms(p), m) for p, m in bba.items()) for bba in (*rules, *observations)]
+    states = {frozenset(range(axes.axes.atom_count)): 1.0}
+    for source in sources:
+        states = _merged((s & f, ms * m) for s, ms in states.items() for f, m in source.items())
+    conflict = states.pop(frozenset(), 0.0)
+    k = 1.0 - conflict
+    if k <= TOTAL_CONFLICT_EPS:
         return EngineResult(
             engine="dst",
             status="inconsistent",
@@ -333,18 +331,30 @@ def _run_dst(scenario: Scenario) -> EngineResult:
             ),
             flags=("inconsistent (total conflict): the rules admit no common world",),
         )
-    rows = tuple(
-        QueryResult(query=original, bel=belief(fused, lifted), pl=plausibility(fused, lifted))
-        for original, lifted in zip(scenario.queries, queries)
+    # divide by the kept mass: 1 − conflict loses digits when K is small
+    kept = fsum(states.values())
+    fused = {focal: mass / kept for focal, mass in states.items()}
+    rows = []
+    for q in scenario.queries:
+        target = atoms(q)
+        bel = fsum(m for focal, m in fused.items() if focal <= target)
+        pl = fsum(m for focal, m in fused.items() if focal & target)
+        rows.append(QueryResult(query=q, bel=bel, pl=pl))
+    # the lattice form is built only for the report
+    atom_frame = axes.axes.to_frame()
+    report = BBA(
+        atom_frame,
+        Model.shafer(atom_frame),
+        {atoms_to_proposition(focal, atom_frame): m for focal, m in fused.items()},
     )
     return EngineResult(
         engine="dst",
         status="ok",
-        fused=fused,
+        fused=report,
         conflict_mass=conflict,
         stage_conflicts=(conflict,),
         normalization_constant=k,
-        queries=rows,
+        queries=tuple(rows),
     )
 
 

@@ -161,6 +161,45 @@ def test_total_conflict_exits_three(capsys, monkeypatch):
     assert "inconsistent" in capsys.readouterr().out
 
 
+def one_rule_dst(observations) -> str:
+    """f -0.9-> nf with no constraints: on the atom frame its focal f∩nf has no atoms."""
+    return json.dumps(
+        {
+            "frame": ["f", "nf"],
+            "rules": [{"if": [["f"]], "then": [["nf"]], "weight": 0.9}],
+            "observations": observations,
+            "queries": [[["f"]]],
+            "engines": ["dst"],
+            "dst_axes": {"axes": [["f", "nf"]], "map": {"f": [0, 0], "nf": [0, 1]}},
+        }
+    )
+
+
+def test_dst_one_source_is_normalised_like_many(capsys, monkeypatch):
+    import io
+
+    answers = []
+    for observations in ([], [[["f"], ["nf"]]]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(one_rule_dst(observations)))
+        assert main(["fuse", "-", "--format", "json"]) == EXIT_OK
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        (row,) = result["queries"]
+        answers.append((result["conflict_mass"], result["normalization_constant"], row["bel"], row["pl"]))
+    assert answers[0] == answers[1]
+    conflict, k, bel, pl = answers[0]
+    assert (conflict, k, bel, pl) == pytest.approx((0.9, 0.1, 1.0, 1.0), abs=1e-12)
+
+
+def test_dst_observation_without_atoms_exits_three(capsys, monkeypatch):
+    import io
+
+    blob = json.loads(one_rule_dst([[["f", "nf"]]]))
+    blob["rules"] = []
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+    assert main(["fuse", "-"]) == EXIT_INCONSISTENT
+    assert "inconsistent" in capsys.readouterr().out
+
+
 def test_degenerate_dsm_stays_ok(capsys, monkeypatch):
     import io
 

@@ -151,7 +151,11 @@ def test_enumeration_limits():
 def test_model_kinds():
     assert Model.free(TPFRAME).kind == "free"
     assert TPMODEL.kind == "hybrid"
-    assert Model.shafer(Frame(("a", "b", "c"))).kind == "shafer"
+    abc = Frame(("a", "b", "c"))
+    assert Model.shafer(abc).kind == "shafer"
+    redundant = Model.from_constraints(abc, [(0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    assert redundant.kind == "shafer" and redundant == Model.shafer(abc)
+    assert Model.from_constraints(TPFRAME, [(0, 1), (0, 2), (1, 2)]).kind == "hybrid"
 
 
 def test_constraints_below_two_members_rejected():

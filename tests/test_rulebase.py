@@ -13,11 +13,16 @@ from hyperbelief import (
     Model,
     Proposition,
     Scenario,
+    TotalConflictError,
     WeightedRule,
+    atoms_to_proposition,
     belief,
+    dempster_combine,
     leq,
     observation_to_bba,
+    plausibility,
     reduce_under_model,
+    refine_to_atoms,
     rule_to_conditional_bba,
     run_scenario,
     total_ignorance,
@@ -287,6 +292,17 @@ def test_dst_total_conflict_reports_inconsistency():
         assert "inconsistent" in row.note
 
 
+def test_dst_small_normalisation_constant_stays_normalised():
+    # K is about 1e-8, so 1 − conflict keeps only its leading digits
+    observations = (P & B, P & NF)
+    scenario = tp2_scenario(0.2, 1e-8, 0.1, engines=("dst",), observations=observations)
+    result = run_scenario(scenario).engine("dst")
+    assert result.status == "ok"
+    assert result.normalization_constant == pytest.approx(1e-8, rel=1e-6)
+    assert [mass for _, mass in result.fused.items()] == [1.0]
+    assert [(row.bel, row.pl) for row in result.queries] == [(0.0, 0.0), (1.0, 1.0)]
+
+
 def test_evidential_intervals_stay_ordered():
     for eps in ((0.001, 0.3, 0.05), (0.3, 0.001, 0.5), (0.05, 0.05, 0.0)):
         report = run_scenario(tp2_scenario(*eps, engines=("dst", "dsm")))
@@ -294,6 +310,61 @@ def test_evidential_intervals_stay_ordered():
             for row in result.queries:
                 assert 0.0 <= row.bel <= row.pl + 1e-12
                 assert row.pl <= 1.0 + 1e-12
+
+
+ATOMFRAME = TPAXES.axes.to_frame()
+SHAFER = Model.shafer(ATOMFRAME)
+
+
+def lifted(prop):
+    """``prop`` as a union of atom singletons on the eight-atom exclusive frame."""
+    atoms = refine_to_atoms(prop, TPAXES.axes, TPAXES.literal_map)
+    return atoms_to_proposition(atoms, ATOMFRAME)
+
+
+@given(
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    st.lists(propositions(TPFRAME, allow_empty=False), max_size=2),
+    st.lists(propositions(TPFRAME, allow_empty=False), max_size=2),
+)
+def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_queries):
+    # the atom-set engine against dempster_combine over Shafer-lifted BBAs
+    for obs in extra_observations:
+        assume(not reduce_under_model(obs, TPMODEL).is_empty)
+    observations = (P & B, *extra_observations)
+    scenario = Scenario(
+        TPFRAME,
+        TPMODEL,
+        triangle_rules(*eps),
+        observations,
+        (F, NF, *extra_queries),
+        engines=("dst",),
+        dst_axes=TPAXES,
+    )
+    result = run_scenario(scenario).engine("dst")
+    # Both paths divide their rounding error by K, so a small K puts them
+    # further apart than 1e-12 (and the lattice path off its own sum check).
+    assume(result.status == "inconsistent" or result.normalization_constant >= 1e-3)
+    sources = [rule_to_conditional_bba(r, TPFRAME, TPMODEL) for r in scenario.rules]
+    sources += [observation_to_bba(o, TPFRAME, TPMODEL) for o in observations]
+    lifted_sources = [
+        BBA(ATOMFRAME, SHAFER, {lifted(k): v for k, v in b.items()}) for b in sources
+    ]
+    if result.status == "inconsistent":
+        with pytest.raises(TotalConflictError):
+            dempster_combine(lifted_sources)
+        return
+    reference = dempster_combine(lifted_sources)
+    assert result.fused.focals() == reference.result.focals()
+    for (_, got), (_, want) in zip(result.fused.items(), reference.result.items()):
+        assert got == pytest.approx(want, **APPROX)
+    assert result.conflict_mass == pytest.approx(reference.conflict_mass, **APPROX)
+    assert result.normalization_constant == pytest.approx(
+        reference.normalization_constant, **APPROX
+    )
+    for row in result.queries:
+        assert row.bel == pytest.approx(belief(reference.result, lifted(row.query)), **APPROX)
+        assert row.pl == pytest.approx(plausibility(reference.result, lifted(row.query)), **APPROX)
 
 
 # ---------------------------------------------------------------- bayes engine
