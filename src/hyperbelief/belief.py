@@ -6,8 +6,8 @@ combination rules are provided:
 
 * ``conjunctive_combine`` -- the unnormalized conjunctive rule; conflicting
   mass stays on the empty proposition.
-* ``dempster_combine`` -- conjunctive followed by normalization with
-  K = 1 - conflict; raises :class:`TotalConflictError` when nothing is left.
+* ``dempster_combine`` -- conjunctive followed by normalization (reporting
+  K = 1 - conflict); raises :class:`TotalConflictError` when nothing is left.
 * ``dsm_hybrid_combine`` -- no normalization; mass from conflicting source
   tuples is rerouted inside the lattice (to the join of the inputs, or for
   tuples of empty inputs to the union of the singletons they mention, with
@@ -184,18 +184,20 @@ def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
 
 
 def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
-    """Dempster's rule: conjunctive combination renormalized by K = 1 - conflict."""
+    """Dempster's rule: conjunctive combination renormalized to sum to one.
+
+    The reported normalization constant is K = 1 - conflict.
+    """
     conjunctive = conjunctive_combine(bbas)
     k = 1.0 - conjunctive.conflict_mass
     if k <= TOTAL_CONFLICT_EPS:
         raise TotalConflictError(
             f"conflict mass {conjunctive.conflict_mass!r} leaves nothing to normalize"
         )
-    masses = {
-        prop: mass / k
-        for prop, mass in conjunctive.result.items()
-        if not prop.is_empty
-    }
+    # divide by the kept mass: 1 − conflict loses digits when K is small
+    kept = {prop: mass for prop, mass in conjunctive.result.items() if not prop.is_empty}
+    total = fsum(kept.values())
+    masses = {prop: mass / total for prop, mass in kept.items()}
     return CombinationReport(
         BBA(bbas[0].frame, bbas[0].model, masses), conjunctive.conflict_mass, k
     )

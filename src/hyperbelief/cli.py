@@ -29,7 +29,10 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
-    enumerate_hyper_power_set,
+    _antichains,
+    _check_enumeration_limit,
+    _term_text,
+    _union_text,
     proposition_from_names,
 )
 from .rulebase import ENGINES, DstAxes, FusionReport, Scenario, WeightedRule, run_scenario
@@ -39,7 +42,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_INCONSISTENT = 3
 EXIT_LIMIT = 4
 
-_ENUM_NAMES = "abcdefgh"
+_ENUM_NAMES = "abcdef"  # one name per singleton, up to the hard enumeration limit
+_ENUM_CHUNK = 4096  # lines per write, so n = 6 never holds its output at once
 
 
 class ScenarioError(ValueError):
@@ -312,14 +316,20 @@ def _run_compare(args: argparse.Namespace) -> int:
 def _run_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ScenarioError("--n must be at least 1")
-    names = tuple(
-        _ENUM_NAMES[i] if i < len(_ENUM_NAMES) else f"s{i}" for i in range(args.n)
-    )
-    frame = Frame(names)
-    props = enumerate_hyper_power_set(frame, allow_large=args.allow_large)
-    for prop in props:
-        print(prop)
-    print(f"total {len(props)}")
+    _check_enumeration_limit(args.n, args.allow_large)
+    members = [[i for i in range(args.n) if s >> i & 1] for s in range(1 << args.n)]
+    alone = [_term_text(_ENUM_NAMES, m, False) for m in members]
+    grouped = [_term_text(_ENUM_NAMES, m, True) for m in members]
+    count = 0
+    lines = []
+    for count, terms in enumerate(_antichains(args.n), 1):
+        texts = grouped if len(terms) > 1 else alone
+        lines.append(_union_text([texts[s] for s in terms]))
+        if len(lines) == _ENUM_CHUNK:
+            sys.stdout.write("\n".join(lines) + "\n")
+            lines.clear()
+    lines.append(f"total {count}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -107,3 +107,21 @@ def naive_hybrid(model, sources):
                 join |= semantic(p, model)
             acc[join if join else ignorance] += pi
     return dict(acc), conflict
+
+
+def naive_antichains(n):
+    """Every antichain of non-empty subsets of range(n), by brute force.
+
+    Each antichain is a tuple of frozensets in canonical term order (size,
+    then sorted members); the list is sorted by the bitmask of the monotone
+    family the antichain generates (bit Σ 2^i, i ∈ S, set for each S in it).
+    """
+    subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(n), k)]
+    everything = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+    found = []
+    for chosen in chain.from_iterable(combinations(subsets, k) for k in range(len(subsets) + 1)):
+        if any(s < t for s in chosen for t in chosen):
+            continue
+        family = sum(1 << sum(1 << i for i in v) for v in everything if any(t <= v for t in chosen))
+        found.append((family, tuple(sorted(chosen, key=lambda t: (len(t), sorted(t))))))
+    return [terms for _, terms in sorted(found)]

@@ -1,5 +1,6 @@
 """Tests for mass assignments, Bel/Pl, and the three combination rules."""
 
+from fractions import Fraction
 from itertools import permutations
 from math import prod
 
@@ -196,6 +197,29 @@ def test_total_conflict_raises():
     m1, m2, _ = (lift(m) for m in rule_sources(0.0, 0.0, 0.1))
     with pytest.raises(TotalConflictError):
         dempster_combine([m1, m2])
+
+
+def test_dempster_small_normalisation_constant_stays_normalised():
+    # K is about 3e-8, so 1 − conflict keeps only its leading digits; dividing
+    # by it left the masses summing to 1 + 3e-9 and the BBA check raised
+    frame = Frame(("a", "b", "c"))
+    a, b, c = (frame.singleton(n) for n in frame.names)
+    e1, e2, w = 3.367627442655785e-08, 1.5286572032923147e-08, 0.3610723711593433
+    model = Model.shafer(frame)
+    m1 = BBA(frame, model, {a: 1 - e1, a | b: e1 * w, c: e1 * (1 - w)})
+    m2 = BBA(frame, model, {b: 1 - e2, a | c: e2})
+    rep = dempster_combine([m1, m2])
+    exact = {
+        a: Fraction(1 - e1) * Fraction(e2) + Fraction(e1 * w) * Fraction(e2),
+        b: Fraction(e1 * w) * Fraction(1 - e2),
+        c: Fraction(e1 * (1 - w)) * Fraction(e2),
+    }
+    k = sum(exact.values())
+    assert rep.result.focals() == [a, b, c]
+    for prop, mass in exact.items():
+        assert rep.result.mass(prop) == pytest.approx(float(mass / k), rel=1e-12)
+    assert rep.normalization_constant == 1.0 - rep.conflict_mass
+    assert rep.normalization_constant == pytest.approx(float(k), rel=1e-6)
 
 
 def test_conjunctive_keeps_conflict_on_empty():

@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from hyperbelief import Frame, enumerate_hyper_power_set
 from hyperbelief.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT_ERROR,
@@ -247,6 +249,26 @@ def test_enumerate_prints_all_propositions(capsys):
     assert len(lines) == 168
     assert lines[0] == "∅"
     assert len(set(lines[:-1])) == 167
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_lines_are_the_propositions(capsys, n):
+    assert main(["enumerate", "--n", str(n)]) == EXIT_OK
+    props = enumerate_hyper_power_set(Frame(tuple("abcd"[:n])))
+    assert capsys.readouterr().out.splitlines() == [str(p) for p in props] + [f"total {len(props)}"]
+
+
+@pytest.mark.parametrize(
+    "n,size,digest",
+    [
+        (4, 4620, "5e0a42836ba26bfcf6a5d250975ea87fb4933b0a76ef77bed951840253c2f34c"),
+        (5, 465141, "403e8fc2ff75f004fb3ee1de4dd8f85557a5520d824a600244bf0d0534e81c2d"),
+    ],
+)
+def test_enumerate_output_bytes_are_pinned(capsys, n, size, digest):
+    assert main(["enumerate", "--n", str(n)]) == EXIT_OK
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_enumerate_limits(capsys):

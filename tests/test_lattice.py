@@ -22,6 +22,7 @@ from hyperbelief import (
     total_ignorance,
     u_of,
 )
+from hyperbelief.lattice import _antichains
 
 import oracle
 from strategies import frames, modeled_props, propositions, single_term_props
@@ -136,6 +137,15 @@ def test_enumeration_unique_canonical_and_repeatable():
     assert len(set(first)) == len(first)
     assert all(canonicalize(frame, p.terms) == p for p in first)
     assert first[0].is_empty
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_brute_force_antichains(n):
+    want = oracle.naive_antichains(n)
+    assert [p.terms for p in enumerate_hyper_power_set(Frame(tuple("abcd"[:n])))] == want
+    # the raw antichains too: the CLI prints them without Proposition's absorption
+    members = [frozenset(i for i in range(n) if s >> i & 1) for s in range(1 << n)]
+    assert [tuple(members[s] for s in terms) for terms in _antichains(n)] == want
 
 
 def test_enumeration_limits():

@@ -343,7 +343,7 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
     )
     result = run_scenario(scenario).engine("dst")
     # Both paths divide their rounding error by K, so a small K puts them
-    # further apart than 1e-12 (and the lattice path off its own sum check).
+    # further apart than 1e-12.
     assume(result.status == "inconsistent" or result.normalization_constant >= 1e-3)
     sources = [rule_to_conditional_bba(r, TPFRAME, TPMODEL) for r in scenario.rules]
     sources += [observation_to_bba(o, TPFRAME, TPMODEL) for o in observations]
