@@ -8,14 +8,16 @@ combination rules are provided:
   mass stays on the empty proposition.
 * ``dempster_combine`` -- conjunctive followed by normalization (reporting
   K = 1 - conflict); raises :class:`TotalConflictError` when nothing is left.
-* ``dsm_hybrid_combine`` -- no normalization; mass from conflicting source
-  tuples is rerouted inside the lattice (to the join of the inputs, or for
-  tuples of empty inputs to the union of the singletons they mention, with
-  total ignorance as the last resort).
+* ``dsm_hybrid_combine`` -- no normalization; mass whose meet is empty is
+  rerouted inside the lattice to the join of the inputs, or to total
+  ignorance when the join is empty too.
 
 All three rules read one fold over the sources, which merges the focal
-tuples into (reduced meet, join) states as it goes.  Each state's mass and
-each output key's mass is an ``math.fsum`` over a fixed order (source order,
+tuples into (reduced meet, join) states as it goes.  The fold, and Bel and
+Pl, work on propositions as tuples of int term masks (bit i for singleton
+i; see ``lattice._absorb``), so a constraint test is ``t & c == c`` and one
+:class:`Proposition` is built per output key.  Each state's mass and each
+output key's mass is an ``math.fsum`` over a fixed order (source order,
 then focal order), so results are bit-reproducible across runs.
 """
 
@@ -29,9 +31,9 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
-    conjoin,
-    disjoin,
-    leq,
+    _absorb,
+    _from_masks,
+    _term_masks,
     reduce_under_model,
     total_ignorance,
 )
@@ -125,21 +127,41 @@ def vacuous(frame: Frame, model: Model) -> BBA:
     return BBA(frame, model, {total_ignorance(frame): 1.0})
 
 
+def _constraint_masks(model: Model) -> list[int]:
+    return [sum(1 << i for i in c) for c in model.empty_intersections]
+
+
 def belief(b: BBA, a: Proposition) -> float:
-    """Bel(a): total mass on non-empty focal elements below ``a``."""
+    """Bel(a): total mass on non-empty focal elements below ``a``.
+
+    A reduced focal is below ``a`` iff each of its terms contains a term of ``a``.
+    """
     if a.frame != b.frame:
         raise ValueError("query belongs to a different frame")
-    return fsum(m for x, m in b.items() if not x.is_empty and leq(x, a, b.model))
-
-
-def plausibility(b: BBA, a: Proposition) -> float:
-    """Pl(a): total mass on focal elements compatible with ``a``."""
-    if a.frame != b.frame:
-        raise ValueError("query belongs to a different frame")
+    query = _term_masks(a)
     return fsum(
         m
         for x, m in b.items()
-        if not reduce_under_model(conjoin(x, a), b.model).is_empty
+        if x.terms and all(any(s & t == s for s in query) for t in _term_masks(x))
+    )
+
+
+def plausibility(b: BBA, a: Proposition) -> float:
+    """Pl(a): total mass on focal elements compatible with ``a``.
+
+    A focal is compatible iff the union of one of its terms with one of
+    ``a``'s contains no constraint.
+    """
+    if a.frame != b.frame:
+        raise ValueError("query belongs to a different frame")
+    query = _term_masks(a)
+    constraints = _constraint_masks(b.model)
+    return fsum(
+        m
+        for x, m in b.items()
+        if any(
+            all((t | s) & c != c for c in constraints) for t in _term_masks(x) for s in query
+        )
     )
 
 
@@ -153,33 +175,45 @@ def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model]:
     return frame, model
 
 
-def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Proposition, Proposition], float]:
+Masks = tuple[int, ...]
+
+
+def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]:
     """Fold the sources into merged (reduced meet, join) states with their masses.
 
     Each step pairs every state with every focal of the next source and
     merges equal states by ``fsum``, so the table stays as small as the
     distinct states allow instead of growing with the product of the sources.
-    BBA keys are reduced, so their joins need no further reduction.
+    States are term-mask tuples.  The meet drops every term union that
+    contains a constraint; BBA keys are reduced, so their joins need no
+    further reduction.
     """
-    states = {(p, p): m for p, m in bbas[0].items()}
-    for b in bbas[1:]:
-        step: dict[tuple[Proposition, Proposition], list[float]] = {}
+    constraints = _constraint_masks(model)
+    sources = [[(_term_masks(p), m) for p, m in b.items()] for b in bbas]
+    states = {(p, p): m for p, m in sources[0]}
+    for source in sources[1:]:
+        step: dict[tuple[Masks, Masks], list[float]] = {}
         for (meet, join), mass in states.items():
-            for p, m in b.items():
-                key = (reduce_under_model(conjoin(meet, p), model), disjoin(join, p))
-                step.setdefault(key, []).append(mass * m)
+            for p, m in source:
+                unions = (t | s for t in meet for s in p)
+                reduced = _absorb(u for u in unions if all(u & c != c for c in constraints))
+                step.setdefault((reduced, _absorb(join + p)), []).append(mass * m)
         states = {k: fsum(v) for k, v in step.items()}
     return states
+
+
+def _bba(frame: Frame, model: Model, contributions: dict[Masks, list[float]]) -> BBA:
+    """The BBA summing each key's contributions, one Proposition per key."""
+    return BBA(frame, model, {_from_masks(frame, k): fsum(v) for k, v in contributions.items()})
 
 
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Unnormalized conjunctive rule; conflicting mass is kept on ∅."""
     frame, model = _common_context(bbas)
-    contributions: dict[Proposition, list[float]] = {}
+    contributions: dict[Masks, list[float]] = {}
     for (meet, _), mass in _fold(bbas, model).items():
         contributions.setdefault(meet, []).append(mass)
-    masses = {k: fsum(v) for k, v in contributions.items()}
-    result = BBA(frame, model, masses)
+    result = _bba(frame, model, contributions)
     return CombinationReport(result, result.mass_on_empty(), None)
 
 
@@ -209,27 +243,19 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     Each folded state routes its mass to the first of:
 
     1. its reduced meet, when non-empty;
-    2. for states whose inputs were all empty under the model, the union of
-       the singletons the inputs mention (total ignorance when that union is
-       itself empty);
-    3. otherwise its join, falling back to total ignorance if the join is
-       empty.
+    2. otherwise its join, the union of the inputs;
+    3. total ignorance, when the join is empty too (every input was ∅).
 
     ``conflict_mass`` reports the total mass rerouted by branches 2 and 3.
     """
     frame, model = _common_context(bbas)
-    ignorance = total_ignorance(frame)
-    contributions: dict[Proposition, list[float]] = {}
+    ignorance = tuple(1 << i for i in range(len(frame)))
+    contributions: dict[Masks, list[float]] = {}
     rerouted: list[float] = []
     for (meet, join), mass in _fold(bbas, model).items():
         target = meet
-        if meet.is_empty:
+        if not meet:
             rerouted.append(mass)
-            # An empty join means every input was empty: stored keys are
-            # reduced, so they name no singletons and the reroute to the
-            # union of mentioned singletons degenerates to ignorance.
-            target = join if not join.is_empty else ignorance
+            target = join or ignorance
         contributions.setdefault(target, []).append(mass)
-    masses = {k: fsum(v) for k, v in contributions.items()}
-    result = BBA(frame, model, masses)
-    return CombinationReport(result, fsum(rerouted), None)
+    return CombinationReport(_bba(frame, model, contributions), fsum(rerouted), None)

@@ -240,6 +240,40 @@ def total_ignorance(frame: Frame) -> Proposition:
     return Proposition(frame, tuple(frozenset((i,)) for i in range(len(frame))))
 
 
+# --- int term masks --------------------------------------------------------
+#
+# The combination rules work on terms as ints, bit i set for singleton i: a
+# term t contains a constraint c iff t & c == c.  A proposition is then a
+# tuple of masks, absorbed and in ascending order, so equal antichains are
+# equal tuples.  A mask's subsets are never larger ints than the mask, so
+# absorption is one sort plus a scan of the masks kept so far.  Mask order is
+# not canonical term order ({0, 3} is 9 and {1, 2} is 6); that order comes
+# back only through Proposition.
+
+
+def _absorb(masks: Iterable[int]) -> tuple[int, ...]:
+    """The antichain of ``masks``, ascending: a mask containing another is dropped."""
+    kept: list[int] = []
+    for t in sorted(set(masks)):
+        for o in kept:
+            if o & t == o:
+                break
+        else:
+            kept.append(t)
+    return tuple(kept)
+
+
+def _term_masks(a: Proposition) -> tuple[int, ...]:
+    """The terms of ``a`` as int masks, in mask order."""
+    return _absorb(sum(1 << i for i in t) for t in a.terms)
+
+
+def _from_masks(frame: Frame, masks: Iterable[int]) -> Proposition:
+    """The proposition whose terms are the given int masks."""
+    members = range(len(frame))
+    return Proposition(frame, tuple(frozenset(i for i in members if t >> i & 1) for t in masks))
+
+
 # --- enumeration ----------------------------------------------------------
 #
 # A proposition corresponds to the monotone family of subsets S of the frame

@@ -4,9 +4,10 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from hyperbelief import Frame, Model, Proposition, canonicalize, reduce_under_model
+from hyperbelief import Frame, Model, Proposition, canonicalize, conjoin, reduce_under_model
 
 NAMES = ("a", "b", "c", "d")
+WIDE_NAMES = ("a", "b", "c", "d", "e", "g")
 
 
 @st.composite
@@ -79,3 +80,49 @@ def bbas(draw, model, max_focals=4, allow_conflict_mass=False):
         focals[reduce_under_model(Proposition(frame, ((frozenset((0,)),))), model)] = 1.0
     total = sum(focals.values())
     return BBA(frame, model, {k: v / total for k, v in focals.items()})
+
+
+@st.composite
+def wide_models(draw, min_n=4, max_n=6):
+    """A model on up to six singletons with one or two exclusive pairs and up to
+    two exclusive triples (frames too small for them get fewer)."""
+    n = draw(st.sampled_from(range(max_n, min_n - 1, -1)))
+    frame = Frame(WIDE_NAMES[:n])
+    chosen = []
+    for k, min_size in ((2, 1), (3, 0)):
+        if n >= k:
+            members = st.sampled_from(list(combinations(range(n), k)))
+            chosen += draw(st.lists(members, min_size=min_size, max_size=2))
+    return Model.from_constraints(frame, chosen)
+
+
+@st.composite
+def rule_bbas(draw, model):
+    """{antecedent∧consequent: w, antecedent: 1−w} for small propositions (one or
+    two terms of one or two members), shaped like an encoded weighted rule,
+    except that the meet may reduce to ∅ and so put mass on it."""
+    from hyperbelief.belief import BBA
+
+    frame = model.frame
+    small = st.lists(
+        st.frozensets(st.integers(0, len(frame) - 1), min_size=1, max_size=2),
+        min_size=1,
+        max_size=2,
+    ).map(lambda terms: canonicalize(frame, terms))
+    drawn = draw(small)
+    antecedent = reduce_under_model(drawn, model)
+    if antecedent.is_empty:  # every term was a constraint: keep one singleton of it
+        antecedent = canonicalize(frame, [[min(drawn.terms[0])]])
+    both = reduce_under_model(conjoin(antecedent, draw(small)), model)
+    w = draw(st.floats(0.05, 0.95))
+    masses = {both: w}
+    masses[antecedent] = masses.get(antecedent, 0.0) + (1.0 - w)
+    return BBA(frame, model, masses)
+
+
+@st.composite
+def dsm_scale_sources(draw):
+    """A wide model with 2-8 rule-shaped sources, so at most 2^8 source tuples."""
+    model = draw(wide_models())
+    k = draw(st.integers(2, 8))
+    return model, tuple(draw(rule_bbas(model)) for _ in range(k))

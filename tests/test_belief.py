@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import fsum, prod
 
 import pytest
 from hypothesis import assume, given
@@ -28,7 +28,7 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from strategies import bbas, framed_models
+from strategies import bbas, dsm_scale_sources, framed_models, propositions, wide_models
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
 P, B, F, NF = (TPFRAME.singleton(n) for n in TPFRAME.names)
@@ -427,6 +427,50 @@ def test_hybrid_matches_naive_reference(case):
     want, want_conflict = oracle.naive_hybrid(model, [dict(s.items()) for s in sources])
     assert_mass_dicts_close(as_region_masses(rep.result, model), want)
     assert rep.conflict_mass == pytest.approx(want_conflict, abs=1e-9)
+
+
+@given(dsm_scale_sources())
+def test_rules_match_naive_reference_at_dsm_scale(case):
+    model, sources = case
+    source_dicts = [dict(s.items()) for s in sources]
+
+    conj = conjunctive_combine(sources)
+    want, want_conflict = oracle.naive_conjunctive(model, source_dicts)
+    got = as_region_masses(conj.result, model)
+    if conj.conflict_mass:
+        got[frozenset()] = conj.result.mass_on_empty()
+    assert_mass_dicts_close(got, want)
+    assert conj.conflict_mass == pytest.approx(want_conflict, abs=1e-9)
+
+    try:
+        want, _ = oracle.naive_dempster(model, source_dicts)
+    except ZeroDivisionError:
+        with pytest.raises(TotalConflictError):
+            dempster_combine(sources)
+    else:
+        assert_mass_dicts_close(as_region_masses(dempster_combine(sources).result, model), want)
+
+    hybrid = dsm_hybrid_combine(sources)
+    want, want_conflict = oracle.naive_hybrid(model, source_dicts)
+    assert_mass_dicts_close(as_region_masses(hybrid.result, model), want)
+    assert hybrid.conflict_mass == pytest.approx(want_conflict, abs=1e-9)
+
+
+@given(st.data())
+def test_bel_pl_match_region_semantics(data):
+    model = data.draw(wide_models(min_n=1))
+    b = data.draw(bbas(model, allow_conflict_mass=True))
+    frame = model.frame
+    queries = [data.draw(propositions(frame)) for _ in range(3)]
+    # a constrained term keeps the query from being reduced
+    queries += [
+        Proposition(frame, q.terms + (c,)) for q in queries for c in model.empty_intersections
+    ]
+    focals = [(oracle.semantic(x, model), m) for x, m in b.items()]
+    for q in queries:
+        region = oracle.semantic(q, model)
+        assert belief(b, q) == fsum(m for r, m in focals if r and r <= region)
+        assert plausibility(b, q) == fsum(m for r, m in focals if r & region)
 
 
 @given(combined_sources(draw_conflict=True))

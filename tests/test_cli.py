@@ -271,6 +271,39 @@ def test_enumerate_output_bytes_are_pinned(capsys, n, size, digest):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
+# Six singletons, ten rules, one exclusive pair and one exclusive triple; the
+# last query is not reduced (a∩d is declared empty).
+DSM_SCENARIO = {
+    "frame": ["a", "b", "c", "d", "e", "g"],
+    "constraints": [["a", "d"], ["b", "c", "e"]],
+    "rules": [
+        {"if": [["b", "g"]], "then": [["d"]], "weight": 0.9},
+        {"if": [["e"]], "then": [["d"]], "weight": 0.95},
+        {"if": [["d"]], "then": [["b", "g"]], "weight": 0.73},
+        {"if": [["e"]], "then": [["a"], ["d"]], "weight": 0.86},
+        {"if": [["g"]], "then": [["b", "d"]], "weight": 0.69},
+        {"if": [["d", "e"]], "then": [["b"], ["e"]], "weight": 0.9},
+        {"if": [["b"], ["g"]], "then": [["a", "g"]], "weight": 0.75},
+        {"if": [["d"]], "then": [["b", "g"]], "weight": 0.89},
+        {"if": [["a"], ["b"]], "then": [["a"], ["d"]], "weight": 0.76},
+        {"if": [["g"]], "then": [["c"], ["d"]], "weight": 0.83},
+    ],
+    "observations": [[["d"], ["e"]]],
+    "queries": [[["a"]], [["b", "g"]], [["c"], ["d"]], [["e"]], [["a", "d"], ["g"]]],
+}
+
+
+def test_dsm_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "dsm.json"
+    path.write_text(json.dumps(DSM_SCENARIO), encoding="utf-8")
+    assert main(["fuse", str(path), "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        6723,
+        "5b9ff2bc67cc48b6db2779b4797e061d295d24f263004e7ba1a155ed77469b70",
+    )
+
+
 def test_enumerate_limits(capsys):
     assert main(["enumerate", "--n", "6"]) == EXIT_LIMIT
     assert main(["enumerate", "--n", "7", "--allow-large"]) == EXIT_LIMIT
