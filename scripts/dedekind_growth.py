@@ -4,7 +4,7 @@
 The element counts follow the Dedekind numbers minus one (1, 2, 5, 19, 167,
 7580, 7828353, ...), so the walltime explodes quickly.  The script counts a
 stream of checked propositions without keeping them: n = 5 takes about
-0.08 s, and n = 6 (gated behind --max-n 6) about 220 s, on Python 3.11 on a
+0.05 s, and n = 6 (gated behind --max-n 6) about 92 s, on Python 3.11 on a
 2-core Xeon VM.
 """
 

@@ -62,50 +62,22 @@ from .rulebase import (
 
 __version__ = "0.1.0"
 
+# the names the README's Library section and the scripts use
 __all__ = [
     "AtomFrame",
-    "BBA",
-    "BayesEstimates",
-    "CLASSICAL_PRINCIPLES",
-    "CombinationReport",
     "DstAxes",
-    "ENGINES",
-    "EngineResult",
-    "EnumerationLimitError",
-    "Formula",
     "Frame",
-    "FusionReport",
     "Model",
-    "ModusTollensPosteriors",
     "Proposition",
-    "QueryResult",
     "Scenario",
-    "TotalConflictError",
     "WeightedRule",
     "__version__",
-    "atoms_to_proposition",
     "belief",
     "canonicalize",
-    "conjoin",
-    "conjunctive_combine",
-    "dempster_combine",
-    "disjoin",
     "dsm_hybrid_combine",
-    "enumerate_hyper_power_set",
-    "indifference_estimates",
     "iter_hyper_power_set",
-    "leq",
-    "modus_tollens_posteriors",
-    "observation_to_bba",
-    "parse_formula",
-    "pearl_flying_bound",
     "plausibility",
     "proposition_from_names",
-    "reduce_under_model",
-    "refine_to_atoms",
     "rule_to_conditional_bba",
     "run_scenario",
-    "total_ignorance",
-    "u_of",
-    "vacuous",
 ]

@@ -13,9 +13,9 @@ combination rules are provided:
   ignorance when the join is empty too.
 
 All three rules read one fold over the sources, which merges the focal
-tuples into (reduced meet, join) states as it goes.  The fold, and Bel and
-Pl, work on propositions as tuples of int term masks (bit i for singleton
-i; see ``lattice._absorb``), so a constraint test is ``t & c == c`` and one
+tuples into (reduced meet, join) states as it goes.  The fold, Bel and Pl
+read the term masks each :class:`Proposition` stores and the model's
+constraint masks, so a constraint test is ``t & c == c`` and one
 :class:`Proposition` is built per output key.  Each state's mass and each
 output key's mass is an ``math.fsum`` over a fixed order (source order,
 then focal order), so results are bit-reproducible across runs.
@@ -32,8 +32,6 @@ from .lattice import (
     Model,
     Proposition,
     _absorb,
-    _from_masks,
-    _term_masks,
     reduce_under_model,
     total_ignorance,
 )
@@ -127,10 +125,6 @@ def vacuous(frame: Frame, model: Model) -> BBA:
     return BBA(frame, model, {total_ignorance(frame): 1.0})
 
 
-def _constraint_masks(model: Model) -> list[int]:
-    return [sum(1 << i for i in c) for c in model.empty_intersections]
-
-
 def belief(b: BBA, a: Proposition) -> float:
     """Bel(a): total mass on non-empty focal elements below ``a``.
 
@@ -138,11 +132,9 @@ def belief(b: BBA, a: Proposition) -> float:
     """
     if a.frame != b.frame:
         raise ValueError("query belongs to a different frame")
-    query = _term_masks(a)
+    query = a.masks
     return fsum(
-        m
-        for x, m in b.items()
-        if x.terms and all(any(s & t == s for s in query) for t in _term_masks(x))
+        m for x, m in b.items() if x.masks and all(any(s & t == s for s in query) for t in x.masks)
     )
 
 
@@ -154,14 +146,11 @@ def plausibility(b: BBA, a: Proposition) -> float:
     """
     if a.frame != b.frame:
         raise ValueError("query belongs to a different frame")
-    query = _term_masks(a)
-    constraints = _constraint_masks(b.model)
+    query, constraints = a.masks, b.model.masks
     return fsum(
         m
         for x, m in b.items()
-        if any(
-            all((t | s) & c != c for c in constraints) for t in _term_masks(x) for s in query
-        )
+        if any(all((t | s) & c != c for c in constraints) for t in x.masks for s in query)
     )
 
 
@@ -188,8 +177,8 @@ def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]
     contains a constraint; BBA keys are reduced, so their joins need no
     further reduction.
     """
-    constraints = _constraint_masks(model)
-    sources = [[(_term_masks(p), m) for p, m in b.items()] for b in bbas]
+    constraints = model.masks
+    sources = [[(p.masks, m) for p, m in b.items()] for b in bbas]
     states = {(p, p): m for p, m in sources[0]}
     for source in sources[1:]:
         step: dict[tuple[Masks, Masks], list[float]] = {}
@@ -204,7 +193,7 @@ def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]
 
 def _bba(frame: Frame, model: Model, contributions: dict[Masks, list[float]]) -> BBA:
     """The BBA summing each key's contributions, one Proposition per key."""
-    return BBA(frame, model, {_from_masks(frame, k): fsum(v) for k, v in contributions.items()})
+    return BBA(frame, model, {Proposition(frame, k): fsum(v) for k, v in contributions.items()})
 
 
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:

@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from typing import Sequence
 
 from .analysis import CLASSICAL_PRINCIPLES, parse_formula, tautology_check
@@ -346,6 +347,7 @@ def _run_check_logic(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- driver
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperbelief",

@@ -1,24 +1,28 @@
 """Set algebra of propositions built from a frame of discernment.
 
-A proposition is a union of intersections of frame singletons, kept in a
-canonical disjunctive form: an antichain of singleton-index sets (no term
-contains another), sorted by term size and then lexicographically.  Under
-that normal form the propositions over an n-singleton frame are exactly the
+A proposition is a union of intersections (terms) of frame singletons,
+stored as one ascending tuple of int term masks (bit i for singleton i)
+that is an antichain: no term contains another, so equal propositions are
+equal tuples.  The propositions over an n-singleton frame are exactly the
 antichains of non-empty subsets of the frame -- the free distributive
 lattice generated by the singletons, whose cardinalities 1, 2, 5, 19, 167,
-7580, 7828353 follow the Dedekind numbers (each is M(n) - 1).
+7580, 7828353 follow the Dedekind numbers (each is M(n) - 1).  Index sets
+and names enter through :func:`canonicalize`, :func:`proposition_from_names`
+and :meth:`Frame.singleton`; the canonical term order (by size, then by
+sorted members) exists only in the read-only output views.
 
-Exclusivity knowledge lives in a :class:`Model`: a set of index sets whose
-joint intersection is declared empty.  Reduction under a model drops every
-term that contains a declared-empty set, which yields the canonical
-representative of the proposition in the constrained lattice.
+A :class:`Model` stores the constraint masks whose joint intersection is
+declared empty.  Reduction drops every term t that contains a constraint c
+(``t & c == c``), which yields the canonical representative of the
+proposition in the constrained lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, reduce
+from itertools import combinations, product, starmap
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -60,23 +64,43 @@ class Frame:
             raise ValueError(f"unknown singleton {name!r}") from None
 
     def singleton(self, name: str) -> "Proposition":
-        return Proposition(self, ((frozenset((self.index(name),)),)))
+        return Proposition(self, (1 << self.index(name),))
 
 
-def _canonical_terms(frame: Frame, terms: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
-    n = len(frame)
-    sets = set()
-    for term in terms:
-        t = frozenset(term)
-        if not t:
-            raise ValueError("terms must be non-empty index sets")
-        for i in t:
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise ValueError(f"singleton index {i!r} out of range for frame of size {n}")
-        sets.add(t)
-    # absorption: a union term that contains another term is redundant
-    kept = [t for t in sets if not any(o < t for o in sets)]
-    return tuple(sorted(kept, key=lambda t: (len(t), sorted(t))))
+def _members(mask: int) -> list[int]:
+    """The singleton indices of a mask, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
+def _index_mask(n: int, indices: Iterable[int]) -> int:
+    """An index set on an n-singleton frame as a mask."""
+    mask = 0
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < n:
+            raise ValueError(f"singleton index {i!r} out of range for frame of size {n}")
+        mask |= 1 << i
+    return mask
+
+
+def _absorb(masks: Iterable[int]) -> tuple[int, ...]:
+    """The antichain of ``masks``, ascending: a mask containing another is dropped.
+
+    A mask's subsets are never larger ints than the mask, so one ascending
+    scan against the masks kept so far finds them all.
+    """
+    kept: list[int] = []
+    for t in sorted(set(masks)):
+        for o in kept:
+            if o & t == o:
+                break
+        else:
+            kept.append(t)
+    return tuple(kept)
 
 
 def _term_text(names: Sequence[str], members: Sequence[int], grouped: bool) -> str:
@@ -92,13 +116,21 @@ def _union_text(term_texts: list[str]) -> str:
 
 @dataclass(frozen=True)
 class Proposition:
-    """A canonical antichain of singleton-index sets; () is the empty proposition."""
+    """Term masks, stored absorbed and ascending; () is the empty proposition.
+
+    Each mask passed in must name at least one singleton of the frame and
+    none beyond it.  :func:`canonicalize` builds one from index sets.
+    """
 
     frame: Frame
-    terms: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _canonical_terms(self.frame, self.terms))
+        full = 1 << len(self.frame)
+        for t in self.masks:
+            if not isinstance(t, int) or not 0 < t < full:
+                raise ValueError(f"term mask {t!r} is not a non-empty subset of the frame")
+        object.__setattr__(self, "masks", _absorb(self.masks))
 
     @classmethod
     def empty(cls, frame: Frame) -> "Proposition":
@@ -106,16 +138,25 @@ class Proposition:
 
     @property
     def is_empty(self) -> bool:
-        return not self.terms
+        return not self.masks
+
+    def _ordered_members(self) -> list[list[int]]:
+        """Each term's sorted members, terms in canonical order (size, then members)."""
+        return sorted(map(_members, self.masks), key=lambda m: (len(m), m))
+
+    @property
+    def terms(self) -> tuple[frozenset[int], ...]:
+        """The terms as index sets, in canonical order."""
+        return tuple(map(frozenset, self._ordered_members()))
 
     @property
     def sort_key(self) -> tuple:
         """A total order on same-frame propositions; the empty one sorts first."""
-        return tuple((len(t), tuple(sorted(t))) for t in self.terms)
+        return tuple((len(m), tuple(m)) for m in self._ordered_members())
 
     def singleton_indices(self) -> frozenset[int]:
         """All singleton indices mentioned by any term."""
-        return frozenset(i for t in self.terms for i in t)
+        return frozenset(_members(reduce(or_, self.masks, 0)))
 
     def __and__(self, other: "Proposition") -> "Proposition":
         return conjoin(self, other)
@@ -125,11 +166,13 @@ class Proposition:
 
     def to_names(self) -> list[list[str]]:
         """JSON form: a list of terms, each a list of singleton names."""
-        return [[self.frame.names[i] for i in sorted(t)] for t in self.terms]
+        names = self.frame.names
+        return [[names[i] for i in m] for m in self._ordered_members()]
 
     def __str__(self) -> str:
-        grouped = len(self.terms) > 1
-        return _union_text([_term_text(self.frame.names, sorted(t), grouped) for t in self.terms])
+        grouped = len(self.masks) > 1
+        names = self.frame.names
+        return _union_text([_term_text(names, m, grouped) for m in self._ordered_members()])
 
     def __repr__(self) -> str:
         return f"<Proposition {self}>"
@@ -137,7 +180,10 @@ class Proposition:
 
 def canonicalize(frame: Frame, terms: Iterable[Iterable[int]]) -> Proposition:
     """Build the canonical proposition for an arbitrary list of index sets."""
-    return Proposition(frame, tuple(frozenset(t) for t in terms))
+    masks = tuple(_index_mask(len(frame), term) for term in terms)
+    if 0 in masks:
+        raise ValueError("terms must be non-empty index sets")
+    return Proposition(frame, masks)
 
 
 def proposition_from_names(frame: Frame, nested: Sequence[Sequence[str]]) -> Proposition:
@@ -153,44 +199,49 @@ def _require_same_frame(a: Proposition, b: Proposition) -> None:
 def conjoin(a: Proposition, b: Proposition) -> Proposition:
     """Intersection; distributes over the union terms, absorbing on ∅."""
     _require_same_frame(a, b)
-    return Proposition(a.frame, tuple(ta | tb for ta in a.terms for tb in b.terms))
+    return Proposition(a.frame, tuple(ta | tb for ta in a.masks for tb in b.masks))
 
 
 def disjoin(a: Proposition, b: Proposition) -> Proposition:
     """Union; ∅ is the identity."""
     _require_same_frame(a, b)
-    return Proposition(a.frame, a.terms + b.terms)
+    return Proposition(a.frame, a.masks + b.masks)
 
 
 @dataclass(frozen=True)
 class Model:
-    """A frame plus the index sets whose joint intersection is declared empty.
+    """A frame plus the constraint masks whose joint intersection is declared empty.
 
-    ``kind`` follows from the constraints: "free" (none), "shafer" (every pair
-    of distinct singletons exclusive) or "hybrid" (anything in between).
-    Constraint sets are kept minimal: a set that contains another is redundant.
+    Each constraint has two or more members, and the set is kept minimal: a
+    constraint that contains another is redundant.  ``kind`` follows from
+    the constraints: "free" (none), "shafer" (every pair of distinct
+    singletons exclusive) or "hybrid" (anything in between).
     """
 
     frame: Frame
-    empty_intersections: frozenset[frozenset[int]]
+    masks: frozenset[int]
     kind: str = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.frame)
-        sets = set()
-        for c in self.empty_intersections:
-            cs = frozenset(c)
-            if len(cs) < 2:
+        masks = frozenset(self.masks)
+        for c in masks:
+            if not isinstance(c, int) or not 0 <= c < 1 << n:
+                raise ValueError(f"constraint mask {c!r} is not a subset of the frame")
+            if c.bit_count() < 2:
                 raise ValueError("an empty-intersection constraint needs at least two members")
-            if any(not 0 <= i < n for i in cs):
-                raise ValueError("constraint index out of range")
-            sets.add(cs)
-        # a pair cannot strictly contain another set of two or more members
-        minimal = frozenset(c for c in sets if len(c) == 2 or not any(o < c for o in sets))
-        object.__setattr__(self, "empty_intersections", minimal)
-        pairs = sum(len(c) == 2 for c in minimal)
+        # a pair cannot strictly contain another constraint of two or more members
+        wide = [c for c in masks if c.bit_count() > 2]
+        minimal = masks.difference(c for c in wide if any(o != c and o & c == o for o in masks))
+        object.__setattr__(self, "masks", minimal)
+        pairs = len(masks) - len(wide)
         kind = "free" if not minimal else "shafer" if pairs == n * (n - 1) // 2 else "hybrid"
         object.__setattr__(self, "kind", kind)
+
+    @property
+    def empty_intersections(self) -> frozenset[frozenset[int]]:
+        """The constraints as index sets."""
+        return frozenset(frozenset(_members(c)) for c in self.masks)
 
     @classmethod
     def free(cls, frame: Frame) -> "Model":
@@ -198,15 +249,16 @@ class Model:
 
     @classmethod
     def shafer(cls, frame: Frame) -> "Model":
-        return cls(frame, frozenset(map(frozenset, combinations(range(len(frame)), 2))))
+        bits = [1 << i for i in range(len(frame))]
+        return cls(frame, frozenset(starmap(or_, combinations(bits, 2))))
 
     @classmethod
     def from_constraints(cls, frame: Frame, constraints: Iterable[Iterable[int]]) -> "Model":
-        return cls(frame, frozenset(map(frozenset, constraints)))
+        return cls(frame, frozenset(_index_mask(len(frame), c) for c in constraints))
 
 
 def reduce_under_model(a: Proposition, model: Model) -> Proposition:
-    """Drop every term that contains a declared-empty index set.
+    """Drop every term that contains a constraint.
 
     The result is the canonical representative of ``a`` in the constrained
     lattice: two propositions are equal under the constraints iff they reduce
@@ -214,13 +266,12 @@ def reduce_under_model(a: Proposition, model: Model) -> Proposition:
     """
     if a.frame != model.frame:
         raise ValueError("proposition and model belong to different frames")
-    if not model.empty_intersections:
+    constraints = model.masks
+    if not constraints:
         return a
-    # a constraint has two or more members, so no singleton term contains one
-    kept = tuple(
-        t for t in a.terms if len(t) < 2 or not any(c <= t for c in model.empty_intersections)
-    )
-    if len(kept) == len(a.terms):
+    # a constraint has two or more members, so no single-member term contains one
+    kept = tuple(t for t in a.masks if not t & (t - 1) or all(t & c != c for c in constraints))
+    if len(kept) == len(a.masks):
         return a
     return Proposition(a.frame, kept)
 
@@ -232,46 +283,12 @@ def leq(a: Proposition, b: Proposition, model: Model) -> bool:
 
 def u_of(a: Proposition) -> Proposition:
     """The union of all singletons mentioned by ``a``; u(∅) = ∅."""
-    return Proposition(a.frame, tuple(frozenset((i,)) for i in a.singleton_indices()))
+    return Proposition(a.frame, tuple(1 << i for i in a.singleton_indices()))
 
 
 def total_ignorance(frame: Frame) -> Proposition:
     """The union of every singleton in the frame."""
-    return Proposition(frame, tuple(frozenset((i,)) for i in range(len(frame))))
-
-
-# --- int term masks --------------------------------------------------------
-#
-# The combination rules work on terms as ints, bit i set for singleton i: a
-# term t contains a constraint c iff t & c == c.  A proposition is then a
-# tuple of masks, absorbed and in ascending order, so equal antichains are
-# equal tuples.  A mask's subsets are never larger ints than the mask, so
-# absorption is one sort plus a scan of the masks kept so far.  Mask order is
-# not canonical term order ({0, 3} is 9 and {1, 2} is 6); that order comes
-# back only through Proposition.
-
-
-def _absorb(masks: Iterable[int]) -> tuple[int, ...]:
-    """The antichain of ``masks``, ascending: a mask containing another is dropped."""
-    kept: list[int] = []
-    for t in sorted(set(masks)):
-        for o in kept:
-            if o & t == o:
-                break
-        else:
-            kept.append(t)
-    return tuple(kept)
-
-
-def _term_masks(a: Proposition) -> tuple[int, ...]:
-    """The terms of ``a`` as int masks, in mask order."""
-    return _absorb(sum(1 << i for i in t) for t in a.terms)
-
-
-def _from_masks(frame: Frame, masks: Iterable[int]) -> Proposition:
-    """The proposition whose terms are the given int masks."""
-    members = range(len(frame))
-    return Proposition(frame, tuple(frozenset(i for i in members if t >> i & 1) for t in masks))
+    return Proposition(frame, tuple(1 << i for i in range(len(frame))))
 
 
 # --- enumeration ----------------------------------------------------------
@@ -337,10 +354,8 @@ def _antichains(n: int) -> Iterator[tuple[int, ...]]:
 
 def iter_hyper_power_set(frame: Frame) -> Iterator[Proposition]:
     """Yield every proposition over the frame in deterministic mask order."""
-    n = len(frame)
-    members = [frozenset(i for i in range(n) if s >> i & 1) for s in range(1 << n)]
-    for terms in _antichains(n):
-        yield Proposition(frame, tuple(members[s] for s in terms))
+    for masks in _antichains(len(frame)):
+        yield Proposition(frame, masks)
 
 
 def enumerate_hyper_power_set(frame: Frame, *, allow_large: bool = False) -> list[Proposition]:
@@ -424,31 +439,26 @@ def refine_to_atoms(
     """
     axes = atom_frame.axes
     atoms: set[int] = set()
-    for term in a.terms:
+    for term in a.masks:
         pinned: dict[int, int] = {}
-        consistent = True
-        for i in term:
+        for i in _members(term):
             name = a.frame.names[i]
             if name not in literal_map:
                 raise ValueError(f"singleton {name!r} has no axis mapping")
             axis, value = literal_map[name]
             if not 0 <= axis < len(axes) or not 0 <= value < len(axes[axis]):
                 raise ValueError(f"axis mapping for {name!r} is out of range")
-            if pinned.get(axis, value) != value:
-                consistent = False
-                break
-            pinned[axis] = value
-        if not consistent:
-            continue
-        choices = [
-            (pinned[axis],) if axis in pinned else tuple(range(len(axes[axis])))
-            for axis in range(len(axes))
-        ]
-        for combo in product(*choices):
-            atoms.add(atom_frame.atom_index(combo))
+            if pinned.setdefault(axis, value) != value:
+                break  # the term pins one axis to two values
+        else:
+            choices = [
+                (pinned[axis],) if axis in pinned else range(len(axes[axis]))
+                for axis in range(len(axes))
+            ]
+            atoms.update(map(atom_frame.atom_index, product(*choices)))
     return frozenset(atoms)
 
 
 def atoms_to_proposition(atom_indices: Iterable[int], atom_frame_as_frame: Frame) -> Proposition:
     """Turn an atom-index set into a union of singletons on the refined frame."""
-    return Proposition(atom_frame_as_frame, tuple(frozenset((i,)) for i in atom_indices))
+    return Proposition(atom_frame_as_frame, tuple(1 << i for i in atom_indices))

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from hyperbelief import Frame, Model, Proposition, canonicalize, conjoin, reduce_under_model
+from hyperbelief import Frame, Model, canonicalize, conjoin, reduce_under_model
 
 NAMES = ("a", "b", "c", "d")
 WIDE_NAMES = ("a", "b", "c", "d", "e", "g")
@@ -59,7 +59,7 @@ def modeled_props(draw, k=2, min_n=1, max_n=4):
 def single_term_props(draw, frame):
     n = len(frame)
     term = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n))
-    return Proposition(frame, (term,))
+    return canonicalize(frame, (term,))
 
 
 @st.composite
@@ -77,7 +77,7 @@ def bbas(draw, model, max_focals=4, allow_conflict_mass=False):
             continue
         focals[p] = focals.get(p, 0.0) + draw(st.floats(0.01, 1.0))
     if not focals:
-        focals[reduce_under_model(Proposition(frame, ((frozenset((0,)),))), model)] = 1.0
+        focals[reduce_under_model(canonicalize(frame, ((frozenset((0,)),))), model)] = 1.0
     total = sum(focals.values())
     return BBA(frame, model, {k: v / total for k, v in focals.items()})
 

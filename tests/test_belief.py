@@ -18,6 +18,7 @@ from hyperbelief import (
     TotalConflictError,
     atoms_to_proposition,
     belief,
+    canonicalize,
     conjunctive_combine,
     dempster_combine,
     dsm_hybrid_combine,
@@ -464,7 +465,7 @@ def test_bel_pl_match_region_semantics(data):
     queries = [data.draw(propositions(frame)) for _ in range(3)]
     # a constrained term keeps the query from being reduced
     queries += [
-        Proposition(frame, q.terms + (c,)) for q in queries for c in model.empty_intersections
+        canonicalize(frame, q.terms + (c,)) for q in queries for c in model.empty_intersections
     ]
     focals = [(oracle.semantic(x, model), m) for x, m in b.items()]
     for q in queries:
@@ -545,7 +546,7 @@ def test_powerset_duality_on_exclusive_frames(data):
     for prop in enumerate_hyper_power_set(frame):
         reduced = reduce_under_model(prop, model)
         missing = frozenset(range(len(frame))) - reduced.singleton_indices()
-        complement = Proposition(frame, tuple(frozenset((i,)) for i in sorted(missing)))
+        complement = canonicalize(frame, tuple(frozenset((i,)) for i in sorted(missing)))
         assert plausibility(result, reduced) == pytest.approx(
             1.0 - belief(result, complement), abs=1e-9
         )

@@ -13,6 +13,7 @@ from hyperbelief.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     ScenarioError,
+    _build_parser,
     emit_report,
     main,
     parse_scenario,
@@ -353,3 +354,20 @@ def test_unknown_keys_exit_two(capsys, monkeypatch, owner, field):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
     assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
     assert f"unknown field {field}" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(capsys):
+    def call(*argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    _build_parser.cache_clear()
+    fresh = call("fuse", str(TP2_PATH))
+    usage = call("fuse")
+    assert usage[0] == EXIT_INPUT_ERROR and "usage:" in usage[2]
+    helped = call("--help")
+    assert helped[0] == EXIT_OK and "usage:" in helped[1]
+    assert call("fuse", str(TP2_PATH)) == fresh
+    assert [call("fuse"), call("--help")] == [usage, helped]
+    assert _build_parser.cache_info().misses == 1

@@ -65,6 +65,40 @@ def test_out_of_range_index_rejected():
         canonicalize(TPFRAME, [{0, 9}])
 
 
+@pytest.mark.parametrize("mask", [frozenset({0}), 0, -1, 1 << 4])
+def test_masks_outside_the_frame_rejected(mask):
+    with pytest.raises(ValueError):
+        Proposition(TPFRAME, (mask,))
+
+
+@pytest.mark.parametrize("mask", [frozenset({0, 1}), 0b0100, 1 << 4 | 1])
+def test_constraint_masks_outside_the_frame_rejected(mask):
+    with pytest.raises(ValueError):
+        Model(TPFRAME, frozenset({mask}))
+
+
+def index_set_lists(frame):
+    n = len(frame)
+    return st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n), max_size=5)
+
+
+@given(frames(), st.data())
+def test_masks_are_the_ascending_antichain_and_terms_the_canonical_view(frame, data):
+    listed = data.draw(index_set_lists(frame))
+    a = canonicalize(frame, listed)
+    assert list(a.masks) == sorted(set(a.masks))
+    assert not any(s != t and s & t == s for s in a.masks for t in a.masks)
+    assert sorted(sum(1 << i for i in t) for t in a.terms) == list(a.masks)
+    assert list(a.terms) == sorted(a.terms, key=lambda t: (len(t), sorted(t)))
+    # the same antichain listed with absorbed extras in another order, and an unrelated one
+    extras = [t | e for t, e in zip(listed, data.draw(index_set_lists(frame)))]
+    same = canonicalize(frame, data.draw(st.permutations(listed + extras)))
+    other = canonicalize(frame, data.draw(index_set_lists(frame)))
+    for b in (same, other):
+        assert (a == b) == (oracle.covered_regions(a) == oracle.covered_regions(b))
+    assert a == same
+
+
 def test_names_round_trip():
     assert proposition_from_names(TPFRAME, [["p", "nf"], ["b", "f"]]).to_names() == [
         ["p", "nf"],

@@ -1,9 +1,13 @@
-"""Smoke tests: the example scripts run against the package and print their tables."""
+"""Smoke tests: the example scripts and the benchmark tracer run against the package."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hyperbelief import Frame, canonicalize
+from hyperbelief.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +49,22 @@ def test_dedekind_growth_counts():
         (3, 19),
         (4, 167),
     ]
+
+
+def test_benchmark_tracer_wraps_the_package(capsys):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    argv = ["fuse", str(ROOT / "scenarios" / "tp2.json"), "--format", "json"]
+    untraced = (main(argv), capsys.readouterr())
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        traced = (main(argv), capsys.readouterr())
+        # the tracer reads .terms before __post_init__ absorbs the masks
+        absorbed = canonicalize(Frame(("a", "b")), [{0, 1}, {0}])
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert absorbed.terms == (frozenset({0}),)
+    assert tracer.metrics()["lattice.Proposition.calls"] > 0
