@@ -34,7 +34,6 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
-    atoms_to_proposition,
     canonicalize,
     conjoin,
     disjoin,
@@ -49,6 +48,7 @@ from .lattice import (
 )
 from .rulebase import (
     ENGINES,
+    AtomMasses,
     DstAxes,
     EngineResult,
     FusionReport,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, isfinite
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .lattice import (
     Frame,
@@ -42,6 +42,14 @@ _MASS_SUM_TOL = 1e-9
 
 class TotalConflictError(ArithmeticError):
     """All combined mass is conflicting: the sources describe an impossible world."""
+
+
+def fsum_by_key(pairs: Iterable[tuple[Hashable, float]]) -> dict:
+    """Sum the masses of equal keys with ``fsum``, keys in first-seen order."""
+    grouped: dict[Hashable, list[float]] = {}
+    for key, mass in pairs:
+        grouped.setdefault(key, []).append(mass)
+    return {key: fsum(masses) for key, masses in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -61,16 +69,14 @@ class BBA:
     def __post_init__(self) -> None:
         if self.model.frame != self.frame:
             raise ValueError("model belongs to a different frame")
-        merged: dict[Proposition, list[float]] = {}
         for prop, mass in self.masses.items():
             if prop.frame != self.frame:
                 raise ValueError("mass keyed by a proposition from another frame")
             if not (isfinite(mass) and mass >= 0.0):
                 raise ValueError(f"mass {mass} on {prop} is not a finite non-negative number")
-            key = reduce_under_model(prop, self.model)
-            merged.setdefault(key, []).append(mass)
-        final = {k: fsum(v) for k, v in sorted(merged.items(), key=lambda kv: kv[0].sort_key)}
-        final = {k: m for k, m in final.items() if m > 0.0}
+        merged = fsum_by_key((reduce_under_model(p, self.model), m) for p, m in self.masses.items())
+        ordered = sorted(merged.items(), key=lambda kv: kv[0].sort_key)
+        final = {k: m for k, m in ordered if m > 0.0}
         total = fsum(final.values())
         if abs(total - 1.0) > _MASS_SUM_TOL:
             raise ValueError(f"masses sum to {total!r}, not 1")
@@ -191,18 +197,15 @@ def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]
     return states
 
 
-def _bba(frame: Frame, model: Model, contributions: dict[Masks, list[float]]) -> BBA:
-    """The BBA summing each key's contributions, one Proposition per key."""
-    return BBA(frame, model, {Proposition(frame, k): fsum(v) for k, v in contributions.items()})
+def _bba(frame: Frame, model: Model, pairs: Iterable[tuple[Masks, float]]) -> BBA:
+    """The BBA summing the masses of equal keys, one Proposition per key."""
+    return BBA(frame, model, {Proposition(frame, k): m for k, m in fsum_by_key(pairs).items()})
 
 
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Unnormalized conjunctive rule; conflicting mass is kept on ∅."""
     frame, model = _common_context(bbas)
-    contributions: dict[Masks, list[float]] = {}
-    for (meet, _), mass in _fold(bbas, model).items():
-        contributions.setdefault(meet, []).append(mass)
-    result = _bba(frame, model, contributions)
+    result = _bba(frame, model, ((meet, m) for (meet, _), m in _fold(bbas, model).items()))
     return CombinationReport(result, result.mass_on_empty(), None)
 
 
@@ -239,12 +242,7 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """
     frame, model = _common_context(bbas)
     ignorance = tuple(1 << i for i in range(len(frame)))
-    contributions: dict[Masks, list[float]] = {}
-    rerouted: list[float] = []
-    for (meet, join), mass in _fold(bbas, model).items():
-        target = meet
-        if not meet:
-            rerouted.append(mass)
-            target = join or ignorance
-        contributions.setdefault(target, []).append(mass)
-    return CombinationReport(_bba(frame, model, contributions), fsum(rerouted), None)
+    states = _fold(bbas, model)
+    rerouted = fsum(m for (meet, _), m in states.items() if not meet)
+    targets = ((meet or join or ignorance, m) for (meet, join), m in states.items())
+    return CombinationReport(_bba(frame, model, targets), rerouted, None)

@@ -394,8 +394,8 @@ class AtomFrame:
         for axis in axes:
             if len(axis) < 2:
                 raise ValueError("each axis needs at least two values")
-            if len(set(axis)) != len(axis):
-                raise ValueError("axis values must be unique")
+            if len(set(axis)) != len(axis) or any(not v or "∩" in v for v in axis):
+                raise ValueError("axis values must be unique, non-empty and free of ∩")
 
     @property
     def atom_count(self) -> int:
@@ -457,8 +457,3 @@ def refine_to_atoms(
             ]
             atoms.update(map(atom_frame.atom_index, product(*choices)))
     return frozenset(atoms)
-
-
-def atoms_to_proposition(atom_indices: Iterable[int], atom_frame_as_frame: Frame) -> Proposition:
-    """Turn an atom-index set into a union of singletons on the refined frame."""
-    return Proposition(atom_frame_as_frame, tuple(1 << i for i in atom_indices))

@@ -9,10 +9,10 @@ three ways:
 * ``dsm``   — hybrid DSm fusion directly on the constrained lattice: all rule
   BBAs in one pass, then each observation in order.
 * ``dst``   — every proposition is refined to its set of atoms on an
-  exclusive frame (``dst_axes``), and Dempster's rule is one fold over those
-  atom sets, starting from the vacuous assignment: meet is ``&`` and the
-  conflict is the mass on the empty set.  Total conflict is reported as an
-  inconsistency, not raised.
+  exclusive frame (``dst_axes``); Dempster's rule is one fold over those atom
+  sets from the vacuous assignment (meet is ``&``, conflict is the mass on
+  the empty set), and the report keys the result by atom sets named by
+  :meth:`AtomFrame.atom_name`.  Total conflict is an inconsistency, not raised.
 * ``bayes`` — no fusion at all: if the scenario is a three-rule triangle
   (x→c, y→c', x→y with observation x∧y and c, c' exclusive), the chain-rule
   point estimates and their defects are reported.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import fsum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .analysis import BayesEstimates, indifference_estimates
 from .belief import (
@@ -32,6 +32,7 @@ from .belief import (
     TOTAL_CONFLICT_EPS,
     belief,
     dsm_hybrid_combine,
+    fsum_by_key,
     plausibility,
     vacuous,
 )
@@ -40,7 +41,6 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
-    atoms_to_proposition,
     conjoin,
     reduce_under_model,
     refine_to_atoms,
@@ -220,10 +220,27 @@ class QueryResult:
 
 
 @dataclass(frozen=True)
+class AtomMasses:
+    """The dst engine's fused masses, keyed by atom sets of ``axes`` in sorted-atom order."""
+
+    axes: AtomFrame
+    masses: Mapping[frozenset[int], float]
+
+    def to_json(self) -> dict:
+        name = self.axes.atom_name
+        return {
+            "masses": [
+                {"prop": [[name(i)] for i in sorted(focal)], "mass": mass}
+                for focal, mass in self.masses.items()
+            ]
+        }
+
+
+@dataclass(frozen=True)
 class EngineResult:
     engine: str
     status: str  # "ok" | "inconsistent" | "not_applicable"
-    fused: BBA | None
+    fused: BBA | AtomMasses | None  # a BBA for dsm, atom sets for dst
     conflict_mass: float | None
     stage_conflicts: tuple[float, ...]
     normalization_constant: float | None
@@ -296,14 +313,6 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
     )
 
 
-def _merged(pairs: Iterable[tuple[frozenset[int], float]]) -> dict[frozenset[int], float]:
-    """Sum the masses of equal atom sets with ``fsum``, in first-seen order."""
-    grouped: dict[frozenset[int], list[float]] = {}
-    for atoms, mass in pairs:
-        grouped.setdefault(atoms, []).append(mass)
-    return {atoms: fsum(masses) for atoms, masses in grouped.items()}
-
-
 def _run_dst(scenario: Scenario) -> EngineResult:
     axes = scenario.dst_axes
 
@@ -311,10 +320,10 @@ def _run_dst(scenario: Scenario) -> EngineResult:
         return refine_to_atoms(prop, axes.axes, axes.literal_map)
 
     rules, observations = scenario._sources
-    sources = [_merged((atoms(p), m) for p, m in bba.items()) for bba in (*rules, *observations)]
+    sources = [fsum_by_key((atoms(p), m) for p, m in b.items()) for b in (*rules, *observations)]
     states = {frozenset(range(axes.axes.atom_count)): 1.0}
     for source in sources:
-        states = _merged((s & f, ms * m) for s, ms in states.items() for f, m in source.items())
+        states = fsum_by_key((s & f, ms * m) for s, ms in states.items() for f, m in source.items())
     conflict = states.pop(frozenset(), 0.0)
     k = 1.0 - conflict
     if k <= TOTAL_CONFLICT_EPS:
@@ -333,24 +342,18 @@ def _run_dst(scenario: Scenario) -> EngineResult:
         )
     # divide by the kept mass: 1 − conflict loses digits when K is small
     kept = fsum(states.values())
-    fused = {focal: mass / kept for focal, mass in states.items()}
+    ordered = sorted(states.items(), key=lambda kv: sorted(kv[0]))
+    fused = {focal: mass / kept for focal, mass in ordered if mass > 0.0}
     rows = []
     for q in scenario.queries:
         target = atoms(q)
         bel = fsum(m for focal, m in fused.items() if focal <= target)
         pl = fsum(m for focal, m in fused.items() if focal & target)
         rows.append(QueryResult(query=q, bel=bel, pl=pl))
-    # the lattice form is built only for the report
-    atom_frame = axes.axes.to_frame()
-    report = BBA(
-        atom_frame,
-        Model.shafer(atom_frame),
-        {atoms_to_proposition(focal, atom_frame): m for focal, m in fused.items()},
-    )
     return EngineResult(
         engine="dst",
         status="ok",
-        fused=report,
+        fused=AtomMasses(axes.axes, fused),
         conflict_mass=conflict,
         stage_conflicts=(conflict,),
         normalization_constant=k,

@@ -16,7 +16,6 @@ from hyperbelief import (
     Model,
     Proposition,
     TotalConflictError,
-    atoms_to_proposition,
     belief,
     canonicalize,
     conjunctive_combine,
@@ -53,20 +52,14 @@ def rule_sources(e1, e2, e3):
     return m1, m2, m3
 
 
+def lifted_query(prop):
+    """``prop`` as a union of atom singletons on the eight-atom exclusive frame."""
+    return canonicalize(ATOMFRAME, [[i] for i in refine_to_atoms(prop, TPAXES, TPLITERALS)])
+
+
 def lift(bba):
     """Re-express a triangle BBA on the eight-atom exclusive frame."""
-    return BBA(
-        ATOMFRAME,
-        SHAFER,
-        {
-            atoms_to_proposition(refine_to_atoms(k, TPAXES, TPLITERALS), ATOMFRAME): v
-            for k, v in bba.items()
-        },
-    )
-
-
-def lifted_query(prop):
-    return atoms_to_proposition(refine_to_atoms(prop, TPAXES, TPLITERALS), ATOMFRAME)
+    return BBA(ATOMFRAME, SHAFER, {lifted_query(k): v for k, v in bba.items()})
 
 
 # ---------------------------------------------------------------- construction

@@ -70,6 +70,7 @@ def test_engines_default_to_dsm():
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "engines": ["dst"]}', "dst_axes"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "dst_axes": {"axes": [["x", "y"]]}}', "dst_axes.map"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "dst_axes": {"axes": [["x", "y"]], "map": {"a": [0]}}}', "dst_axes.map"),
+        ('{"frame": ["a", "b"], "queries": [[["a"]]], "dst_axes": {"axes": [["x∩y", "x"], ["z", "y∩z"]], "map": {}}}', "dst_axes:"),
     ],
 )
 def test_parse_errors_name_the_field(text, needle):

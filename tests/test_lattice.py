@@ -10,7 +10,6 @@ from hyperbelief import (
     Frame,
     Model,
     Proposition,
-    atoms_to_proposition,
     canonicalize,
     conjoin,
     disjoin,
@@ -336,6 +335,14 @@ def test_single_value_axis_rejected():
         AtomFrame((("f",),))
 
 
+def test_axis_values_that_blur_atom_names_rejected():
+    # atom names join values with ∩, so these would name two atoms x∩y∩z, or one atom ""
+    with pytest.raises(ValueError, match="free of ∩"):
+        AtomFrame((("x∩y", "x"), ("z", "y∩z")))
+    with pytest.raises(ValueError, match="non-empty"):
+        AtomFrame((("", "x"),))
+
+
 def test_refine_conjunction_pins_axes():
     assert refine_to_atoms(B & P, TPAXES, TPLITERALS) == frozenset({0, 4})
 
@@ -362,12 +369,6 @@ def test_unmapped_singleton_rejected():
 def test_out_of_range_mapping_rejected():
     with pytest.raises(ValueError, match="out of range"):
         refine_to_atoms(P, TPAXES, {"p": (5, 0)})
-
-
-def test_atoms_to_proposition():
-    refined = TPAXES.to_frame()
-    prop = atoms_to_proposition({0, 4}, refined)
-    assert prop.to_names() == [["f∩b∩p"], ["nf∩b∩p"]]
 
 
 @given(frames(min_n=2, max_n=4), st.data())

@@ -1,5 +1,8 @@
 """Tests for rule/observation encoding and the three-engine pipeline."""
 
+from itertools import product
+from math import prod
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -15,8 +18,8 @@ from hyperbelief import (
     Scenario,
     TotalConflictError,
     WeightedRule,
-    atoms_to_proposition,
     belief,
+    canonicalize,
     dempster_combine,
     leq,
     observation_to_bba,
@@ -299,8 +302,23 @@ def test_dst_small_normalisation_constant_stays_normalised():
     result = run_scenario(scenario).engine("dst")
     assert result.status == "ok"
     assert result.normalization_constant == pytest.approx(1e-8, rel=1e-6)
-    assert [mass for _, mass in result.fused.items()] == [1.0]
+    assert list(result.fused.masses.values()) == [1.0]
     assert [(row.bel, row.pl) for row in result.queries] == [(0.0, 0.0), (1.0, 1.0)]
+
+
+def test_dst_report_keeps_no_zero_masses():
+    # 1e-200 * 1e-200 underflows, so a∩b∩c∩d gets mass 0.0; like a BBA, the report drops it
+    frame = Frame(("a", "b", "c", "d"))
+    a, b, c, d = map(frame.singleton, frame.names)
+    axes = DstAxes(
+        AtomFrame(tuple((n, f"{n}'") for n in frame.names)),
+        {n: (i, 0) for i, n in enumerate(frame.names)},
+    )
+    rules = (WeightedRule(a, b, 1e-200), WeightedRule(c, d, 1e-200))
+    scenario = Scenario(frame, Model.free(frame), rules, (), (a,), engines=("dst",), dst_axes=axes)
+    masses = run_scenario(scenario).engine("dst").fused.masses
+    assert len(masses) == 3
+    assert all(masses.values())
 
 
 def test_evidential_intervals_stay_ordered():
@@ -312,25 +330,30 @@ def test_evidential_intervals_stay_ordered():
                 assert row.pl <= 1.0 + 1e-12
 
 
-ATOMFRAME = TPAXES.axes.to_frame()
-SHAFER = Model.shafer(ATOMFRAME)
-
-
-def lifted(prop):
-    """``prop`` as a union of atom singletons on the eight-atom exclusive frame."""
-    atoms = refine_to_atoms(prop, TPAXES.axes, TPAXES.literal_map)
-    return atoms_to_proposition(atoms, ATOMFRAME)
+# sizes of 0-3 extra binary or ternary axes, at most 72 atoms in all
+EXTRA_AXES = [s for n in range(4) for s in product((2, 3), repeat=n) if prod(s) <= 9]
 
 
 @given(
     st.tuples(*[st.floats(0.0, 1.0)] * 3),
     st.lists(propositions(TPFRAME, allow_empty=False), max_size=2),
     st.lists(propositions(TPFRAME, allow_empty=False), max_size=2),
+    st.sampled_from(EXTRA_AXES),
 )
-def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_queries):
-    # the atom-set engine against dempster_combine over Shafer-lifted BBAs
+def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_queries, extra_axes):
+    # the atom-set engine against dempster_combine over Shafer-lifted BBAs, on
+    # the triangle's axes plus unmapped binary or ternary ones (8 to 72 atoms)
     for obs in extra_observations:
         assume(not reduce_under_model(obs, TPMODEL).is_empty)
+    extra = tuple(tuple(f"x{k}v{i}" for i in range(n)) for k, n in enumerate(extra_axes))
+    axes = DstAxes(AtomFrame(TPAXES.axes.axes + extra), TPAXES.literal_map)
+    atom_frame = axes.axes.to_frame()
+    shafer = Model.shafer(atom_frame)
+
+    def lifted(prop):
+        atoms = refine_to_atoms(prop, axes.axes, axes.literal_map)
+        return canonicalize(atom_frame, [[i] for i in atoms])
+
     observations = (P & B, *extra_observations)
     scenario = Scenario(
         TPFRAME,
@@ -339,7 +362,7 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
         observations,
         (F, NF, *extra_queries),
         engines=("dst",),
-        dst_axes=TPAXES,
+        dst_axes=axes,
     )
     result = run_scenario(scenario).engine("dst")
     # Both paths divide their rounding error by K, so a small K puts them
@@ -348,16 +371,21 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
     sources = [rule_to_conditional_bba(r, TPFRAME, TPMODEL) for r in scenario.rules]
     sources += [observation_to_bba(o, TPFRAME, TPMODEL) for o in observations]
     lifted_sources = [
-        BBA(ATOMFRAME, SHAFER, {lifted(k): v for k, v in b.items()}) for b in sources
+        BBA(atom_frame, shafer, {lifted(k): v for k, v in b.items()}) for b in sources
     ]
     if result.status == "inconsistent":
         with pytest.raises(TotalConflictError):
             dempster_combine(lifted_sources)
         return
     reference = dempster_combine(lifted_sources)
-    assert result.fused.focals() == reference.result.focals()
-    for (_, got), (_, want) in zip(result.fused.items(), reference.result.items()):
+    focals = [canonicalize(atom_frame, [[i] for i in focal]) for focal in result.fused.masses]
+    assert focals == reference.result.focals()
+    for got, (_, want) in zip(result.fused.masses.values(), reference.result.items()):
         assert got == pytest.approx(want, **APPROX)
+    reported, expected = result.to_json()["fused"]["masses"], reference.result.to_json()["masses"]
+    assert [entry["prop"] for entry in reported] == [entry["prop"] for entry in expected]
+    for got, want in zip(reported, expected):
+        assert got["mass"] == pytest.approx(want["mass"], **APPROX)
     assert result.conflict_mass == pytest.approx(reference.conflict_mass, **APPROX)
     assert result.normalization_constant == pytest.approx(
         reference.normalization_constant, **APPROX

@@ -1,4 +1,5 @@
-"""Smoke tests: the example scripts and the benchmark tracer run against the package."""
+"""Smoke tests: the example scripts, the README example and the benchmark tracer
+run against the package."""
 
 import importlib.util
 import os
@@ -51,6 +52,18 @@ def test_dedekind_growth_counts():
     ]
 
 
+def test_readme_library_example_prints_its_comments(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends with a comment that shows what it prints
+    expected = [
+        line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")
+    ]
+    exec(compile(block, "README.md", "exec"), {})
+    assert expected
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_benchmark_tracer_wraps_the_package(capsys):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
@@ -68,3 +81,5 @@ def test_benchmark_tracer_wraps_the_package(capsys):
     assert traced == untraced
     assert absorbed.terms == (frozenset({0}),)
     assert tracer.metrics()["lattice.Proposition.calls"] > 0
+    # the traced dst path still refines to len()-able atom sets
+    assert tracer.metrics()["lattice.refine_to_atoms.calls"] > 0
