@@ -33,6 +33,8 @@ from .lattice import (
     Proposition,
     _antichains,
     _check_enumeration_limit,
+    _members,
+    _term_order,
     _term_text,
     _union_text,
     proposition_from_names,
@@ -109,6 +111,9 @@ def parse_scenario(text: str) -> Scenario:
     names = _get(data, "frame", list, "", required=True)
     for i, name in enumerate(names):
         _expect(name, str, f"frame[{i}]")
+        # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
+        if "∩" in name or "∪" in name:
+            raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {name!r}")
     try:
         frame = Frame(tuple(names))
     except ValueError as exc:
@@ -318,15 +323,15 @@ def _run_compare(args: argparse.Namespace) -> int:
 def _run_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ScenarioError("--n must be at least 1")
-    _check_enumeration_limit(args.n, args.allow_large)
-    members = [[i for i in range(args.n) if s >> i & 1] for s in range(1 << args.n)]
+    _check_enumeration_limit(args.n, args.allow_large, "--allow-large")
+    members = [_members(s) for s in _term_order(args.n)]
     alone = [_term_text(_ENUM_NAMES, m, False) for m in members]
     grouped = [_term_text(_ENUM_NAMES, m, True) for m in members]
     count = 0
     lines = []
-    for count, terms in enumerate(_antichains(args.n), 1):
-        texts = grouped if len(terms) > 1 else alone
-        lines.append(_union_text([texts[s] for s in terms]))
+    for count, ranks in enumerate(_antichains(args.n), 1):
+        texts = grouped if len(ranks) > 1 else alone
+        lines.append(_union_text([texts[r] for r in ranks]))
         if len(lines) == _ENUM_CHUNK:
             sys.stdout.write("\n".join(lines) + "\n")
             lines.clear()

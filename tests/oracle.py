@@ -125,3 +125,40 @@ def naive_antichains(n):
         family = sum(1 << sum(1 << i for i in v) for v in everything if any(t <= v for t in chosen))
         found.append((family, tuple(sorted(chosen, key=lambda t: (len(t), sorted(t))))))
     return [terms for _, terms in sorted(found)]
+
+
+def shift_mask_antichains(n):
+    """Every antichain of non-empty subsets of range(n), ∅ first, in mask order.
+
+    The (lo, hi) recursion builds the monotone families as bitmasks over the
+    2^n subsets, as the engine does, but each family finds its minimal sets
+    on its own: S is not minimal when some S \\ {i} is in the family, and
+    shifting the family's sets that lack i up by 2^i marks every such S at
+    once.  Each antichain is a tuple of subset ints (bit i for member i) in
+    canonical term order: by size, then by sorted members.
+    """
+    masks = [0, 1]  # the two constant families over the empty frame
+    for k in range(n - 1):
+        masks = [lo | hi << (1 << k) for hi in masks for lo in masks if lo & ~hi == 0]
+    subsets = range(1 << n)
+    steps = [(sum(1 << s for s in subsets if not s >> i & 1), 1 << i) for i in range(n)]
+    order = sorted(subsets, key=lambda s: (s.bit_count(), [i for i in range(n) if s >> i & 1]))
+    rank = {s: r for r, s in enumerate(order)}
+    shift = 1 << (n - 1)
+    below = masks[:-1]
+    for hi in masks:
+        for lo in below:
+            if lo & ~hi:
+                continue
+            family = lo | hi << shift
+            covered = 0
+            for without, up in steps:
+                covered |= (family & without) << up
+            minimal = family & ~covered
+            terms = []
+            while minimal:
+                bit = minimal & -minimal
+                terms.append(bit.bit_length() - 1)
+                minimal ^= bit
+            terms.sort(key=rank.__getitem__)
+            yield tuple(terms)

@@ -60,6 +60,7 @@ def test_engines_default_to_dsm():
         ('{"queries": []}', "missing required field frame"),
         ('{"frame": ["a", 3], "queries": [[["a"]]]}', "frame[1]"),
         ('{"frame": ["a", "a"], "queries": [[["a"]]]}', "frame:"),
+        ('{"frame": ["a", "b∪c"], "queries": [[["a"]]]}', "frame[1]"),
         ('{"frame": ["a", "b"], "queries": [[["z"]]]}', "queries[0]"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "rules": [{"then": [["a"]], "weight": 1}]}', "rules[0].if"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "rules": [{"if": [["a"]], "then": [["b"]], "weight": "high"}]}', "rules[0].weight"),
@@ -77,6 +78,21 @@ def test_parse_errors_name_the_field(text, needle):
     with pytest.raises(ScenarioError, match=None) as excinfo:
         parse_scenario(text)
     assert needle.split(" ")[0] in str(excinfo.value)
+
+
+def test_frame_name_with_a_connective_is_refused(capsys, tmp_path):
+    # the table would print the singleton a∩b and the term a∩b under one label
+    scenario = {
+        "frame": ["a∩b", "a", "b"],
+        "rules": [{"if": [["a"]], "then": [["b"]], "weight": 0.9}],
+        "queries": [[["a∩b"]], [["a", "b"]]],
+    }
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
+    assert main(["fuse", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frame[0]" in captured.err
 
 
 # ------------------------------------------------------------------ emission

@@ -21,7 +21,7 @@ from hyperbelief import (
     total_ignorance,
     u_of,
 )
-from hyperbelief.lattice import _antichains
+from hyperbelief.lattice import _antichains, _term_order
 
 import oracle
 from strategies import frames, modeled_props, propositions, single_term_props
@@ -177,8 +177,21 @@ def test_enumeration_matches_brute_force_antichains(n):
     want = oracle.naive_antichains(n)
     assert [p.terms for p in enumerate_hyper_power_set(Frame(tuple("abcd"[:n])))] == want
     # the raw antichains too: the CLI prints them without Proposition's absorption
-    members = [frozenset(i for i in range(n) if s >> i & 1) for s in range(1 << n)]
+    members = [frozenset(i for i in range(n) if s >> i & 1) for s in _term_order(n)]
     assert [tuple(members[s] for s in terms) for terms in _antichains(n)] == want
+
+
+@pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 19), (4, 167), (5, 7580)])
+def test_antichains_match_the_shift_and_mask_oracle(n, count):
+    order = _term_order(n)
+    ranked = list(_antichains(n))
+    assert [tuple(order[r] for r in ranks) for ranks in ranked] == list(oracle.shift_mask_antichains(n))
+    assert len(ranked) == count
+    for ranks in ranked:
+        # ascending ranks are the canonical term order, and no term contains another
+        assert list(ranks) == sorted(set(ranks))
+        terms = [order[r] for r in ranks]
+        assert all(s & t != s for s in terms for t in terms if s != t)
 
 
 def test_enumeration_limits():

@@ -13,20 +13,37 @@ from hyperbelief.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
+    """Run a fresh interpreter that imports the package from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+    env["PYTHONIOENCODING"] = "utf-8"  # the enumeration prints ∅, ∩ and ∪
+    return subprocess.run(
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=120,
     )
+
+
+def run_script(name, *args):
+    done = run_python(str(ROOT / "scripts" / name), *args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def test_module_entry_point_passes_exit_codes_through():
+    done = run_python("-m", "hyperbelief", "enumerate", "--n", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["∅", "a∩b", "a", "b", "a ∪ b", "total 5"]
+    refused = run_python("-m", "hyperbelief", "enumerate", "--n", "6")
+    assert refused.returncode == 4
+    assert refused.stdout == ""
+    assert "--allow-large" in refused.stderr
 
 
 def test_epsilon_sweep_prints_its_table():
