@@ -31,23 +31,13 @@ MAX_FORMULA_VARIABLES = 6
 class Formula:
     """A propositional formula over named boolean variables."""
 
+    rank = 4  # how tightly it binds; an operand that binds more loosely is bracketed
+
     def evaluate(self, env: Mapping[str, bool]) -> bool:
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
         raise NotImplementedError
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def implies(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
 
 
 @dataclass(frozen=True)
@@ -75,61 +65,50 @@ class Not(Formula):
         return self.operand.variables()
 
     def __str__(self):
-        return f"~{_wrap(self.operand, (Var, Not))}"
+        return f"~{_wrap(self.operand, self.rank)}"
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Connective(Formula):
+    """A binary connective; each subclass gives its symbol, rank and truth
+    function, and whether it groups to the right."""
+
     left: Formula
     right: Formula
+    groups_right = False
 
     def evaluate(self, env):
-        return self.left.evaluate(env) and self.right.evaluate(env)
+        return self.truth(self.left.evaluate(env), self.right.evaluate(env))
 
     def variables(self):
         return self.left.variables() | self.right.variables()
 
     def __str__(self):
-        return f"{_wrap(self.left, (Var, Not, And))} & {_wrap(self.right, (Var, Not))}"
+        # an operand of equal rank is bracketed on the side it does not group towards
+        left = _wrap(self.left, self.rank + self.groups_right)
+        right = _wrap(self.right, self.rank + (not self.groups_right))
+        return f"{left} {self.symbol} {right}"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def evaluate(self, env):
-        return self.left.evaluate(env) or self.right.evaluate(env)
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-    def __str__(self):
-        return (
-            f"{_wrap(self.left, (Var, Not, And, Or))} | {_wrap(self.right, (Var, Not, And))}"
-        )
+class And(_Connective):
+    symbol, rank, truth = "&", 3, staticmethod(lambda p, q: p and q)
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def evaluate(self, env):
-        return (not self.left.evaluate(env)) or self.right.evaluate(env)
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-    def __str__(self):
-        # right-associative: parenthesize a nested implication on the left only
-        return f"{_wrap(self.left, (Var, Not, And, Or))} -> {_wrap(self.right, (Var, Not, And, Or, Implies))}"
+class Or(_Connective):
+    symbol, rank, truth = "|", 2, staticmethod(lambda p, q: p or q)
 
 
-def _wrap(f: Formula, bare: tuple[type, ...]) -> str:
-    text = str(f)
-    return text if isinstance(f, bare) else f"({text})"
+class Implies(_Connective):
+    symbol, rank, truth = "->", 1, staticmethod(lambda p, q: not p or q)
+    groups_right = True
 
+
+def _wrap(f: Formula, rank: int) -> str:
+    """``f`` as an operand that must bind at least as tightly as ``rank``."""
+    return str(f) if f.rank >= rank else f"({f})"
+
+
+_CONNECTIVES = {cls.symbol: cls for cls in (And, Or, Implies)}
 
 _TOKEN = re.compile(r"\s*(->|[~&|()]|[A-Za-z_][A-Za-z_0-9]*)")
 
@@ -150,8 +129,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    """Recursive descent for  implication := or ('->' implication)?  with
-    precedence ~ > & > | > -> and a right-associative arrow."""
+    """Precedence climbing over ``_CONNECTIVES`` with ~ > & > | > -> and a
+    right-associative arrow."""
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -167,25 +146,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
+    def formula(self, rank: int = 1) -> Formula:
+        """The longest formula whose connectives all bind at least as tightly as ``rank``."""
         f = self.negation()
-        while self.peek() == "&":
+        while (kind := _CONNECTIVES.get(self.peek())) is not None and kind.rank >= rank:
             self.take()
-            f = And(f, self.negation())
+            f = kind(f, self.formula(kind.rank + (not kind.groups_right)))
         return f
 
     def negation(self) -> Formula:
@@ -197,7 +163,7 @@ class _Parser:
     def atom(self) -> Formula:
         tok = self.take()
         if tok == "(":
-            inner = self.implication()
+            inner = self.formula()
             if self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
             return inner
@@ -208,7 +174,7 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(_tokenize(text))
-    formula = parser.implication()
+    formula = parser.formula()
     if parser.peek() is not None:
         raise ValueError(f"trailing input after formula: {parser.peek()!r}")
     return formula
@@ -345,13 +311,6 @@ class ModusTollensPosteriors:
     @property
     def pair(self) -> tuple[Fraction, Fraction]:
         return (self.not_a_given_not_b, self.not_a_given_b)
-
-    def to_json(self) -> dict:
-        return {
-            "not_a_given_not_b": float(self.not_a_given_not_b),
-            "not_a_given_b": float(self.not_a_given_b),
-            "validity_flags": list(self.validity_flags),
-        }
 
 
 def modus_tollens_posteriors(w, pa, pb) -> ModusTollensPosteriors:

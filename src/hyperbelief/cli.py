@@ -20,7 +20,6 @@ import gc
 import io
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 from typing import Sequence
 
@@ -61,7 +60,10 @@ def _expect(value, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{where} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the float range
+            raise ScenarioError(f"{where} is too large for a float") from None
     if not isinstance(value, kind):
         raise ScenarioError(f"{where} must be {kind.__name__}, got {type(value).__name__}")
     return value
@@ -100,7 +102,7 @@ def parse_scenario(text: str) -> Scenario:
     """Validate scenario JSON, raising ScenarioError naming the broken field."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to read
         raise ScenarioError(f"not valid JSON: {exc}") from exc
     data = _fields(
         data,
@@ -174,7 +176,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"dst_axes.map[{name!r}] must be [axis, value]")
             axis = _expect(coordinate[0], float, f"dst_axes.map[{name!r}][0]")
             value = _expect(coordinate[1], float, f"dst_axes.map[{name!r}][1]")
-            if axis != int(axis) or value != int(value):
+            if not (axis.is_integer() and value.is_integer()):  # also NaN and ±inf
                 raise ScenarioError(f"dst_axes.map[{name!r}] must hold integers")
             literal_map[_expect(name, str, "dst_axes.map key")] = (int(axis), int(value))
         try:
@@ -286,14 +288,17 @@ def _exit_code(report: FusionReport) -> int:
     return EXIT_OK
 
 
+def _with_engines(scenario: Scenario, engines: tuple[str, ...]) -> Scenario:
+    try:
+        return scenario.with_engines(engines)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 def _run_fuse(args: argparse.Namespace) -> int:
     scenario = parse_scenario(_read_input(args.path))
     if args.engine:
-        engines = ENGINES if args.engine == "all" else (args.engine,)
-        try:
-            scenario = replace(scenario, engines=engines)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        scenario = _with_engines(scenario, ENGINES if args.engine == "all" else (args.engine,))
     if args.verbose:
         print(
             f"running {', '.join(scenario.engines)} on {len(scenario.rules)} rule(s), "
@@ -314,8 +319,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
     if "dst" not in engines:
         print("note: dst skipped (scenario declares no dst_axes)", file=sys.stderr)
-    scenario = replace(scenario, engines=engines)
-    report = run_scenario(scenario)
+    report = run_scenario(_with_engines(scenario, engines))
     sys.stdout.write(emit_report(report, args.fmt))
     return _exit_code(report)
 

@@ -20,6 +20,7 @@ three ways:
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -142,17 +143,28 @@ class Scenario:
             raise ValueError("model belongs to a different frame")
         if not self.queries:
             raise ValueError("scenario needs at least one query")
-        if not self.engines:
-            raise ValueError("scenario selects no engine")
-        for engine in self.engines:
-            if engine not in ENGINES:
-                raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         for prop in (*self.observations, *self.queries):
             if prop.frame != self.frame:
                 raise ValueError(f"{prop} does not live on the scenario frame")
         for rule in self.rules:
             if rule.antecedent.frame != self.frame:
                 raise ValueError(f"rule [{rule}] does not live on the scenario frame")
+        self._check_engines()
+        self._sources  # encode now, so a contradicted input fails here
+
+    def with_engines(self, engines: tuple[str, ...]) -> Scenario:
+        """This scenario run by ``engines``: checked again, but not encoded again."""
+        other = copy(self)  # the copy keeps the cached _sources
+        object.__setattr__(other, "engines", engines)
+        other._check_engines()
+        return other
+
+    def _check_engines(self) -> None:
+        if not self.engines:
+            raise ValueError("scenario selects no engine")
+        for engine in self.engines:
+            if engine not in ENGINES:
+                raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         if "dst" in self.engines:
             if self.dst_axes is None:
                 raise ValueError("the dst engine needs a dst_axes declaration")
@@ -165,7 +177,6 @@ class Scenario:
                 raise ValueError(
                     f"dst_axes.map does not cover singleton(s): {', '.join(unmapped)}"
                 )
-        self._sources  # encode now, so a contradicted input fails here
 
     @cached_property
     def _sources(self) -> tuple[tuple[BBA, ...], tuple[BBA, ...]]:

@@ -76,6 +76,30 @@ def test_variable_cap():
     assert not tautology_check(six)
 
 
+a, b, c = Var("a"), Var("b"), Var("c")
+
+
+@pytest.mark.parametrize(
+    ("formula", "text"),
+    [
+        (And(Or(a, b), c), "(a | b) & c"),
+        (Or(a, And(b, c)), "a | b & c"),
+        (And(a, And(b, c)), "a & (b & c)"),
+        (Or(Or(a, b), c), "a | b | c"),
+        (Implies(Implies(a, b), c), "(a -> b) -> c"),
+        (Implies(a, Implies(b, c)), "a -> b -> c"),
+        (Not(And(a, b)), "~(a & b)"),
+        (Not(Not(a)), "~~a"),
+        (And(Not(a), Implies(b, c)), "~a & (b -> c)"),
+        (Or(Implies(a, b), Not(c)), "(a -> b) | ~c"),
+    ],
+)
+def test_printing_brackets_only_where_needed(formula, text):
+    # the round trip below cannot see over-bracketing: ((a & b)) parses back too
+    assert str(formula) == text
+    assert parse_formula(text) == formula
+
+
 @given(formulas())
 def test_printing_round_trips(formula):
     assert parse_formula(str(formula)) == formula

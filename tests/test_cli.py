@@ -1,10 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
 import hashlib
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbelief import Frame, enumerate_hyper_power_set
 from hyperbelief.cli import (
@@ -18,6 +24,7 @@ from hyperbelief.cli import (
     main,
     parse_scenario,
 )
+from hyperbelief import rulebase
 from hyperbelief.rulebase import run_scenario
 
 TP2_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "tp2.json"
@@ -93,6 +100,98 @@ def test_frame_name_with_a_connective_is_refused(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "frame[0]" in captured.err
+
+
+def tp2_with(path: tuple, value) -> str:
+    """The bundled scenario with the node at ``path`` replaced by ``value``."""
+    blob = json.loads(TP2_TEXT)
+    target = blob
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return json.dumps(blob, ensure_ascii=False)
+
+
+def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
+    """``main(argv)`` with ``stdin`` as standard input; returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    ("text", "needle"),
+    [
+        pytest.param("[" * 5000 + "]" * 5000, "not valid JSON", id="nesting-past-the-recursion-limit"),
+        pytest.param('{"frame": ' + "1" * 5000 + "}", "not valid JSON", id="integer-literal-of-5000-digits"),
+        pytest.param(tp2_with(("rules", 0, "weight"), 10**400), "rules[0].weight", id="integer-weight-past-float-range"),
+        *(
+            pytest.param(
+                tp2_with(("dst_axes", "map", "f"), [0, 0]).replace('"f": [0, 0]', f'"f": [{literal}, 0]'),
+                "dst_axes.map['f'] must hold integers",
+                id=f"map-coordinate-{literal}",
+            )
+            for literal in ("NaN", "Infinity", "-Infinity", "1e400")
+        ),
+    ],
+)
+def test_hostile_json_exits_two(text, needle):
+    code, out, err = run_main(["fuse", "-"], text)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: ") and needle in err
+
+
+def _nodes(blob, path=()):
+    """Every path into a JSON value, the value itself included."""
+    yield path
+    items = blob.items() if isinstance(blob, dict) else enumerate(blob) if isinstance(blob, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+_HOSTILE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, "1e400", 10**400, True, False, None, "", "∩", [], {}]),
+    st.recursive(st.sampled_from(["p", "∩", 0, None]), lambda inner: st.lists(inner, max_size=3), max_leaves=4),
+)
+
+
+@settings(max_examples=200)  # enough to reach the map coordinates and weights
+@given(
+    path=st.sampled_from(list(_nodes(json.loads(TP2_TEXT)))),
+    value=_HOSTILE,
+    command=st.sampled_from(["fuse", "compare"]),
+)
+def test_one_hostile_node_never_crashes(path, value, command):
+    text = json.dumps(value) if not path else tp2_with(path, value)
+    text = text.replace('"1e400"', "1e400")  # a float literal past the float range
+    code, _, err = run_main([command, "-"], text)
+    assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_INCONSISTENT)
+    if code == EXIT_INPUT_ERROR:
+        assert err.startswith("error: ")
+
+
+def test_compare_with_an_uncovered_map_exits_two():
+    blob = json.loads(TP2_TEXT)
+    blob["engines"] = ["dsm"]
+    del blob["dst_axes"]["map"]["p"]
+    code, out, err = run_main(["compare", "-"], json.dumps(blob))
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == "error: dst_axes.map does not cover singleton(s): p\n"
+
+
+@pytest.mark.parametrize("argv", [["compare", "-"], ["fuse", "-", "--engine", "all"]])
+def test_each_rule_is_encoded_once(argv, monkeypatch):
+    calls = []
+    encode = rulebase.rule_to_conditional_bba
+
+    def counted(*args):
+        calls.append(args[0])
+        return encode(*args)
+
+    monkeypatch.setattr(rulebase, "rule_to_conditional_bba", counted)
+    assert run_main(argv, TP2_TEXT)[0] == EXIT_OK
+    assert len(calls) == 3
 
 
 # ------------------------------------------------------------------ emission
