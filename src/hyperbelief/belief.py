@@ -13,12 +13,16 @@ combination rules are provided:
   ignorance when the join is empty too.
 
 All three rules read one fold over the sources, which merges the focal
-tuples into (reduced meet, join) states as it goes.  The fold, Bel and Pl
-read the term masks each :class:`Proposition` stores and the model's
-constraint masks, so a constraint test is ``t & c == c`` and one
-:class:`Proposition` is built per output key.  Each state's mass and each
-output key's mass is an ``math.fsum`` over a fixed order (source order,
-then focal order), so results are bit-reproducible across runs.
+tuples into (meet, join) states as it goes.  A meet is the ascending tuple
+of int term masks each :class:`Proposition` stores, reduced against the
+model's constraint masks (a term t breaks constraint c iff ``t & c == c``).
+A join is a union of focals, so its terms are among the sources' own terms;
+the fold holds it as an int bit set over those terms, so that a join step
+is one ``|``, and decodes each distinct join to term masks once, at the end.
+Bel and Pl read the same term masks, and one :class:`Proposition` is built
+per output key.  Each state's mass and each output key's mass is an
+``math.fsum`` over a fixed order (source order, then focal order), so
+results are bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -179,22 +183,60 @@ def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]
     Each step pairs every state with every focal of the next source and
     merges equal states by ``fsum``, so the table stays as small as the
     distinct states allow instead of growing with the product of the sources.
-    States are term-mask tuples.  The meet drops every term union that
-    contains a constraint; BBA keys are reduced, so their joins need no
-    further reduction.
+
+    A meet is a term-mask tuple.  Its meet with a focal drops every term
+    union that contains a constraint, and is computed once per (focal, meet).
+
+    A join is a union of focals, so its terms are among the sources' own
+    terms T, sorted ascending.  The fold holds a join as an int whose bit j
+    is set iff one of its terms lies inside T[j]: the OR of ``up[t]`` =
+    {j : t ⊆ T[j]} over its terms t.  A join step is then one ``|``, and
+    equal joins are equal ints, so states merge exactly as they would on
+    absorbed term tuples, in the same order and with the same ``fsum``
+    groups.  BBA keys are reduced, so joins need no reduction.  Each
+    distinct final join is decoded once: its lowest bit is a minimal term
+    (a subset is a smaller int), and clearing that term's ``up`` removes it
+    and every term above it.
     """
     constraints = model.masks
-    sources = [[(p.masks, m) for p, m in b.items()] for b in bbas]
-    states = {(p, p): m for p, m in sources[0]}
+    terms = sorted({t for b in bbas for p in b.masses for t in p.masks})
+    up = dict.fromkeys(terms, 0)
+    for j, u in enumerate(terms):
+        for t in terms[: j + 1]:  # a subset is never a larger int
+            if u & t == t:
+                up[t] |= 1 << j
+    sources = []  # per source: (focal masks, join bits, mass, meet memo) per focal
+    for b in bbas:
+        source = []
+        for p, m in b.items():
+            bits = 0
+            for t in p.masks:
+                bits |= up[t]
+            source.append((p.masks, bits, m, {}))
+        sources.append(source)
+    states = {(p, bits): m for p, bits, m, _ in sources[0]}
     for source in sources[1:]:
-        step: dict[tuple[Masks, Masks], list[float]] = {}
+        step: dict[tuple[Masks, int], list[float]] = {}
         for (meet, join), mass in states.items():
-            for p, m in source:
-                unions = (t | s for t in meet for s in p)
-                reduced = _absorb(u for u in unions if all(u & c != c for c in constraints))
-                step.setdefault((reduced, _absorb(join + p)), []).append(mass * m)
+            for p, bits, m, meets in source:
+                reduced = meets.get(meet)
+                if reduced is None:
+                    unions = (t | s for t in meet for s in p)
+                    reduced = meets[meet] = _absorb(
+                        u for u in unions if all(u & c != c for c in constraints)
+                    )
+                step.setdefault((reduced, join | bits), []).append(mass * m)
         states = {k: fsum(v) for k, v in step.items()}
-    return states
+    decoded: dict[int, Masks] = {}
+    for _, join in states:
+        if join not in decoded:
+            kept, bits = [], join
+            while bits:
+                t = terms[(bits & -bits).bit_length() - 1]
+                kept.append(t)
+                bits &= ~up[t]
+            decoded[join] = tuple(kept)
+    return {(meet, decoded[join]): m for (meet, join), m in states.items()}
 
 
 def _bba(frame: Frame, model: Model, pairs: Iterable[tuple[Masks, float]]) -> BBA:

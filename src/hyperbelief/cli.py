@@ -32,6 +32,7 @@ from .lattice import (
     Proposition,
     _antichains,
     _check_enumeration_limit,
+    _brief,
     _members,
     _term_order,
     _term_text,
@@ -59,7 +60,7 @@ class ScenarioError(ValueError):
 def _expect(value, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{where} must be a number, got {value!r}")
+            raise ScenarioError(f"{where} must be a number, got {_brief(repr(value))}")
         try:
             return float(value)
         except OverflowError:  # an integer literal past the float range
@@ -82,7 +83,7 @@ def _fields(value, where: str, known: tuple[str, ...]) -> dict:
     blob = _expect(value, dict, where.rstrip(".") or "scenario")
     for key in blob:
         if key not in known:
-            raise ScenarioError(f"unknown field {where}{key}")
+            raise ScenarioError(f"unknown field {where}{_brief(key)}")
     return blob
 
 
@@ -103,7 +104,9 @@ def parse_scenario(text: str) -> Scenario:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to read
-        raise ScenarioError(f"not valid JSON: {exc}") from exc
+        # a scenario author cannot act on Python's advice to raise its digit limit
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise ScenarioError(f"not valid JSON: {reason}") from exc
     data = _fields(
         data,
         "",
@@ -115,7 +118,7 @@ def parse_scenario(text: str) -> Scenario:
         _expect(name, str, f"frame[{i}]")
         # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
         if "∩" in name or "∪" in name:
-            raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {name!r}")
+            raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {_brief(repr(name))}")
     try:
         frame = Frame(tuple(names))
     except ValueError as exc:
@@ -171,13 +174,14 @@ def parse_scenario(text: str) -> Scenario:
                 _expect(value, str, f"dst_axes.axes[{i}][{j}]")
         literal_map = {}
         for name, coordinate in _get(axes_blob, "map", dict, "dst_axes.", required=True).items():
-            coordinate = _expect(coordinate, list, f"dst_axes.map[{name!r}]")
+            where = f"dst_axes.map[{_brief(repr(name))}]"
+            coordinate = _expect(coordinate, list, where)
             if len(coordinate) != 2:
-                raise ScenarioError(f"dst_axes.map[{name!r}] must be [axis, value]")
-            axis = _expect(coordinate[0], float, f"dst_axes.map[{name!r}][0]")
-            value = _expect(coordinate[1], float, f"dst_axes.map[{name!r}][1]")
+                raise ScenarioError(f"{where} must be [axis, value]")
+            axis = _expect(coordinate[0], float, f"{where}[0]")
+            value = _expect(coordinate[1], float, f"{where}[1]")
             if not (axis.is_integer() and value.is_integer()):  # also NaN and ±inf
-                raise ScenarioError(f"dst_axes.map[{name!r}] must hold integers")
+                raise ScenarioError(f"{where} must hold integers")
             literal_map[_expect(name, str, "dst_axes.map key")] = (int(axis), int(value))
         try:
             dst_axes = DstAxes(AtomFrame(tuple(tuple(axis) for axis in axes)), literal_map)

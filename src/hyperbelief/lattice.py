@@ -33,6 +33,14 @@ class EnumerationLimitError(ValueError):
 
 DEFAULT_ENUMERATION_LIMIT = 5
 HARD_ENUMERATION_LIMIT = 6
+_ECHO_LIMIT = 200  # characters of an input's text that an error message repeats
+
+
+def _brief(text: str) -> str:
+    """``text`` as an error message repeats it: cut after _ECHO_LIMIT characters."""
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class Frame:
         try:
             return self._index[name]
         except KeyError:
-            raise ValueError(f"unknown singleton {name!r}") from None
+            raise ValueError(f"unknown singleton {_brief(repr(name))}") from None
 
     def singleton(self, name: str) -> "Proposition":
         return Proposition(self, (1 << self.index(name),))
@@ -136,6 +144,14 @@ class Proposition:
     @classmethod
     def empty(cls, frame: Frame) -> "Proposition":
         return cls(frame, ())
+
+    @classmethod
+    def _trusted(cls, frame: Frame, masks: tuple[int, ...]) -> "Proposition":
+        """Wrap masks already known to be an ascending antichain of terms of the frame."""
+        prop = object.__new__(cls)
+        object.__setattr__(prop, "frame", frame)
+        object.__setattr__(prop, "masks", masks)
+        return prop
 
     @property
     def is_empty(self) -> bool:
@@ -373,7 +389,7 @@ def iter_hyper_power_set(frame: Frame) -> Iterator[Proposition]:
     """Yield every proposition over the frame in deterministic mask order."""
     order = _term_order(len(frame))
     for ranks in _antichains(len(frame)):
-        yield Proposition(frame, tuple(order[r] for r in ranks))
+        yield Proposition._trusted(frame, tuple(sorted([order[r] for r in ranks])))
 
 
 def enumerate_hyper_power_set(frame: Frame, *, allow_large: bool = False) -> list[Proposition]:
@@ -462,10 +478,10 @@ def refine_to_atoms(
         for i in _members(term):
             name = a.frame.names[i]
             if name not in literal_map:
-                raise ValueError(f"singleton {name!r} has no axis mapping")
+                raise ValueError(f"singleton {_brief(repr(name))} has no axis mapping")
             axis, value = literal_map[name]
             if not 0 <= axis < len(axes) or not 0 <= value < len(axes[axis]):
-                raise ValueError(f"axis mapping for {name!r} is out of range")
+                raise ValueError(f"axis mapping for {_brief(repr(name))} is out of range")
             if pinned.setdefault(axis, value) != value:
                 break  # the term pins one axis to two values
         else:

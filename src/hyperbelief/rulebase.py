@@ -42,6 +42,7 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
+    _brief,
     conjoin,
     reduce_under_model,
     refine_to_atoms,
@@ -81,10 +82,10 @@ def rule_to_conditional_bba(rule: WeightedRule, frame: Frame, model: Model) -> B
         raise ValueError("rule does not live on the scenario frame")
     antecedent = reduce_under_model(rule.antecedent, model)
     if antecedent.is_empty:
-        raise ValueError(f"antecedent of [{rule}] is impossible under the model")
+        raise ValueError(f"antecedent of [{_brief(str(rule))}] is impossible under the model")
     both = reduce_under_model(conjoin(rule.antecedent, rule.consequent), model)
     if both.is_empty and rule.weight > 0.0:
-        raise ValueError(f"rule [{rule}] contradicts the model's constraints")
+        raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
     masses: dict[Proposition, float] = {}
     if rule.weight > 0.0:
         masses[both] = rule.weight
@@ -98,7 +99,7 @@ def observation_to_bba(obs: Proposition, frame: Frame, model: Model) -> BBA:
     if obs.frame != frame:
         raise ValueError("observation does not live on the scenario frame")
     if reduce_under_model(obs, model).is_empty:
-        raise ValueError(f"observation {obs} is impossible under the model")
+        raise ValueError(f"observation {_brief(str(obs))} is impossible under the model")
     return BBA(frame, model, {obs: 1.0})
 
 
@@ -119,9 +120,13 @@ class DstAxes:
         for name, coordinate in self.literal_map.items():
             axis, value = coordinate
             if not 0 <= axis < len(self.axes.axes):
-                raise ValueError(f"literal {name!r} names axis {axis}, which does not exist")
+                raise ValueError(
+                    f"literal {_brief(repr(name))} names axis {axis}, which does not exist"
+                )
             if not 0 <= value < len(self.axes.axes[axis]):
-                raise ValueError(f"literal {name!r} names value {value} outside axis {axis}")
+                raise ValueError(
+                    f"literal {_brief(repr(name))} names value {value} outside axis {axis}"
+                )
             checked[name] = (axis, value)
         object.__setattr__(self, "literal_map", checked)
 
@@ -164,7 +169,7 @@ class Scenario:
             raise ValueError("scenario selects no engine")
         for engine in self.engines:
             if engine not in ENGINES:
-                raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+                raise ValueError(f"unknown engine {_brief(repr(engine))}; choose from {ENGINES}")
         if "dst" in self.engines:
             if self.dst_axes is None:
                 raise ValueError("the dst engine needs a dst_axes declaration")
@@ -175,7 +180,7 @@ class Scenario:
             )
             if unmapped:
                 raise ValueError(
-                    f"dst_axes.map does not cover singleton(s): {', '.join(unmapped)}"
+                    f"dst_axes.map does not cover singleton(s): {_brief(', '.join(unmapped))}"
                 )
 
     @cached_property

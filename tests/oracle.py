@@ -11,6 +11,7 @@ regions, so region sets double as comparison keys for fused outputs.
 
 from collections import defaultdict
 from itertools import chain, combinations, product
+from math import fsum
 
 
 def all_regions(n):
@@ -107,6 +108,37 @@ def naive_hybrid(model, sources):
                 join |= semantic(p, model)
             acc[join if join else ignorance] += pi
     return dict(acc), conflict
+
+
+def _absorb(masks):
+    """The antichain of the given term masks, ascending."""
+    kept = []
+    for t in sorted(set(masks)):
+        if not any(o & t == o for o in kept):
+            kept.append(t)
+    return tuple(kept)
+
+
+def absorb_fold(bbas, model):
+    """The combination fold on term-mask tuples: {(reduced meet, join): mass}.
+
+    Every state keeps its join as an absorbed tuple and re-absorbs
+    ``join + focal`` at each step; equal states are merged by ``fsum`` in
+    first-seen order (source order, then focal order).  The engine's fold
+    must return the same keys, in the same order, with the same floats.
+    """
+    constraints = model.masks
+    sources = [[(p.masks, m) for p, m in b.items()] for b in bbas]
+    states = {(p, p): m for p, m in sources[0]}
+    for source in sources[1:]:
+        step = {}
+        for (meet, join), mass in states.items():
+            for p, m in source:
+                unions = (t | s for t in meet for s in p)
+                reduced = _absorb(u for u in unions if all(u & c != c for c in constraints))
+                step.setdefault((reduced, _absorb(join + p)), []).append(mass * m)
+        states = {k: fsum(v) for k, v in step.items()}
+    return states
 
 
 def naive_antichains(n):

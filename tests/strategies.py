@@ -4,10 +4,11 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from hyperbelief import Frame, Model, canonicalize, conjoin, reduce_under_model
+from hyperbelief import Frame, Model, Proposition, canonicalize, conjoin, reduce_under_model
 
 NAMES = ("a", "b", "c", "d")
 WIDE_NAMES = ("a", "b", "c", "d", "e", "g")
+FOLD_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
 @st.composite
@@ -126,3 +127,22 @@ def dsm_scale_sources(draw):
     model = draw(wide_models())
     k = draw(st.integers(2, 8))
     return model, tuple(draw(rule_bbas(model)) for _ in range(k))
+
+
+@st.composite
+def fold_cases(draw):
+    """A model on 2-8 singletons with up to four random constraints, and 2-6
+    sources of which one carries a slice of its mass on ∅."""
+    from hyperbelief.belief import BBA
+
+    n = draw(st.integers(2, 8))
+    frame = Frame(FOLD_NAMES[:n])
+    constraint = st.frozensets(st.integers(0, n - 1), min_size=2, max_size=n)
+    model = Model.from_constraints(frame, draw(st.lists(constraint, max_size=4)))
+    sources = [draw(bbas(model, max_focals=3)) for _ in range(draw(st.integers(2, 6)))]
+    k = draw(st.integers(0, len(sources) - 1))
+    on_empty = draw(st.floats(0.01, 0.5))
+    masses = {p: m * (1.0 - on_empty) for p, m in sources[k].items()}
+    masses[Proposition.empty(frame)] = on_empty
+    sources[k] = BBA(frame, model, masses)
+    return model, sources

@@ -28,7 +28,8 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from strategies import bbas, dsm_scale_sources, framed_models, propositions, wide_models
+from hyperbelief.belief import _fold
+from strategies import bbas, dsm_scale_sources, fold_cases, framed_models, propositions, wide_models
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
 P, B, F, NF = (TPFRAME.singleton(n) for n in TPFRAME.names)
@@ -448,6 +449,15 @@ def test_rules_match_naive_reference_at_dsm_scale(case):
     want, want_conflict = oracle.naive_hybrid(model, source_dicts)
     assert_mass_dicts_close(as_region_masses(hybrid.result, model), want)
     assert hybrid.conflict_mass == pytest.approx(want_conflict, abs=1e-9)
+
+
+@given(fold_cases())
+def test_fold_matches_the_absorb_reference_exactly(case):
+    # same arithmetic in the same order, so keys, order and float bits agree
+    model, sources = case
+    got = [(key, mass.hex()) for key, mass in _fold(sources, model).items()]
+    want = [(key, mass.hex()) for key, mass in oracle.absorb_fold(sources, model).items()]
+    assert got == want
 
 
 @given(st.data())

@@ -120,11 +120,24 @@ def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+LONG = "x" * 100_000
+
+
+def cut(text: str) -> str:
+    """How an error message repeats a long value: its first 200 characters and its length."""
+    return f"{text[:200]}… ({len(text)} characters)"
+
+
 @pytest.mark.parametrize(
     ("text", "needle"),
     [
         pytest.param("[" * 5000 + "]" * 5000, "not valid JSON", id="nesting-past-the-recursion-limit"),
         pytest.param('{"frame": ' + "1" * 5000 + "}", "not valid JSON", id="integer-literal-of-5000-digits"),
+        pytest.param(
+            '{"frame": ' + "1" * 5000 + "}",
+            "value has 5000 digits\n",  # and nothing after: no advice to raise Python's digit limit
+            id="integer-literal-message-ends-at-the-digit-count",
+        ),
         pytest.param(tp2_with(("rules", 0, "weight"), 10**400), "rules[0].weight", id="integer-weight-past-float-range"),
         *(
             pytest.param(
@@ -134,12 +147,52 @@ def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
             )
             for literal in ("NaN", "Infinity", "-Infinity", "1e400")
         ),
+        pytest.param(
+            tp2_with(("rules", 0, "weight"), "high"),
+            "error: rules[0].weight must be a number, got 'high'\n",
+            id="short-value-echoed-whole",
+        ),
+        pytest.param(
+            tp2_with(("rules", 0, "weight"), LONG),
+            f"rules[0].weight must be a number, got {cut(repr(LONG))}\n",
+            id="long-weight",
+        ),
+        pytest.param(
+            tp2_with(("queries", 0, 0, 0), LONG),
+            f"queries[0]: unknown singleton {cut(repr(LONG))}\n",
+            id="long-unknown-singleton",
+        ),
+        pytest.param(
+            tp2_with(("frame", 0), LONG + "∩"),
+            f"frame[0] must not contain ∩ or ∪, got {cut(repr(LONG + '∩'))}\n",
+            id="long-frame-name",
+        ),
+        pytest.param(tp2_with(("engines", 0), LONG), f"unknown engine {cut(repr(LONG))};", id="long-engine"),
+        pytest.param(tp2_with((LONG,), 1), f"unknown field {cut(LONG)}\n", id="long-field"),
+        pytest.param(
+            tp2_with(("dst_axes", "map", LONG), [0]),
+            f"dst_axes.map[{cut(repr(LONG))}] must be [axis, value]\n",
+            id="long-map-name",
+        ),
+        pytest.param(
+            json.dumps(
+                {
+                    "frame": [LONG, "b"],
+                    "constraints": [[LONG, "b"]],
+                    "rules": [{"if": [[LONG]], "then": [["b"]], "weight": 0.9}],
+                    "queries": [[["b"]]],
+                }
+            ),
+            f"rules[0]: rule [{cut(f'if {LONG} then b (w=0.9)')}] contradicts the model's constraints\n",
+            id="long-rule-text",
+        ),
     ],
 )
 def test_hostile_json_exits_two(text, needle):
     code, out, err = run_main(["fuse", "-"], text)
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert err.startswith("error: ") and needle in err
+    assert len(err) < 400  # a long value from the file is cut short, not echoed whole
 
 
 def _nodes(blob, path=()):
@@ -418,6 +471,30 @@ def test_dsm_output_bytes_are_pinned(capsys, tmp_path):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (
         6723,
         "5b9ff2bc67cc48b6db2779b4797e061d295d24f263004e7ba1a155ed77469b70",
+    )
+
+
+# Twelve singletons and eighteen single-literal rules with no observation:
+# the rule fold ends with 256 states, whose joins hold up to 16 terms.
+UNSTRUCTURED_SCENARIO = {
+    "frame": list("abcdefghijkl"),
+    "constraints": [["a", "b"], ["c", "d", "e"]],
+    "rules": [
+        {"if": [[pair[0]]], "then": [[pair[1]]], "weight": round(0.55 + 0.021 * k, 3)}
+        for k, pair in enumerate("he ki kf cg af he kh lj di ak jc hf cf da jd bi kf kg".split())
+    ],
+    "queries": [[["a"]], [["c"], ["f"]], [["d", "g"]]],
+}
+
+
+def test_unstructured_dsm_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "unstructured.json"
+    path.write_text(json.dumps(UNSTRUCTURED_SCENARIO), encoding="utf-8")
+    assert main(["fuse", str(path), "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        204718,
+        "67603c5fc936b57e7f9c79d7ae0e20fd7f250be5ab4b0964935c401d9c2bd80d",
     )
 
 

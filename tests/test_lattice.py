@@ -14,6 +14,7 @@ from hyperbelief import (
     conjoin,
     disjoin,
     enumerate_hyper_power_set,
+    iter_hyper_power_set,
     leq,
     proposition_from_names,
     reduce_under_model,
@@ -179,6 +180,15 @@ def test_enumeration_matches_brute_force_antichains(n):
     # the raw antichains too: the CLI prints them without Proposition's absorption
     members = [frozenset(i for i in range(n) if s >> i & 1) for s in _term_order(n)]
     assert [tuple(members[s] for s in terms) for terms in _antichains(n)] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerated_propositions_equal_checked_ones(n):
+    # enumeration skips Proposition's checks; the public constructor keeps them
+    frame = Frame(tuple("abcde"[:n]))
+    for p in iter_hyper_power_set(frame):
+        checked = Proposition(frame, p.masks)
+        assert (checked, hash(checked), checked.masks) == (p, hash(p), p.masks)
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 19), (4, 167), (5, 7580)])
