@@ -19,10 +19,13 @@ model's constraint masks (a term t breaks constraint c iff ``t & c == c``).
 A join is a union of focals, so its terms are among the sources' own terms;
 the fold holds it as an int bit set over those terms, so that a join step
 is one ``|``, and decodes each distinct join to term masks once, at the end.
-Bel and Pl read the same term masks, and one :class:`Proposition` is built
-per output key.  Each state's mass and each output key's mass is an
-``math.fsum`` over a fixed order (source order, then focal order), so
-results are bit-reproducible across runs.
+The fold's output keys are already reduced, absorbed and ascending, so the
+result :class:`BBA` wraps them as they are (``BBA._trusted``) instead of
+checking and reducing them again; the rule and observation encodings in
+``rulebase`` do the same.  Bel and Pl read the same term masks, for every
+query in one pass over the focals.  Each state's mass, each output key's
+mass and each Bel or Pl is an ``math.fsum`` over a fixed order (source
+order, then focal order), so results are bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .lattice import (
     Model,
     Proposition,
     _absorb,
+    _term_key,
     reduce_under_model,
     total_ignorance,
 )
@@ -56,14 +60,37 @@ def fsum_by_key(pairs: Iterable[tuple[Hashable, float]]) -> dict:
     return {key: fsum(masses) for key, masses in grouped.items()}
 
 
+Masks = tuple[int, ...]
+
+
+def _canonical(frame: Frame, merged: Mapping[Masks, float]) -> dict[Proposition, float]:
+    """The non-zero masses of ``merged``, keyed in canonical order; they must sum to 1.
+
+    A key sorts by its terms' :func:`~hyperbelief.lattice._term_key` in
+    ascending order, as :attr:`Proposition.sort_key` does.  Each distinct
+    term's key is computed once and stands in as its rank among the terms.
+    """
+    focals = [(masks, m) for masks, m in merged.items() if m > 0.0]
+    terms = sorted({t for masks, _ in focals for t in masks}, key=_term_key)
+    rank = {t: r for r, t in enumerate(terms)}
+    focals.sort(key=lambda focal: sorted(map(rank.__getitem__, focal[0])))
+    total = fsum(m for _, m in focals)
+    if abs(total - 1.0) > _MASS_SUM_TOL:
+        raise ValueError(f"masses sum to {total!r}, not 1")
+    return {Proposition._trusted(frame, masks): m for masks, m in focals}
+
+
 @dataclass(frozen=True)
 class BBA:
-    """A normalized basic belief assignment.
+    """A normalized basic belief assignment, keyed in canonical order.
 
-    Keys are reduced under the model on construction and equal keys are
-    merged; zero-mass entries are dropped.  Mass on the empty proposition is
-    representable (the conjunctive rule emits it) but every other producer
-    keeps ∅ at zero.
+    The public constructor checks everything: each key is a proposition of
+    the frame with a finite non-negative mass, keys are reduced under the
+    model and equal keys merged by ``fsum``, zero masses are dropped and the
+    total must be 1.  :meth:`_trusted` is the engines' path for keys that are
+    already reduced, absorbed and ascending; both end in the same ordering
+    and total check.  Mass on the empty proposition is representable (the
+    conjunctive rule emits it) but every other producer keeps ∅ at zero.
     """
 
     frame: Frame
@@ -78,13 +105,20 @@ class BBA:
                 raise ValueError("mass keyed by a proposition from another frame")
             if not (isfinite(mass) and mass >= 0.0):
                 raise ValueError(f"mass {mass} on {prop} is not a finite non-negative number")
-        merged = fsum_by_key((reduce_under_model(p, self.model), m) for p, m in self.masses.items())
-        ordered = sorted(merged.items(), key=lambda kv: kv[0].sort_key)
-        final = {k: m for k, m in ordered if m > 0.0}
-        total = fsum(final.values())
-        if abs(total - 1.0) > _MASS_SUM_TOL:
-            raise ValueError(f"masses sum to {total!r}, not 1")
-        object.__setattr__(self, "masses", final)
+        merged = fsum_by_key(
+            (reduce_under_model(p, self.model).masks, m) for p, m in self.masses.items()
+        )
+        object.__setattr__(self, "masses", _canonical(self.frame, merged))
+
+    @classmethod
+    def _trusted(cls, frame: Frame, model: Model, pairs: Iterable[tuple[Masks, float]]) -> "BBA":
+        """The BBA of (key masks, mass) pairs whose keys are already reduced
+        under ``model``, absorbed and ascending; equal keys are merged by ``fsum``."""
+        bba = object.__new__(cls)
+        object.__setattr__(bba, "frame", frame)
+        object.__setattr__(bba, "model", model)
+        object.__setattr__(bba, "masses", _canonical(frame, fsum_by_key(pairs)))
+        return bba
 
     def items(self) -> list[tuple[Proposition, float]]:
         """Focal elements with their masses, in canonical order."""
@@ -132,36 +166,54 @@ class CombinationReport:
 
 def vacuous(frame: Frame, model: Model) -> BBA:
     """The all-ignorance assignment m(Θ₁∪...∪Θₙ) = 1."""
-    return BBA(frame, model, {total_ignorance(frame): 1.0})
+    return BBA._trusted(frame, model, [(total_ignorance(frame).masks, 1.0)])
+
+
+def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float, float]]:
+    """[Bel(a), Pl(a)] for each query ``a``, from one pass over the focals.
+
+    Bel(a) is the total mass on non-empty focals below ``a``: a reduced focal
+    is below ``a`` iff each of its terms contains a term of ``a``.  Pl(a) is
+    the total mass on focals compatible with ``a``: some term of the focal,
+    joined with some term of ``a``, contains no constraint.  A focal below
+    ``a`` is compatible with it, since its terms contain no constraint.  Both
+    tests are settled once per distinct focal term and query, and each value
+    is one ``fsum`` over the focals in order.
+    """
+    for a in queries:
+        if a.frame != b.frame:
+            raise ValueError("query belongs to a different frame")
+    constraints = b.model.masks
+    terms = {t for x in b.masses for t in x.masks}
+    tests = []  # per query: (terms holding one of its terms, terms compatible with it, Bel, Pl)
+    for a in queries:
+        inside, compatible = set(), set()
+        for t in terms:
+            unions = [t | s for s in a.masks]
+            if t in unions:  # t holds a term of the query
+                inside.add(t)
+                compatible.add(t)
+            elif any(all(u & c != c for c in constraints) for u in unions):
+                compatible.add(t)
+        tests.append((inside, compatible, [], []))
+    for x, m in b.masses.items():
+        masks = x.masks
+        for inside, compatible, bel, pl in tests:
+            if not compatible.isdisjoint(masks):
+                pl.append(m)
+                if inside.issuperset(masks):
+                    bel.append(m)
+    return [(fsum(bel), fsum(pl)) for _, _, bel, pl in tests]
 
 
 def belief(b: BBA, a: Proposition) -> float:
-    """Bel(a): total mass on non-empty focal elements below ``a``.
-
-    A reduced focal is below ``a`` iff each of its terms contains a term of ``a``.
-    """
-    if a.frame != b.frame:
-        raise ValueError("query belongs to a different frame")
-    query = a.masks
-    return fsum(
-        m for x, m in b.items() if x.masks and all(any(s & t == s for s in query) for t in x.masks)
-    )
+    """Bel(a): total mass on non-empty focal elements below ``a``."""
+    return belief_intervals(b, [a])[0][0]
 
 
 def plausibility(b: BBA, a: Proposition) -> float:
-    """Pl(a): total mass on focal elements compatible with ``a``.
-
-    A focal is compatible iff the union of one of its terms with one of
-    ``a``'s contains no constraint.
-    """
-    if a.frame != b.frame:
-        raise ValueError("query belongs to a different frame")
-    query, constraints = a.masks, b.model.masks
-    return fsum(
-        m
-        for x, m in b.items()
-        if any(all((t | s) & c != c for c in constraints) for t in x.masks for s in query)
-    )
+    """Pl(a): total mass on focal elements compatible with ``a``."""
+    return belief_intervals(b, [a])[0][1]
 
 
 def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model]:
@@ -172,9 +224,6 @@ def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model]:
         if b.frame != frame or b.model != model:
             raise ValueError("sources disagree on frame or model")
     return frame, model
-
-
-Masks = tuple[int, ...]
 
 
 def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]:
@@ -239,15 +288,10 @@ def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]
     return {(meet, decoded[join]): m for (meet, join), m in states.items()}
 
 
-def _bba(frame: Frame, model: Model, pairs: Iterable[tuple[Masks, float]]) -> BBA:
-    """The BBA summing the masses of equal keys, one Proposition per key."""
-    return BBA(frame, model, {Proposition(frame, k): m for k, m in fsum_by_key(pairs).items()})
-
-
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Unnormalized conjunctive rule; conflicting mass is kept on ∅."""
     frame, model = _common_context(bbas)
-    result = _bba(frame, model, ((meet, m) for (meet, _), m in _fold(bbas, model).items()))
+    result = BBA._trusted(frame, model, ((meet, m) for (meet, _), m in _fold(bbas, model).items()))
     return CombinationReport(result, result.mass_on_empty(), None)
 
 
@@ -263,12 +307,12 @@ def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
             f"conflict mass {conjunctive.conflict_mass!r} leaves nothing to normalize"
         )
     # divide by the kept mass: 1 − conflict loses digits when K is small
-    kept = {prop: mass for prop, mass in conjunctive.result.items() if not prop.is_empty}
-    total = fsum(kept.values())
-    masses = {prop: mass / total for prop, mass in kept.items()}
-    return CombinationReport(
-        BBA(bbas[0].frame, bbas[0].model, masses), conjunctive.conflict_mass, k
+    kept = [(prop.masks, mass) for prop, mass in conjunctive.result.items() if not prop.is_empty]
+    total = fsum(mass for _, mass in kept)
+    result = BBA._trusted(
+        bbas[0].frame, bbas[0].model, [(masks, mass / total) for masks, mass in kept]
     )
+    return CombinationReport(result, conjunctive.conflict_mass, k)
 
 
 def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
@@ -287,4 +331,4 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     states = _fold(bbas, model)
     rerouted = fsum(m for (meet, _), m in states.items() if not meet)
     targets = ((meet or join or ignorance, m) for (meet, join), m in states.items())
-    return CombinationReport(_bba(frame, model, targets), rerouted, None)
+    return CombinationReport(BBA._trusted(frame, model, targets), rerouted, None)

@@ -24,6 +24,7 @@ from functools import cache
 from typing import Sequence
 
 from .analysis import CLASSICAL_PRINCIPLES, parse_formula, tautology_check
+from .json_report import render_json
 from .lattice import (
     AtomFrame,
     EnumerationLimitError,
@@ -68,6 +69,16 @@ def _expect(value, kind, where: str):
     if not isinstance(value, kind):
         raise ScenarioError(f"{where} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _name(value, where: str) -> str:
+    """A string the reports print: it must encode as UTF-8, so no lone surrogate."""
+    name = _expect(value, str, where)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # JSON can escape half of a surrogate pair, "\ud800"
+        raise ScenarioError(f"{where} holds a lone surrogate, got {_brief(repr(name))}") from None
+    return name
 
 
 def _get(mapping: dict, key: str, kind, where: str, default=None, required=False):
@@ -115,7 +126,7 @@ def parse_scenario(text: str) -> Scenario:
 
     names = _get(data, "frame", list, "", required=True)
     for i, name in enumerate(names):
-        _expect(name, str, f"frame[{i}]")
+        _name(name, f"frame[{i}]")
         # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
         if "∩" in name or "∪" in name:
             raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {_brief(repr(name))}")
@@ -171,7 +182,7 @@ def parse_scenario(text: str) -> Scenario:
         for i, axis in enumerate(axes):
             axis = _expect(axis, list, f"dst_axes.axes[{i}]")
             for j, value in enumerate(axis):
-                _expect(value, str, f"dst_axes.axes[{i}][{j}]")
+                _name(value, f"dst_axes.axes[{i}][{j}]")
         literal_map = {}
         for name, coordinate in _get(axes_blob, "map", dict, "dst_axes.", required=True).items():
             where = f"dst_axes.map[{_brief(repr(name))}]"
@@ -182,7 +193,7 @@ def parse_scenario(text: str) -> Scenario:
             value = _expect(coordinate[1], float, f"{where}[1]")
             if not (axis.is_integer() and value.is_integer()):  # also NaN and ±inf
                 raise ScenarioError(f"{where} must hold integers")
-            literal_map[_expect(name, str, "dst_axes.map key")] = (int(axis), int(value))
+            literal_map[_name(name, "dst_axes.map key")] = (int(axis), int(value))
         try:
             dst_axes = DstAxes(AtomFrame(tuple(tuple(axis) for axis in axes)), literal_map)
         except ValueError as exc:
@@ -266,9 +277,16 @@ def _csv(report: FusionReport) -> str:
 
 
 def emit_report(report: FusionReport, fmt: str = "table") -> str:
-    """Render a report deterministically; same report, same bytes."""
+    """Render a report deterministically; same report, same bytes.
+
+    ``json`` prints what ``json.dumps(report.to_json(), indent=2,
+    ensure_ascii=False)`` prints, plus a newline, but renders it straight
+    from the report's fixed schema (:func:`~hyperbelief.json_report.render_json`);
+    ``to_json`` stays the library's view of the same data.  ``table`` and
+    ``csv`` print one row per engine and query.
+    """
     if fmt == "json":
-        return json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+        return render_json(report)
     if fmt == "csv":
         return _csv(report)
     if fmt == "table":

@@ -9,8 +9,8 @@ lattice generated by the singletons, whose cardinalities 1, 2, 5, 19, 167,
 7580, 7828353 follow the Dedekind numbers (each is M(n) - 1).  Index sets
 and names enter through :func:`canonicalize`, :func:`proposition_from_names`
 and :meth:`Frame.singleton`; the canonical term order (by size, then by
-sorted members) exists only in the read-only output views and in the
-ranks the enumeration carries.
+sorted members) is defined once, by :func:`_term_key`, and read by the
+output views, the key order of a BBA and the ranks the enumeration carries.
 
 A :class:`Model` stores the constraint masks whose joint intersection is
 declared empty.  Reduction drops every term t that contains a constraint c
@@ -96,6 +96,11 @@ def _index_mask(n: int, indices: Iterable[int]) -> int:
     return mask
 
 
+def _term_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """A term's place in canonical order: its size, then its sorted members."""
+    return mask.bit_count(), tuple(_members(mask))
+
+
 def _absorb(masks: Iterable[int]) -> tuple[int, ...]:
     """The antichain of ``masks``, ascending: a mask containing another is dropped.
 
@@ -157,9 +162,9 @@ class Proposition:
     def is_empty(self) -> bool:
         return not self.masks
 
-    def _ordered_members(self) -> list[list[int]]:
+    def _ordered_members(self) -> list[tuple[int, ...]]:
         """Each term's sorted members, terms in canonical order (size, then members)."""
-        return sorted(map(_members, self.masks), key=lambda m: (len(m), m))
+        return [members for _, members in self.sort_key]
 
     @property
     def terms(self) -> tuple[frozenset[int], ...]:
@@ -169,7 +174,7 @@ class Proposition:
     @property
     def sort_key(self) -> tuple:
         """A total order on same-frame propositions; the empty one sorts first."""
-        return tuple((len(m), tuple(m)) for m in self._ordered_members())
+        return tuple(sorted(map(_term_key, self.masks)))
 
     def singleton_indices(self) -> frozenset[int]:
         """All singleton indices mentioned by any term."""
@@ -344,7 +349,7 @@ def _check_enumeration_limit(n: int, allow_large: bool, switch: str) -> None:
 
 def _term_order(n: int) -> list[int]:
     """The subsets of range(n) as ints, in canonical term order: by size, then by sorted members."""
-    return sorted(range(1 << n), key=lambda s: (s.bit_count(), _members(s)))
+    return sorted(range(1 << n), key=_term_key)
 
 
 def _families(k: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -31,10 +31,9 @@ from .analysis import BayesEstimates, indifference_estimates
 from .belief import (
     BBA,
     TOTAL_CONFLICT_EPS,
-    belief,
+    belief_intervals,
     dsm_hybrid_combine,
     fsum_by_key,
-    plausibility,
     vacuous,
 )
 from .lattice import (
@@ -86,21 +85,20 @@ def rule_to_conditional_bba(rule: WeightedRule, frame: Frame, model: Model) -> B
     both = reduce_under_model(conjoin(rule.antecedent, rule.consequent), model)
     if both.is_empty and rule.weight > 0.0:
         raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
-    masses: dict[Proposition, float] = {}
-    if rule.weight > 0.0:
-        masses[both] = rule.weight
-    if rule.weight < 1.0:
-        masses[antecedent] = masses.get(antecedent, 0.0) + (1.0 - rule.weight)
-    return BBA(frame, model, masses)
+    # both keys are reduced, so the BBA takes them as they are
+    return BBA._trusted(
+        frame, model, [(both.masks, rule.weight), (antecedent.masks, 1.0 - rule.weight)]
+    )
 
 
 def observation_to_bba(obs: Proposition, frame: Frame, model: Model) -> BBA:
     """Certain evidence: m(obs) = 1."""
     if obs.frame != frame:
         raise ValueError("observation does not live on the scenario frame")
-    if reduce_under_model(obs, model).is_empty:
+    reduced = reduce_under_model(obs, model)
+    if reduced.is_empty:
         raise ValueError(f"observation {_brief(str(obs))} is impossible under the model")
-    return BBA(frame, model, {obs: 1.0})
+    return BBA._trusted(frame, model, [(reduced.masks, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -295,8 +293,8 @@ class FusionReport:
 
 def _intervals(fused: BBA, queries: Sequence[Proposition]) -> tuple[QueryResult, ...]:
     return tuple(
-        QueryResult(query=q, bel=belief(fused, q), pl=plausibility(fused, q))
-        for q in queries
+        QueryResult(query=q, bel=bel, pl=pl)
+        for q, (bel, pl) in zip(queries, belief_intervals(fused, queries))
     )
 
 

@@ -28,7 +28,7 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from hyperbelief.belief import _fold
+from hyperbelief.belief import _fold, belief_intervals, fsum_by_key
 from strategies import bbas, dsm_scale_sources, fold_cases, framed_models, propositions, wide_models
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
@@ -460,6 +460,26 @@ def test_fold_matches_the_absorb_reference_exactly(case):
     assert got == want
 
 
+@given(fold_cases())
+def test_trusted_bba_equals_the_public_constructor(case):
+    # the conjunctive and the hybrid keys of the same fold, wrapped as they are
+    # and through every check of the public constructor
+    model, sources = case
+    frame = model.frame
+    ignorance = tuple(1 << i for i in range(len(frame)))
+    states = _fold(sources, model)
+    for pairs in (
+        [(meet, m) for (meet, _), m in states.items()],
+        [(meet or join or ignorance, m) for (meet, join), m in states.items()],
+    ):
+        trusted = BBA._trusted(frame, model, pairs)
+        public = BBA(frame, model, {Proposition(frame, k): m for k, m in fsum_by_key(pairs).items()})
+        assert [(p.masks, m.hex()) for p, m in trusted.items()] == [
+            (p.masks, m.hex()) for p, m in public.items()
+        ]
+        assert trusted.focals() == sorted(trusted.focals(), key=lambda p: p.sort_key)
+
+
 @given(st.data())
 def test_bel_pl_match_region_semantics(data):
     model = data.draw(wide_models(min_n=1))
@@ -471,10 +491,14 @@ def test_bel_pl_match_region_semantics(data):
         canonicalize(frame, q.terms + (c,)) for q in queries for c in model.empty_intersections
     ]
     focals = [(oracle.semantic(x, model), m) for x, m in b.items()]
+    want = []
     for q in queries:
         region = oracle.semantic(q, model)
-        assert belief(b, q) == fsum(m for r, m in focals if r and r <= region)
-        assert plausibility(b, q) == fsum(m for r, m in focals if r & region)
+        want.append(
+            (fsum(m for r, m in focals if r and r <= region), fsum(m for r, m in focals if r & region))
+        )
+        assert (belief(b, q), plausibility(b, q)) == want[-1]
+    assert belief_intervals(b, queries) == want
 
 
 @given(combined_sources(draw_conflict=True))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbelief import Frame, enumerate_hyper_power_set
+from hyperbelief import AtomFrame, BBA, Frame, enumerate_hyper_power_set
+from hyperbelief.analysis import BayesEstimates
 from hyperbelief.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT_ERROR,
@@ -25,7 +27,8 @@ from hyperbelief.cli import (
     parse_scenario,
 )
 from hyperbelief import rulebase
-from hyperbelief.rulebase import run_scenario
+from hyperbelief.rulebase import AtomMasses, EngineResult, FusionReport, QueryResult, run_scenario
+from strategies import models, propositions
 
 TP2_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "tp2.json"
 TP2_TEXT = TP2_PATH.read_text(encoding="utf-8")
@@ -113,11 +116,17 @@ def tp2_with(path: tuple, value) -> str:
 
 
 def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
-    """``main(argv)`` with ``stdin`` as standard input; returns (code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
+    """``main(argv)`` with ``stdin`` as standard input; returns (code, stdout, stderr).
+
+    Standard output encodes as strict UTF-8, as a terminal or pipe does, so
+    text that cannot be encoded fails here as it would there.
+    """
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+    err = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 LONG = "x" * 100_000
@@ -186,6 +195,22 @@ def cut(text: str) -> str:
             f"rules[0]: rule [{cut(f'if {LONG} then b (w=0.9)')}] contradicts the model's constraints\n",
             id="long-rule-text",
         ),
+        pytest.param(
+            '{"frame": ["p\\ud800", "b"], "rules": [{"if": [["b"]], "then": [["p\\ud800"]], '
+            '"weight": 0.9}], "queries": [[["p\\ud800"]]]}',
+            "error: frame[0] holds a lone surrogate, got 'p\\ud800'\n",
+            id="lone-surrogate-frame-name",
+        ),
+        pytest.param(
+            json.dumps(json.loads(tp2_with(("dst_axes", "axes", 2, 1), "p_\ud800"))),  # escaped
+            "error: dst_axes.axes[2][1] holds a lone surrogate",
+            id="lone-surrogate-axis-value",
+        ),
+        pytest.param(
+            json.dumps(json.loads(tp2_with(("dst_axes", "map", "\udfff"), [2, 1]))),
+            "error: dst_axes.map key holds a lone surrogate",
+            id="lone-surrogate-map-key",
+        ),
     ],
 )
 def test_hostile_json_exits_two(text, needle):
@@ -204,7 +229,7 @@ def _nodes(blob, path=()):
 
 
 _HOSTILE = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, "1e400", 10**400, True, False, None, "", "∩", [], {}]),
+    st.sampled_from([math.nan, math.inf, -math.inf, "1e400", 10**400, True, False, None, "", "∩", "p\ud800", [], {}]),
     st.recursive(st.sampled_from(["p", "∩", 0, None]), lambda inner: st.lists(inner, max_size=3), max_leaves=4),
 )
 
@@ -214,11 +239,12 @@ _HOSTILE = st.one_of(
     path=st.sampled_from(list(_nodes(json.loads(TP2_TEXT)))),
     value=_HOSTILE,
     command=st.sampled_from(["fuse", "compare"]),
+    fmt=st.sampled_from(["table", "json", "csv"]),
 )
-def test_one_hostile_node_never_crashes(path, value, command):
+def test_one_hostile_node_never_crashes(path, value, command, fmt):
     text = json.dumps(value) if not path else tp2_with(path, value)
     text = text.replace('"1e400"', "1e400")  # a float literal past the float range
-    code, _, err = run_main([command, "-"], text)
+    code, _, err = run_main([command, "-", "--format", fmt], text)
     assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_INCONSISTENT)
     if code == EXIT_INPUT_ERROR:
         assert err.startswith("error: ")
@@ -267,6 +293,72 @@ def test_json_round_trips_full_precision():
         assert emitted["bel"] == row.bel  # exact: repr round-trip
         assert emitted["pl"] == row.pl
     assert blob["results"][1]["normalization_constant"] == report.engine("dst").normalization_constant
+
+
+# characters that JSON escapes, or that ensure_ascii=False prints as they are
+_CHARS = st.sampled_from(list('ab"\\/\x00\x08\x1f\x7fé中\u2028\u2029\U0001d518 '))
+_TEXT = st.text(_CHARS, max_size=4)
+_NAME = st.text(_CHARS, min_size=1, max_size=4)
+_EDGES = [5e-324, 1e-7, 1e16, 0.1 + 0.2, 1.0000000000000002, 0.0, -0.0, 1.0]
+_FLOAT = st.sampled_from(_EDGES) | st.floats()
+_FINITE = st.sampled_from(_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+_MAYBE = st.none() | _FLOAT
+_FLAGS = st.lists(_TEXT, max_size=2).map(tuple)
+
+
+def _unchecked_bba(frame, model, masses) -> BBA:
+    """A BBA holding ``masses`` as they are: the writer prints any float, not just normalised ones."""
+    bba = object.__new__(BBA)
+    for field, value in (("frame", frame), ("model", model), ("masses", masses)):
+        object.__setattr__(bba, field, value)
+    return bba
+
+
+@st.composite
+def _engine_results(draw, frame: Frame) -> EngineResult:
+    """One engine's result of any shape the report has: dsm, dst (consistent or not) or bayes."""
+    queries = tuple(
+        QueryResult(draw(propositions(frame)), draw(_MAYBE), draw(_MAYBE), draw(_MAYBE), draw(_TEXT))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    shape = draw(st.sampled_from(["dsm", "dst", "inconsistent", "bayes"]))
+    fused = estimates = None
+    if shape == "dsm":
+        model = draw(models(frame))
+        keys = draw(st.lists(propositions(frame), max_size=5, unique=True))
+        fused = _unchecked_bba(frame, model, {k: draw(_FLOAT) for k in keys})
+    elif shape == "dst":
+        axes = AtomFrame(
+            tuple(
+                tuple(draw(st.lists(_NAME, min_size=2, max_size=3, unique=True)))
+                for _ in range(draw(st.integers(1, 3)))
+            )
+        )
+        focals = st.frozensets(st.integers(0, axes.atom_count - 1), max_size=axes.atom_count)
+        fused = AtomMasses(axes, {f: draw(_FLOAT) for f in draw(st.lists(focals, max_size=4, unique=True))})
+    elif shape == "bayes":
+        estimates = BayesEstimates(*(Fraction(draw(_FINITE)) for _ in range(4)), draw(_FLAGS))
+    return EngineResult(
+        engine=draw(st.sampled_from(["dsm", "dst", "bayes"])),
+        status=draw(st.sampled_from(["ok", "inconsistent", "not_applicable"])),
+        fused=fused,
+        conflict_mass=draw(_MAYBE),
+        stage_conflicts=tuple(draw(st.lists(_FLOAT, max_size=3))),
+        normalization_constant=draw(_MAYBE),
+        queries=queries,
+        flags=draw(_FLAGS),
+        estimates=estimates,
+    )
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_json_writer_matches_json_dumps(data):
+    frame = Frame(tuple(data.draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))))
+    results = tuple(data.draw(st.lists(_engine_results(frame), max_size=3)))
+    report = FusionReport(scenario=None, results=results)
+    want = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+    assert emit_report(report, "json") == want
 
 
 def test_csv_has_one_row_per_engine_query():
@@ -495,6 +587,56 @@ def test_unstructured_dsm_output_bytes_are_pinned(capsys, tmp_path):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (
         204718,
         "67603c5fc936b57e7f9c79d7ae0e20fd7f250be5ab4b0964935c401d9c2bd80d",
+    )
+
+
+# tp2 selects all three engines, so both commands print the bayes estimates,
+# the dst atom sets and the dsm lattice keys.
+@pytest.mark.parametrize("command", ["fuse", "compare"])
+def test_tp2_json_bytes_are_pinned(capsys, command):
+    assert main([command, str(TP2_PATH), "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        3539,
+        "df3e9f30aaae157beee05ab37d79579c30e3a8cc15ced9406fa16335809cb8a9",
+    )
+
+
+# 2 × 2 × 2 × 2 × 4 = 64 atoms, named by non-ASCII axis values.
+DST_WIDE_SCENARIO = {
+    "frame": ["p", "b", "f", "nf", "w", "s"],
+    "constraints": [["f", "nf"]],
+    "rules": [
+        {"if": [["p"]], "then": [["nf"]], "weight": 0.9},
+        {"if": [["b"]], "then": [["f"]], "weight": 0.9},
+        {"if": [["p"]], "then": [["b"]], "weight": 0.95},
+        {"if": [["s"]], "then": [["w"]], "weight": 0.6},
+        {"if": [["b"]], "then": [["w"], ["s"]], "weight": 0.7},
+    ],
+    "observations": [[["p", "b"]]],
+    "queries": [[["f"]], [["nf"]], [["w"], ["s"]], [["s"]]],
+    "engines": ["dst"],
+    "dst_axes": {
+        "axes": [
+            ["vuela", "no vuela"],
+            ["pájaro", "¬pájaro"],
+            ["pingüino", "¬pingüino"],
+            ["ala", "sin ala"],
+            ["frío", "calor", "templado", "nieve"],
+        ],
+        "map": {"f": [0, 0], "nf": [0, 1], "b": [1, 0], "p": [2, 0], "w": [3, 0], "s": [4, 3]},
+    },
+}
+
+
+def test_wide_dst_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "dst64.json"
+    path.write_text(json.dumps(DST_WIDE_SCENARIO), encoding="utf-8")
+    assert main(["fuse", str(path), "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        2973,
+        "d27f08a90013cd2bc80a6732b4e70fff0083c4600c90222ba0378cfffbf42390",
     )
 
 
