@@ -2,12 +2,13 @@
 
 Masses are keyed by model-reduced canonical propositions, so two keys that
 are equal under the declared constraints always share one entry.  Three
-combination rules are provided:
+combination rules are provided, each over one or more sources:
 
 * ``conjunctive_combine`` -- the unnormalized conjunctive rule; conflicting
   mass stays on the empty proposition.
-* ``dempster_combine`` -- conjunctive followed by normalization (reporting
-  K = 1 - conflict); raises :class:`TotalConflictError` when nothing is left.
+* ``dempster_combine`` -- the conjunctive meets normalized by
+  ``_dempster_normalise`` (K = 1 - conflict), which the dst engine shares;
+  raises :class:`TotalConflictError` when nothing is left.
 * ``dsm_hybrid_combine`` -- no normalization; mass whose meet is empty is
   rerouted inside the lattice to the join of the inputs, or to total
   ignorance when the join is empty too.
@@ -156,13 +157,6 @@ class CombinationReport:
     conflict_mass: float
     normalization_constant: float | None
 
-    def to_json(self) -> dict:
-        return {
-            **self.result.to_json(),
-            "conflict_mass": self.conflict_mass,
-            "normalization_constant": self.normalization_constant,
-        }
-
 
 def vacuous(frame: Frame, model: Model) -> BBA:
     """The all-ignorance assignment m(Θ₁∪...∪Θₙ) = 1."""
@@ -217,8 +211,8 @@ def plausibility(b: BBA, a: Proposition) -> float:
 
 
 def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model]:
-    if len(bbas) < 2:
-        raise ValueError("combination needs at least two sources")
+    if not bbas:
+        raise ValueError("combination needs at least one source")
     frame, model = bbas[0].frame, bbas[0].model
     for b in bbas[1:]:
         if b.frame != frame or b.model != model:
@@ -295,24 +289,29 @@ def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     return CombinationReport(result, result.mass_on_empty(), None)
 
 
-def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
-    """Dempster's rule: conjunctive combination renormalized to sum to one.
+def _dempster_normalise(merged: Mapping[Hashable, float]) -> tuple[float, float, dict]:
+    """Dempster's normalization of conjunctive masses keyed by meets.
 
-    The reported normalization constant is K = 1 - conflict.
+    The one falsy key (``()`` or ``frozenset()``) holds the conflict.  Returns
+    (conflict, K = 1 - conflict, the other positive masses over their total);
+    raises :class:`TotalConflictError` when K leaves nothing to normalize.
     """
-    conjunctive = conjunctive_combine(bbas)
-    k = 1.0 - conjunctive.conflict_mass
+    conflict = next((m for key, m in merged.items() if not key), 0.0)
+    k = 1.0 - conflict
     if k <= TOTAL_CONFLICT_EPS:
-        raise TotalConflictError(
-            f"conflict mass {conjunctive.conflict_mass!r} leaves nothing to normalize"
-        )
+        raise TotalConflictError(f"conflict mass {conflict!r} leaves nothing to normalize")
+    kept = {key: m for key, m in merged.items() if key and m > 0.0}
     # divide by the kept mass: 1 − conflict loses digits when K is small
-    kept = [(prop.masks, mass) for prop, mass in conjunctive.result.items() if not prop.is_empty]
-    total = fsum(mass for _, mass in kept)
-    result = BBA._trusted(
-        bbas[0].frame, bbas[0].model, [(masks, mass / total) for masks, mass in kept]
-    )
-    return CombinationReport(result, conjunctive.conflict_mass, k)
+    total = fsum(kept.values())
+    return conflict, k, {key: m / total for key, m in kept.items()}
+
+
+def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
+    """Dempster's rule: the conjunctive meets normalized by :func:`_dempster_normalise`."""
+    frame, model = _common_context(bbas)
+    merged = fsum_by_key((meet, m) for (meet, _), m in _fold(bbas, model).items())
+    conflict, k, kept = _dempster_normalise(merged)
+    return CombinationReport(BBA._trusted(frame, model, kept.items()), conflict, k)
 
 
 def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
@@ -327,7 +326,7 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     ``conflict_mass`` reports the total mass rerouted by branches 2 and 3.
     """
     frame, model = _common_context(bbas)
-    ignorance = tuple(1 << i for i in range(len(frame)))
+    ignorance = total_ignorance(frame).masks
     states = _fold(bbas, model)
     rerouted = fsum(m for (meet, _), m in states.items() if not meet)
     targets = ((meet or join or ignorance, m) for (meet, join), m in states.items())

@@ -98,6 +98,18 @@ def _fields(value, where: str, known: tuple[str, ...]) -> dict:
     return blob
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key given twice is an error, not a silent overwrite."""
+    blob = dict(pairs)
+    if len(blob) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ScenarioError(f"key {_brief(repr(key))} is given twice")
+            seen.add(key)
+    return blob
+
+
 def _proposition(frame: Frame, nested, where: str) -> Proposition:
     terms = _expect(nested, list, where)
     for i, term in enumerate(terms):
@@ -113,7 +125,9 @@ def _proposition(frame: Frame, nested, where: str) -> Proposition:
 def parse_scenario(text: str) -> Scenario:
     """Validate scenario JSON, raising ScenarioError naming the broken field."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
+    except ScenarioError:
+        raise
     except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to read
         # a scenario author cannot act on Python's advice to raise its digit limit
         reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]

@@ -310,7 +310,7 @@ def u_of(a: Proposition) -> Proposition:
 
 def total_ignorance(frame: Frame) -> Proposition:
     """The union of every singleton in the frame."""
-    return Proposition(frame, tuple(1 << i for i in range(len(frame))))
+    return Proposition._trusted(frame, tuple(1 << i for i in range(len(frame))))
 
 
 # --- enumeration ----------------------------------------------------------

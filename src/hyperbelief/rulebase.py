@@ -7,11 +7,11 @@ the antecedent alone.  ``run_scenario`` then fuses rules and observations
 three ways:
 
 * ``dsm``   — hybrid DSm fusion directly on the constrained lattice: all rule
-  BBAs in one pass, then each observation in order.
+  BBAs (or the vacuous one) in one pass, then each observation in order.
 * ``dst``   — every proposition is refined to its set of atoms on an
   exclusive frame (``dst_axes``); Dempster's rule is one fold over those atom
-  sets from the vacuous assignment (meet is ``&``, conflict is the mass on
-  the empty set), and the report keys the result by atom sets named by
+  sets from the vacuous assignment (meet is ``&``, normalized as in
+  ``dempster_combine``), and the report keys the result by atom sets named by
   :meth:`AtomFrame.atom_name`.  Total conflict is an inconsistency, not raised.
 * ``bayes`` — no fusion at all: if the scenario is a three-rule triangle
   (x→c, y→c', x→y with observation x∧y and c, c' exclusive), the chain-rule
@@ -30,7 +30,8 @@ from typing import Mapping, Sequence
 from .analysis import BayesEstimates, indifference_estimates
 from .belief import (
     BBA,
-    TOTAL_CONFLICT_EPS,
+    TotalConflictError,
+    _dempster_normalise,
     belief_intervals,
     dsm_hybrid_combine,
     fsum_by_key,
@@ -254,11 +255,11 @@ class AtomMasses:
 class EngineResult:
     engine: str
     status: str  # "ok" | "inconsistent" | "not_applicable"
-    fused: BBA | AtomMasses | None  # a BBA for dsm, atom sets for dst
-    conflict_mass: float | None
-    stage_conflicts: tuple[float, ...]
-    normalization_constant: float | None
     queries: tuple[QueryResult, ...]
+    fused: BBA | AtomMasses | None = None  # a BBA for dsm, atom sets for dst
+    conflict_mass: float | None = None
+    stage_conflicts: tuple[float, ...] = ()
+    normalization_constant: float | None = None
     flags: tuple[str, ...] = ()
     estimates: BayesEstimates | None = None
 
@@ -298,15 +299,23 @@ def _intervals(fused: BBA, queries: Sequence[Proposition]) -> tuple[QueryResult,
     )
 
 
+def _unanswered(
+    scenario: Scenario, engine: str, status: str, note: str, flag: str, **fields
+) -> EngineResult:
+    """A result with ``note`` on every query row and ``flag`` as its only flag."""
+    return EngineResult(
+        engine=engine,
+        status=status,
+        queries=tuple(QueryResult(query=q, note=note) for q in scenario.queries),
+        flags=(flag,),
+        **fields,
+    )
+
+
 def _run_dsm(scenario: Scenario) -> EngineResult:
     rules, observations = scenario._sources
-    if len(rules) >= 2:
-        prior_report = dsm_hybrid_combine(rules)
-        fused, stage_conflicts = prior_report.result, [prior_report.conflict_mass]
-    elif rules:
-        fused, stage_conflicts = rules[0], [0.0]
-    else:
-        fused, stage_conflicts = vacuous(scenario.frame, scenario.model), [0.0]
+    prior = dsm_hybrid_combine(rules or (vacuous(scenario.frame, scenario.model),))
+    fused, stage_conflicts = prior.result, [prior.conflict_mass]
     for obs in observations:
         report = dsm_hybrid_combine([fused, obs])
         fused = report.result
@@ -321,7 +330,6 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
         fused=fused,
         conflict_mass=conflict,
         stage_conflicts=tuple(stage_conflicts),
-        normalization_constant=None,
         queries=_intervals(fused, scenario.queries),
         flags=flags,
     )
@@ -338,26 +346,15 @@ def _run_dst(scenario: Scenario) -> EngineResult:
     states = {frozenset(range(axes.axes.atom_count)): 1.0}
     for source in sources:
         states = fsum_by_key((s & f, ms * m) for s, ms in states.items() for f, m in source.items())
-    conflict = states.pop(frozenset(), 0.0)
-    k = 1.0 - conflict
-    if k <= TOTAL_CONFLICT_EPS:
-        return EngineResult(
-            engine="dst",
-            status="inconsistent",
-            fused=None,
-            conflict_mass=1.0,
-            stage_conflicts=(1.0,),
-            normalization_constant=None,
-            queries=tuple(
-                QueryResult(query=q, note="inconsistent (total conflict)")
-                for q in scenario.queries
-            ),
-            flags=("inconsistent (total conflict): the rules admit no common world",),
+    try:
+        conflict, k, kept = _dempster_normalise(states)
+    except TotalConflictError:
+        note = "inconsistent (total conflict)"
+        flag = f"{note}: the rules admit no common world"
+        return _unanswered(
+            scenario, "dst", "inconsistent", note, flag, conflict_mass=1.0, stage_conflicts=(1.0,)
         )
-    # divide by the kept mass: 1 − conflict loses digits when K is small
-    kept = fsum(states.values())
-    ordered = sorted(states.items(), key=lambda kv: sorted(kv[0]))
-    fused = {focal: mass / kept for focal, mass in ordered if mass > 0.0}
+    fused = {focal: kept[focal] for focal in sorted(kept, key=sorted)}
     rows = []
     for q in scenario.queries:
         target = atoms(q)
@@ -400,16 +397,7 @@ def _match_triangle(scenario: Scenario):
 
 def _run_bayes(scenario: Scenario) -> EngineResult:
     def not_applicable(reason: str) -> EngineResult:
-        return EngineResult(
-            engine="bayes",
-            status="not_applicable",
-            fused=None,
-            conflict_mass=None,
-            stage_conflicts=(),
-            normalization_constant=None,
-            queries=tuple(QueryResult(query=q, note=reason) for q in scenario.queries),
-            flags=(reason,),
-        )
+        return _unanswered(scenario, "bayes", "not_applicable", reason, reason)
 
     match = _match_triangle(scenario)
     if match is None:
@@ -440,10 +428,6 @@ def _run_bayes(scenario: Scenario) -> EngineResult:
     return EngineResult(
         engine="bayes",
         status="ok",
-        fused=None,
-        conflict_mass=None,
-        stage_conflicts=(),
-        normalization_constant=None,
         queries=tuple(rows),
         flags=estimates.validity_flags,
         estimates=estimates,

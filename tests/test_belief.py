@@ -1,5 +1,6 @@
 """Tests for mass assignments, Bel/Pl, and the three combination rules."""
 
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import fsum, prod
@@ -28,7 +29,7 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from hyperbelief.belief import _fold, belief_intervals, fsum_by_key
+from hyperbelief.belief import TOTAL_CONFLICT_EPS, _fold, belief_intervals, fsum_by_key
 from strategies import bbas, dsm_scale_sources, fold_cases, framed_models, propositions, wide_models
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
@@ -132,12 +133,16 @@ def test_queries_must_share_the_frame():
         plausibility(v, Frame(("x",)).singleton("x"))
 
 
-def test_combination_needs_two_agreeing_sources():
+@pytest.mark.parametrize("combine", [conjunctive_combine, dempster_combine, dsm_hybrid_combine])
+def test_combination_needs_agreeing_sources(combine):
     v = vacuous(TPFRAME, TPMODEL)
-    with pytest.raises(ValueError):
-        conjunctive_combine([v])
-    with pytest.raises(ValueError):
-        conjunctive_combine([v, vacuous(TPFRAME, Model.free(TPFRAME))])
+    other = Frame(("x", "y"))
+    with pytest.raises(ValueError, match="at least one source"):
+        combine([])
+    with pytest.raises(ValueError, match="disagree"):
+        combine([v, vacuous(TPFRAME, Model.free(TPFRAME))])
+    with pytest.raises(ValueError, match="disagree"):
+        combine([v, vacuous(other, Model.free(other))])
 
 
 # ------------------------------------------------- two-source exclusive fusion
@@ -399,6 +404,41 @@ def test_conjunctive_matches_naive_reference(case):
         got[frozenset()] = rep.result.mass_on_empty()
     assert_mass_dicts_close(got, want)
     assert rep.conflict_mass == pytest.approx(want_conflict, abs=1e-9)
+
+
+@given(framed_models().flatmap(lambda model: bbas(model)))
+def test_a_fold_of_one_source_is_that_source(b):
+    # Dempster's rule divides by the kept mass, which is b's own total: b itself
+    # whenever its masses sum to exactly 1.0
+    total = fsum(b.masses.values())
+    for combine, want in (
+        (conjunctive_combine, [(p.masks, m.hex()) for p, m in b.items()]),
+        (dsm_hybrid_combine, [(p.masks, m.hex()) for p, m in b.items()]),
+        (dempster_combine, [(p.masks, (m / total).hex()) for p, m in b.items()]),
+    ):
+        rep = combine([b])
+        assert [(p.masks, m.hex()) for p, m in rep.result.items()] == want
+        assert rep.conflict_mass == 0.0
+
+
+@given(combined_sources(draw_conflict=True))
+def test_dempster_is_the_conjunctive_rule_normalised(case):
+    # Dempster's rule by its definition: drop ∅ from the conjunctive result and
+    # divide the rest by its total; same arithmetic, so the float bits agree
+    model, sources = case
+    conj = conjunctive_combine(sources)
+    if 1.0 - conj.conflict_mass <= TOTAL_CONFLICT_EPS:
+        with pytest.raises(TotalConflictError, match=re.escape(f"conflict mass {conj.conflict_mass!r} ")):
+            dempster_combine(sources)
+        return
+    kept = [(p.masks, m) for p, m in conj.result.items() if not p.is_empty]
+    total = fsum(m for _, m in kept)
+    rep = dempster_combine(sources)
+    assert [(p.masks, m.hex()) for p, m in rep.result.items()] == [
+        (masks, (m / total).hex()) for masks, m in kept
+    ]
+    assert rep.conflict_mass.hex() == conj.conflict_mass.hex()
+    assert rep.normalization_constant.hex() == (1.0 - conj.conflict_mass).hex()
 
 
 @given(combined_sources())

@@ -157,6 +157,26 @@ def cut(text: str) -> str:
             for literal in ("NaN", "Infinity", "-Infinity", "1e400")
         ),
         pytest.param(
+            TP2_TEXT.replace('"rules": [', '"rules": [], "rules": [', 1),
+            "error: key 'rules' is given twice\n",
+            id="rules-given-twice",
+        ),
+        pytest.param(
+            TP2_TEXT.replace('"weight": 0.9}', '"weight": 0.9, "weight": 0.2}', 1),
+            "error: key 'weight' is given twice\n",
+            id="weight-given-twice",
+        ),
+        pytest.param(
+            TP2_TEXT.replace('"p": [2, 0]}', '"p": [2, 0], "p": [1, 1]}'),
+            "error: key 'p' is given twice\n",
+            id="map-key-given-twice",
+        ),
+        pytest.param(
+            tp2_with(("dst_axes", "map", LONG), [0]).replace(f'"{LONG}": [0]', f'"{LONG}": [0], "{LONG}": [1]'),
+            f"key {cut(repr(LONG))} is given twice\n",
+            id="long-key-given-twice",
+        ),
+        pytest.param(
             tp2_with(("rules", 0, "weight"), "high"),
             "error: rules[0].weight must be a number, got 'high'\n",
             id="short-value-echoed-whole",

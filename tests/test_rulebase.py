@@ -236,6 +236,18 @@ def test_dsm_total_prior_conflict_is_reported_not_raised():
         assert (row.bel, row.pl) == (0.0, 1.0)
 
 
+def test_dsm_with_one_rule_fuses_to_that_rule():
+    rule = WeightedRule(P, NF, 0.9)
+    alone = run_scenario(Scenario(TPFRAME, TPMODEL, (rule,), (), (F,))).engine("dsm")
+    want = rule_to_conditional_bba(rule, TPFRAME, TPMODEL)
+    assert [(p.masks, m.hex()) for p, m in alone.fused.items()] == [
+        (p.masks, m.hex()) for p, m in want.items()
+    ]
+    assert alone.stage_conflicts == (0.0,)
+    observed = run_scenario(Scenario(TPFRAME, TPMODEL, (rule,), (P & B,), (F,))).engine("dsm")
+    assert observed.stage_conflicts[0] == 0.0
+
+
 def test_dsm_without_rules_is_vacuous():
     scenario = Scenario(TPFRAME, TPMODEL, (), (), (F,), engines=("dsm",))
     result = run_scenario(scenario).engine("dsm")
