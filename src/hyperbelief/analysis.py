@@ -236,15 +236,6 @@ class BayesEstimates:
     bound: Fraction
     validity_flags: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "p_fly": float(self.p_fly),
-            "p_not_fly": float(self.p_not_fly),
-            "additivity_deficit": float(self.additivity_deficit),
-            "bound": float(self.bound),
-            "validity_flags": list(self.validity_flags),
-        }
-
 
 def pearl_flying_bound(eps1, eps3) -> Fraction:
     """Upper bound ε₁/(1−ε₃) on the first conclusion's conditional probability.

@@ -134,13 +134,6 @@ class BBA:
     def mass_on_empty(self) -> float:
         return self.masses.get(Proposition.empty(self.frame), 0.0)
 
-    def to_json(self) -> dict:
-        return {
-            "masses": [
-                {"prop": prop.to_names(), "mass": mass} for prop, mass in self.items()
-            ]
-        }
-
     def __iter__(self) -> Iterator[Proposition]:
         return iter(self.masses)
 

@@ -293,11 +293,9 @@ def _csv(report: FusionReport) -> str:
 def emit_report(report: FusionReport, fmt: str = "table") -> str:
     """Render a report deterministically; same report, same bytes.
 
-    ``json`` prints what ``json.dumps(report.to_json(), indent=2,
-    ensure_ascii=False)`` prints, plus a newline, but renders it straight
-    from the report's fixed schema (:func:`~hyperbelief.json_report.render_json`);
-    ``to_json`` stays the library's view of the same data.  ``table`` and
-    ``csv`` print one row per engine and query.
+    ``json`` is :func:`~hyperbelief.json_report.render_json`, the one
+    definition of that format.  ``table`` and ``csv`` print one row per
+    engine and query.
     """
     if fmt == "json":
         return render_json(report)

@@ -1,23 +1,28 @@
 """The ``--format json`` report, written from its fixed schema.
 
-``render_json(report)`` prints the bytes of ``json.dumps(report.to_json(),
-indent=2, ensure_ascii=False)`` plus a newline, without building the dicts:
-with ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder over
-every key, list and float of a report whose name blocks mostly repeat.  The
-strings go through the encoder's own ``encode_basestring`` and the floats
-through ``float.__repr__``, as ``json.dumps`` does; ``to_json`` stays the
-library's view of the same data and the writer's test oracle.
+``render_json(report)`` is the one definition of these bytes, and
+:meth:`FusionReport.to_json` parses them back.  They are what
+``json.dumps(tree, indent=2, ensure_ascii=False)`` prints for the report's
+dict tree, plus a newline, but no tree is built: with ``indent`` set,
+``json.dumps`` runs CPython's pure-Python encoder over every key, list and
+float of a report whose name blocks mostly repeat.  The strings go through
+the encoder's own ``encode_basestring`` and the floats through
+``float.__repr__``, as ``json.dumps`` does.  The result types are
+annotations only, so ``rulebase`` imports this module without a cycle.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring
 from math import isfinite
+from typing import TYPE_CHECKING
 
 from .analysis import BayesEstimates
 from .belief import BBA
 from .lattice import AtomFrame, Frame, Proposition, _members, _term_key
-from .rulebase import AtomMasses, EngineResult, FusionReport, QueryResult
+
+if TYPE_CHECKING:
+    from .rulebase import AtomMasses, EngineResult, FusionReport, QueryResult
 
 _BREAK = tuple("\n" + "  " * depth for depth in range(10))  # a new line at each indent depth
 
@@ -77,10 +82,10 @@ class _JsonWriter:
         )
 
     def _fused(self, fused: BBA | AtomMasses) -> str:
-        if isinstance(fused, AtomMasses):
-            props = [self._atom_set(fused.axes, focal) for focal in fused.masses]
-        else:
+        if isinstance(fused, BBA):
             props = self._props(fused.frame, list(fused.masses), 6)
+        else:
+            props = [self._atom_set(fused.axes, focal) for focal in fused.masses]
         # each item is _object([("prop", prop), ("mass", mass)], 5), spelled out
         head, middle = "{" + _BREAK[6] + '"prop": ', "," + _BREAK[6] + '"mass": '
         tail = _BREAK[5] + "}"
@@ -149,5 +154,5 @@ def _estimates(estimates: BayesEstimates) -> str:
 
 
 def render_json(report: FusionReport) -> str:
-    """``json.dumps(report.to_json(), indent=2, ensure_ascii=False)`` plus a newline."""
+    """The report's ``--format json`` text: a ``results`` array, one object per engine."""
     return _JsonWriter().report(report) + "\n"

@@ -20,6 +20,7 @@ three ways:
 
 from __future__ import annotations
 
+import json
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +38,7 @@ from .belief import (
     fsum_by_key,
     vacuous,
 )
+from .json_report import render_json
 from .lattice import (
     AtomFrame,
     Frame,
@@ -224,15 +226,6 @@ class QueryResult:
     estimate: float | None = None
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "query": self.query.to_names(),
-            "bel": self.bel,
-            "pl": self.pl,
-            "estimate": self.estimate,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class AtomMasses:
@@ -240,15 +233,6 @@ class AtomMasses:
 
     axes: AtomFrame
     masses: Mapping[frozenset[int], float]
-
-    def to_json(self) -> dict:
-        name = self.axes.atom_name
-        return {
-            "masses": [
-                {"prop": [[name(i)] for i in sorted(focal)], "mass": mass}
-                for focal, mass in self.masses.items()
-            ]
-        }
 
 
 @dataclass(frozen=True)
@@ -263,23 +247,9 @@ class EngineResult:
     flags: tuple[str, ...] = ()
     estimates: BayesEstimates | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "engine": self.engine,
-            "status": self.status,
-            "fused": None if self.fused is None else self.fused.to_json(),
-            "conflict_mass": self.conflict_mass,
-            "stage_conflicts": list(self.stage_conflicts),
-            "normalization_constant": self.normalization_constant,
-            "queries": [q.to_json() for q in self.queries],
-            "flags": list(self.flags),
-            "estimates": None if self.estimates is None else self.estimates.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class FusionReport:
-    scenario: Scenario
     results: tuple[EngineResult, ...]
 
     def engine(self, name: str) -> EngineResult:
@@ -289,7 +259,8 @@ class FusionReport:
         raise KeyError(f"no result for engine {name!r}")
 
     def to_json(self) -> dict:
-        return {"results": [r.to_json() for r in self.results]}
+        """The ``--format json`` text, parsed: see :func:`~hyperbelief.json_report.render_json`."""
+        return json.loads(render_json(self))
 
 
 def _intervals(fused: BBA, queries: Sequence[Proposition]) -> tuple[QueryResult, ...]:
@@ -439,7 +410,4 @@ _RUNNERS = {"dsm": _run_dsm, "dst": _run_dst, "bayes": _run_bayes}
 
 def run_scenario(scenario: Scenario) -> FusionReport:
     """Run every engine the scenario selects, in its declared order."""
-    return FusionReport(
-        scenario=scenario,
-        results=tuple(_RUNNERS[name](scenario) for name in scenario.engines),
-    )
+    return FusionReport(tuple(_RUNNERS[name](scenario) for name in scenario.engines))

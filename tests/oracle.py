@@ -194,3 +194,52 @@ def shift_mask_antichains(n):
                 minimal ^= bit
             terms.sort(key=rank.__getitem__)
             yield tuple(terms)
+
+
+def fused_tree(fused):
+    """A fused assignment as the report's dict: a BBA's keys by their names,
+    a dst ``AtomMasses`` key as one single-name term per atom, atoms ascending."""
+    if hasattr(fused, "axes"):
+        name = fused.axes.atom_name
+        props = [[[name(i)] for i in sorted(focal)] for focal in fused.masses]
+    else:
+        props = [prop.to_names() for prop in fused.masses]
+    return {"masses": [{"prop": p, "mass": m} for p, m in zip(props, fused.masses.values())]}
+
+
+def report_tree(report):
+    """A ``FusionReport`` as the dict tree whose ``json.dumps(indent=2,
+    ensure_ascii=False)`` text, plus a newline, is its ``--format json``."""
+
+    def estimates(e):
+        return {
+            "p_fly": float(e.p_fly),
+            "p_not_fly": float(e.p_not_fly),
+            "additivity_deficit": float(e.additivity_deficit),
+            "bound": float(e.bound),
+            "validity_flags": list(e.validity_flags),
+        }
+
+    def query(q):
+        return {
+            "query": q.query.to_names(),
+            "bel": q.bel,
+            "pl": q.pl,
+            "estimate": q.estimate,
+            "note": q.note,
+        }
+
+    def result(r):
+        return {
+            "engine": r.engine,
+            "status": r.status,
+            "fused": None if r.fused is None else fused_tree(r.fused),
+            "conflict_mass": r.conflict_mass,
+            "stage_conflicts": list(r.stage_conflicts),
+            "normalization_constant": r.normalization_constant,
+            "queries": [query(q) for q in r.queries],
+            "flags": list(r.flags),
+            "estimates": None if r.estimates is None else estimates(r.estimates),
+        }
+
+    return {"results": [result(r) for r in report.results]}

@@ -3,6 +3,7 @@ run against the package."""
 
 import importlib.util
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,16 @@ def test_readme_library_example_prints_its_comments(capsys):
     exec(compile(block, "README.md", "exec"), {})
     assert expected
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_command_line_block_is_what_fuse_prints(capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    command, printed = block.split("\n", 1)
+    assert command.startswith("$ hyperbelief ")
+    monkeypatch.chdir(ROOT)  # the command names its scenario relative to the checkout
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_benchmark_tracer_wraps_the_package(capsys):

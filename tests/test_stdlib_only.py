@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library and declares no dependency."""
+"""The package imports nothing outside the standard library, declares no
+dependency, and its modules import each other without a cycle."""
 
 import ast
 import re
@@ -26,6 +27,45 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def package_imports(path: Path):
+    """The package modules ``path`` imports when it loads: relative imports in
+    the module body, in ``if``/``try`` blocks, but not under ``if TYPE_CHECKING:``."""
+    body = list(ast.parse(path.read_text(encoding="utf-8"), str(path)).body)
+    while body:
+        node = body.pop()
+        if isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                body += node.body
+            body += node.orelse
+        elif isinstance(node, ast.Try):
+            body += node.body + node.orelse + node.finalbody
+            body += [stmt for handler in node.handlers for stmt in handler.body]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+def test_package_modules_import_no_cycle():
+    graph = {path.stem: set(package_imports(path)) for path in SOURCES}
+    assert any(graph.values())  # the walker sees the package's own imports
+    done, stack = set(), []
+
+    def visit(module):
+        assert module not in stack, "import cycle: " + " -> ".join(stack + [module])
+        if module in done or module not in graph:
+            return
+        stack.append(module)
+        for imported in sorted(graph[module]):
+            visit(imported)
+        stack.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
 
 
 def test_pyproject_declares_no_dependencies():
