@@ -14,19 +14,24 @@ combination rules are provided, each over one or more sources:
   ignorance when the join is empty too.
 
 All three rules read one fold over the sources, which merges the focal
-tuples into (meet, join) states as it goes.  A meet is the ascending tuple
-of int term masks each :class:`Proposition` stores, reduced against the
+tuples into (meet, join) states as it goes.  A source is a mask dict: each
+focal is the ascending tuple of int term masks a :class:`Proposition`
+stores, mapped to its mass.  A meet is such a tuple reduced against the
 model's constraint masks (a term t breaks constraint c iff ``t & c == c``).
 A join is a union of focals, so its terms are among the sources' own terms;
 the fold holds it as an int bit set over those terms, so that a join step
 is one ``|``, and decodes each distinct join to term masks once, at the end.
-The fold's output keys are already reduced, absorbed and ascending, so the
-result :class:`BBA` wraps them as they are (``BBA._trusted``) instead of
-checking and reducing them again; the rule and observation encodings in
-``rulebase`` do the same.  Bel and Pl read the same term masks, for every
-query in one pass over the focals.  Each state's mass, each output key's
-mass and each Bel or Pl is an ``math.fsum`` over a fixed order (source
-order, then focal order), so results are bit-reproducible across runs.
+The hybrid step hands its merged targets on as a mask dict too, so a chain
+of stages (``rulebase._run_dsm``) orders its keys and wraps them as
+propositions once, in the one :class:`BBA` it reports.  The fold's output
+keys are already reduced, absorbed and ascending, so that BBA wraps them as
+they are (``BBA._trusted``) instead of checking and reducing them again.
+Every mask dict a stage or an encoding hands on is as :func:`_merged`
+returns it: equal keys merged, zero masses dropped, and a total of 1.  Bel
+and Pl read the same term masks, for every query in one pass over the
+focals.  Each state's mass, each output key's mass and each Bel or Pl is an
+``math.fsum`` over a fixed order (source order, then focal order), so
+results are bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -64,20 +69,25 @@ def fsum_by_key(pairs: Iterable[tuple[Hashable, float]]) -> dict:
 Masks = tuple[int, ...]
 
 
+def _merged(pairs: Iterable[tuple[Masks, float]]) -> dict[Masks, float]:
+    """The masses of equal keys merged by ``fsum``, zeros dropped; they must sum to 1."""
+    merged = {masks: m for masks, m in fsum_by_key(pairs).items() if m > 0.0}
+    total = fsum(merged.values())
+    if abs(total - 1.0) > _MASS_SUM_TOL:
+        raise ValueError(f"masses sum to {total!r}, not 1")
+    return merged
+
+
 def _canonical(frame: Frame, merged: Mapping[Masks, float]) -> dict[Proposition, float]:
-    """The non-zero masses of ``merged``, keyed in canonical order; they must sum to 1.
+    """The masses of ``merged`` (see :func:`_merged`), keyed by propositions in canonical order.
 
     A key sorts by its terms' :func:`~hyperbelief.lattice._term_key` in
     ascending order, as :attr:`Proposition.sort_key` does.  Each distinct
     term's key is computed once and stands in as its rank among the terms.
     """
-    focals = [(masks, m) for masks, m in merged.items() if m > 0.0]
-    terms = sorted({t for masks, _ in focals for t in masks}, key=_term_key)
+    terms = sorted({t for masks in merged for t in masks}, key=_term_key)
     rank = {t: r for r, t in enumerate(terms)}
-    focals.sort(key=lambda focal: sorted(map(rank.__getitem__, focal[0])))
-    total = fsum(m for _, m in focals)
-    if abs(total - 1.0) > _MASS_SUM_TOL:
-        raise ValueError(f"masses sum to {total!r}, not 1")
+    focals = sorted(merged.items(), key=lambda focal: sorted(map(rank.__getitem__, focal[0])))
     return {Proposition._trusted(frame, masks): m for masks, m in focals}
 
 
@@ -88,10 +98,11 @@ class BBA:
     The public constructor checks everything: each key is a proposition of
     the frame with a finite non-negative mass, keys are reduced under the
     model and equal keys merged by ``fsum``, zero masses are dropped and the
-    total must be 1.  :meth:`_trusted` is the engines' path for keys that are
-    already reduced, absorbed and ascending; both end in the same ordering
-    and total check.  Mass on the empty proposition is representable (the
-    conjunctive rule emits it) but every other producer keeps ∅ at zero.
+    total must be 1.  :meth:`_trusted` is the engines' path for a mask dict
+    that has passed :func:`_merged` and whose keys are already reduced,
+    absorbed and ascending; both end in the same ordering.  Mass on the
+    empty proposition is representable (the conjunctive rule emits it) but
+    every other producer keeps ∅ at zero.
     """
 
     frame: Frame
@@ -106,19 +117,19 @@ class BBA:
                 raise ValueError("mass keyed by a proposition from another frame")
             if not (isfinite(mass) and mass >= 0.0):
                 raise ValueError(f"mass {mass} on {prop} is not a finite non-negative number")
-        merged = fsum_by_key(
+        merged = _merged(
             (reduce_under_model(p, self.model).masks, m) for p, m in self.masses.items()
         )
         object.__setattr__(self, "masses", _canonical(self.frame, merged))
 
     @classmethod
-    def _trusted(cls, frame: Frame, model: Model, pairs: Iterable[tuple[Masks, float]]) -> "BBA":
-        """The BBA of (key masks, mass) pairs whose keys are already reduced
-        under ``model``, absorbed and ascending; equal keys are merged by ``fsum``."""
+    def _trusted(cls, frame: Frame, model: Model, merged: Mapping[Masks, float]) -> "BBA":
+        """The BBA of a mask dict that has passed :func:`_merged`, whose keys
+        are already reduced under ``model``, absorbed and ascending."""
         bba = object.__new__(cls)
         object.__setattr__(bba, "frame", frame)
         object.__setattr__(bba, "model", model)
-        object.__setattr__(bba, "masses", _canonical(frame, fsum_by_key(pairs)))
+        object.__setattr__(bba, "masses", _canonical(frame, merged))
         return bba
 
     def items(self) -> list[tuple[Proposition, float]]:
@@ -153,7 +164,7 @@ class CombinationReport:
 
 def vacuous(frame: Frame, model: Model) -> BBA:
     """The all-ignorance assignment m(Θ₁∪...∪Θₙ) = 1."""
-    return BBA._trusted(frame, model, [(total_ignorance(frame).masks, 1.0)])
+    return BBA._trusted(frame, model, {total_ignorance(frame).masks: 1.0})
 
 
 def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float, float]]:
@@ -203,25 +214,32 @@ def plausibility(b: BBA, a: Proposition) -> float:
     return belief_intervals(b, [a])[0][1]
 
 
-def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model]:
+def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model, list[dict[Masks, float]]]:
+    """The sources' shared frame and model, and each source as a mask dict."""
     if not bbas:
         raise ValueError("combination needs at least one source")
     frame, model = bbas[0].frame, bbas[0].model
     for b in bbas[1:]:
         if b.frame != frame or b.model != model:
             raise ValueError("sources disagree on frame or model")
-    return frame, model
+    return frame, model, [{p.masks: m for p, m in b.masses.items()} for b in bbas]
 
 
-def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]:
-    """Fold the sources into merged (reduced meet, join) states with their masses.
+def _fold(
+    sources: Sequence[Mapping[Masks, float]], model: Model
+) -> dict[tuple[Masks, Masks], float]:
+    """Fold mask-dict sources into merged (reduced meet, join) states with their masses.
 
-    Each step pairs every state with every focal of the next source and
-    merges equal states by ``fsum``, so the table stays as small as the
-    distinct states allow instead of growing with the product of the sources.
+    Each source maps reduced, absorbed, ascending term-mask tuples to
+    masses, in focal order.  Each step pairs every state with every focal of
+    the next source and merges equal states by ``fsum``, so the table stays
+    as small as the distinct states allow instead of growing with the
+    product of the sources.
 
     A meet is a term-mask tuple.  Its meet with a focal drops every term
-    union that contains a constraint, and is computed once per (focal, meet).
+    union that contains a constraint, and is computed once per (focal, meet);
+    whether a union contains a constraint is settled once per distinct
+    union in the fold.
 
     A join is a union of focals, so its terms are among the sources' own
     terms T, sorted ascending.  The fold holds a join as an int whose bit j
@@ -229,38 +247,45 @@ def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]
     {j : t ⊆ T[j]} over its terms t.  A join step is then one ``|``, and
     equal joins are equal ints, so states merge exactly as they would on
     absorbed term tuples, in the same order and with the same ``fsum``
-    groups.  BBA keys are reduced, so joins need no reduction.  Each
+    groups.  Source keys are reduced, so joins need no reduction.  Each
     distinct final join is decoded once: its lowest bit is a minimal term
     (a subset is a smaller int), and clearing that term's ``up`` removes it
     and every term above it.
     """
     constraints = model.masks
-    terms = sorted({t for b in bbas for p in b.masses for t in p.masks})
+    terms = sorted({t for source in sources for p in source for t in p})
     up = dict.fromkeys(terms, 0)
     for j, u in enumerate(terms):
         for t in terms[: j + 1]:  # a subset is never a larger int
             if u & t == t:
                 up[t] |= 1 << j
-    sources = []  # per source: (focal masks, join bits, mass, meet memo) per focal
-    for b in bbas:
-        source = []
-        for p, m in b.items():
+    coded = []  # per source: (focal masks, join bits, mass, meet memo) per focal
+    for source in sources:
+        focals = []
+        for p, m in source.items():
             bits = 0
-            for t in p.masks:
+            for t in p:
                 bits |= up[t]
-            source.append((p.masks, bits, m, {}))
-        sources.append(source)
-    states = {(p, bits): m for p, bits, m, _ in sources[0]}
-    for source in sources[1:]:
+            focals.append((p, bits, m, {}))
+        coded.append(focals)
+    allowed: dict[int, bool] = {}  # union mask -> it contains no constraint
+    states = {(p, bits): m for p, bits, m, _ in coded[0]}
+    for focals in coded[1:]:
         step: dict[tuple[Masks, int], list[float]] = {}
         for (meet, join), mass in states.items():
-            for p, bits, m, meets in source:
+            for p, bits, m, meets in focals:
                 reduced = meets.get(meet)
                 if reduced is None:
-                    unions = (t | s for t in meet for s in p)
-                    reduced = meets[meet] = _absorb(
-                        u for u in unions if all(u & c != c for c in constraints)
-                    )
+                    unions = []
+                    for t in meet:
+                        for s in p:
+                            u = t | s
+                            ok = allowed.get(u)
+                            if ok is None:
+                                ok = allowed[u] = all(u & c != c for c in constraints)
+                            if ok:
+                                unions.append(u)
+                    reduced = meets[meet] = _absorb(unions)
                 step.setdefault((reduced, join | bits), []).append(mass * m)
         states = {k: fsum(v) for k, v in step.items()}
     decoded: dict[int, Masks] = {}
@@ -277,8 +302,9 @@ def _fold(bbas: Sequence[BBA], model: Model) -> dict[tuple[Masks, Masks], float]
 
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Unnormalized conjunctive rule; conflicting mass is kept on ∅."""
-    frame, model = _common_context(bbas)
-    result = BBA._trusted(frame, model, ((meet, m) for (meet, _), m in _fold(bbas, model).items()))
+    frame, model, sources = _common_context(bbas)
+    merged = _merged((meet, m) for (meet, _), m in _fold(sources, model).items())
+    result = BBA._trusted(frame, model, merged)
     return CombinationReport(result, result.mass_on_empty(), None)
 
 
@@ -301,14 +327,16 @@ def _dempster_normalise(merged: Mapping[Hashable, float]) -> tuple[float, float,
 
 def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Dempster's rule: the conjunctive meets normalized by :func:`_dempster_normalise`."""
-    frame, model = _common_context(bbas)
-    merged = fsum_by_key((meet, m) for (meet, _), m in _fold(bbas, model).items())
+    frame, model, sources = _common_context(bbas)
+    merged = fsum_by_key((meet, m) for (meet, _), m in _fold(sources, model).items())
     conflict, k, kept = _dempster_normalise(merged)
-    return CombinationReport(BBA._trusted(frame, model, kept.items()), conflict, k)
+    return CombinationReport(BBA._trusted(frame, model, _merged(kept.items())), conflict, k)
 
 
-def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
-    """Hybrid DSm rule: conflicting mass is rerouted, never normalized away.
+def _hybrid_step(
+    sources: Sequence[Mapping[Masks, float]], model: Model
+) -> tuple[dict[Masks, float], float]:
+    """The hybrid DSm rule on mask dicts: (merged targets, rerouted mass).
 
     Each folded state routes its mass to the first of:
 
@@ -316,11 +344,21 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     2. otherwise its join, the union of the inputs;
     3. total ignorance, when the join is empty too (every input was ∅).
 
-    ``conflict_mass`` reports the total mass rerouted by branches 2 and 3.
+    The rerouted mass is the total that branches 2 and 3 receive.  The
+    targets pass :func:`_merged`, so they can be the next step's source.
     """
-    frame, model = _common_context(bbas)
-    ignorance = total_ignorance(frame).masks
-    states = _fold(bbas, model)
+    ignorance = total_ignorance(model.frame).masks
+    states = _fold(sources, model)
     rerouted = fsum(m for (meet, _), m in states.items() if not meet)
-    targets = ((meet or join or ignorance, m) for (meet, join), m in states.items())
+    targets = _merged((meet or join or ignorance, m) for (meet, join), m in states.items())
+    return targets, rerouted
+
+
+def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
+    """Hybrid DSm rule: conflicting mass is rerouted, never normalized away.
+
+    See :func:`_hybrid_step`; ``conflict_mass`` reports the rerouted mass.
+    """
+    frame, model, sources = _common_context(bbas)
+    targets, rerouted = _hybrid_step(sources, model)
     return CombinationReport(BBA._trusted(frame, model, targets), rerouted, None)

@@ -110,6 +110,10 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     return blob
 
 
+# one decoder for every parse: json.loads builds a new one for each call given a hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def _proposition(frame: Frame, nested, where: str) -> Proposition:
     terms = _expect(nested, list, where)
     for i, term in enumerate(terms):
@@ -125,7 +129,9 @@ def _proposition(frame: Frame, nested, where: str) -> Proposition:
 def parse_scenario(text: str) -> Scenario:
     """Validate scenario JSON, raising ScenarioError naming the broken field."""
     try:
-        data = json.loads(text, object_pairs_hook=_object)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except ScenarioError:
         raise
     except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to read

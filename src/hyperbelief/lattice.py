@@ -209,8 +209,22 @@ def canonicalize(frame: Frame, terms: Iterable[Iterable[int]]) -> Proposition:
 
 
 def proposition_from_names(frame: Frame, nested: Sequence[Sequence[str]]) -> Proposition:
-    """Inverse of :meth:`Proposition.to_names`."""
-    return canonicalize(frame, [[frame.index(n) for n in term] for term in nested])
+    """Inverse of :meth:`Proposition.to_names`.
+
+    Names resolve straight to term masks, as :func:`canonicalize` would build
+    them from :meth:`Frame.index`: an unknown name anywhere is reported
+    before an empty term.
+    """
+    index = frame._index
+    masks = []
+    for term in nested:
+        mask = 0
+        for name in term:
+            mask |= 1 << (index[name] if name in index else frame.index(name))
+        masks.append(mask)
+    if 0 in masks:
+        raise ValueError("terms must be non-empty index sets")
+    return Proposition._trusted(frame, _absorb(masks))
 
 
 def _require_same_frame(a: Proposition, b: Proposition) -> None:
@@ -279,6 +293,14 @@ class Model:
         return cls(frame, frozenset(_index_mask(len(frame), c) for c in constraints))
 
 
+def _reduce_masks(masks: tuple[int, ...], constraints: frozenset[int]) -> tuple[int, ...]:
+    """The terms of ``masks`` that contain no constraint, in their order."""
+    if not constraints:
+        return masks
+    # a constraint has two or more members, so no single-member term contains one
+    return tuple(t for t in masks if not t & (t - 1) or all(t & c != c for c in constraints))
+
+
 def reduce_under_model(a: Proposition, model: Model) -> Proposition:
     """Drop every term that contains a constraint.
 
@@ -288,14 +310,10 @@ def reduce_under_model(a: Proposition, model: Model) -> Proposition:
     """
     if a.frame != model.frame:
         raise ValueError("proposition and model belong to different frames")
-    constraints = model.masks
-    if not constraints:
-        return a
-    # a constraint has two or more members, so no single-member term contains one
-    kept = tuple(t for t in a.masks if not t & (t - 1) or all(t & c != c for c in constraints))
+    kept = _reduce_masks(a.masks, model.masks)
     if len(kept) == len(a.masks):
         return a
-    return Proposition(a.frame, kept)
+    return Proposition._trusted(a.frame, kept)  # a subset of an ascending antichain is one
 
 
 def leq(a: Proposition, b: Proposition, model: Model) -> bool:

@@ -16,6 +16,13 @@ three ways:
 * ``bayes`` — no fusion at all: if the scenario is a three-rule triangle
   (x→c, y→c', x→y with observation x∧y and c, c' exclusive), the chain-rule
   point estimates and their defects are reported.
+
+A scenario encodes each rule and each observation once, straight to a mask
+dict (see :mod:`~hyperbelief.belief`): reduced term-mask tuples mapped to
+their merged, non-zero masses, which sum to 1.  The dsm engine hands one
+stage's mask dict to the next and builds a :class:`BBA` only for the result
+it reports; the dst engine refines the same dicts.  The public
+``rule_to_conditional_bba`` and ``observation_to_bba`` wrap the same dicts.
 """
 
 from __future__ import annotations
@@ -31,12 +38,13 @@ from typing import Mapping, Sequence
 from .analysis import BayesEstimates, indifference_estimates
 from .belief import (
     BBA,
+    Masks,
     TotalConflictError,
     _dempster_normalise,
+    _hybrid_step,
+    _merged,
     belief_intervals,
-    dsm_hybrid_combine,
     fsum_by_key,
-    vacuous,
 )
 from .json_report import render_json
 from .lattice import (
@@ -44,10 +52,13 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
+    _absorb,
     _brief,
+    _reduce_masks,
     conjoin,
     reduce_under_model,
     refine_to_atoms,
+    total_ignorance,
 )
 
 ENGINES = ("bayes", "dst", "dsm")
@@ -73,6 +84,33 @@ class WeightedRule:
         return f"if {self.antecedent} then {self.consequent} (w={self.weight:g})"
 
 
+def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
+    """The mask dict of :func:`rule_to_conditional_bba`."""
+    antecedent = _reduce_masks(rule.antecedent.masks, model.masks)
+    if not antecedent:
+        raise ValueError(f"antecedent of [{_brief(str(rule))}] is impossible under the model")
+    meets = (t | s for t in rule.antecedent.masks for s in rule.consequent.masks)
+    both = _reduce_masks(_absorb(meets), model.masks)
+    if not both and rule.weight > 0.0:
+        raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
+    return _merged([(both, rule.weight), (antecedent, 1.0 - rule.weight)])
+
+
+def _observation_masses(obs: Proposition, model: Model) -> dict[Masks, float]:
+    """The mask dict of :func:`observation_to_bba`."""
+    reduced = _reduce_masks(obs.masks, model.masks)
+    if not reduced:
+        raise ValueError(f"observation {_brief(str(obs))} is impossible under the model")
+    return {reduced: 1.0}
+
+
+def _check_frames(prop: Proposition, frame: Frame, model: Model, what: str) -> None:
+    if prop.frame != frame:
+        raise ValueError(f"{what} does not live on the scenario frame")
+    if model.frame != frame:
+        raise ValueError("proposition and model belong to different frames")
+
+
 def rule_to_conditional_bba(rule: WeightedRule, frame: Frame, model: Model) -> BBA:
     """The least-committed BBA encoding a weighted rule.
 
@@ -80,28 +118,14 @@ def rule_to_conditional_bba(rule: WeightedRule, frame: Frame, model: Model) -> B
     under the model, so Bel(consequent | antecedent) = w and nothing else is
     committed.
     """
-    if rule.antecedent.frame != frame:
-        raise ValueError("rule does not live on the scenario frame")
-    antecedent = reduce_under_model(rule.antecedent, model)
-    if antecedent.is_empty:
-        raise ValueError(f"antecedent of [{_brief(str(rule))}] is impossible under the model")
-    both = reduce_under_model(conjoin(rule.antecedent, rule.consequent), model)
-    if both.is_empty and rule.weight > 0.0:
-        raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
-    # both keys are reduced, so the BBA takes them as they are
-    return BBA._trusted(
-        frame, model, [(both.masks, rule.weight), (antecedent.masks, 1.0 - rule.weight)]
-    )
+    _check_frames(rule.antecedent, frame, model, "rule")
+    return BBA._trusted(frame, model, _rule_masses(rule, model))
 
 
 def observation_to_bba(obs: Proposition, frame: Frame, model: Model) -> BBA:
     """Certain evidence: m(obs) = 1."""
-    if obs.frame != frame:
-        raise ValueError("observation does not live on the scenario frame")
-    reduced = reduce_under_model(obs, model)
-    if reduced.is_empty:
-        raise ValueError(f"observation {_brief(str(obs))} is impossible under the model")
-    return BBA._trusted(frame, model, [(reduced.masks, 1.0)])
+    _check_frames(obs, frame, model, "observation")
+    return BBA._trusted(frame, model, _observation_masses(obs, model))
 
 
 @dataclass(frozen=True)
@@ -168,9 +192,11 @@ class Scenario:
     def _check_engines(self) -> None:
         if not self.engines:
             raise ValueError("scenario selects no engine")
-        for engine in self.engines:
+        for i, engine in enumerate(self.engines):
             if engine not in ENGINES:
                 raise ValueError(f"unknown engine {_brief(repr(engine))}; choose from {ENGINES}")
+            if engine in self.engines[:i]:
+                raise ValueError(f"engines: {engine!r} is given twice")
         if "dst" in self.engines:
             if self.dst_axes is None:
                 raise ValueError("the dst engine needs a dst_axes declaration")
@@ -185,24 +211,24 @@ class Scenario:
                 )
 
     @cached_property
-    def _sources(self) -> tuple[tuple[BBA, ...], tuple[BBA, ...]]:
-        """The rule BBAs and the observation BBAs, in declared order.
+    def _sources(self) -> tuple[tuple[dict[Masks, float], ...], tuple[dict[Masks, float], ...]]:
+        """The rules and the observations as mask dicts, in declared order.
 
         An input the model contradicts raises ValueError naming its field.
         """
 
-        def encode(field: str, items: Sequence, to_bba) -> tuple[BBA, ...]:
-            bbas = []
+        def encode(field: str, items: Sequence, to_masses) -> tuple[dict[Masks, float], ...]:
+            sources = []
             for i, item in enumerate(items):
                 try:
-                    bbas.append(to_bba(item, self.frame, self.model))
+                    sources.append(to_masses(item, self.model))
                 except ValueError as exc:
                     raise ValueError(f"{field}[{i}]: {exc}") from exc
-            return tuple(bbas)
+            return tuple(sources)
 
         return (
-            encode("rules", self.rules, rule_to_conditional_bba),
-            encode("observations", self.observations, observation_to_bba),
+            encode("rules", self.rules, _rule_masses),
+            encode("observations", self.observations, _observation_masses),
         )
 
     def used_singletons(self) -> frozenset[str]:
@@ -284,13 +310,14 @@ def _unanswered(
 
 
 def _run_dsm(scenario: Scenario) -> EngineResult:
+    frame, model = scenario.frame, scenario.model
     rules, observations = scenario._sources
-    prior = dsm_hybrid_combine(rules or (vacuous(scenario.frame, scenario.model),))
-    fused, stage_conflicts = prior.result, [prior.conflict_mass]
+    fused, conflict = _hybrid_step(rules or ({total_ignorance(frame).masks: 1.0},), model)
+    stage_conflicts = [conflict]
     for obs in observations:
-        report = dsm_hybrid_combine([fused, obs])
-        fused = report.result
-        stage_conflicts.append(report.conflict_mass)
+        fused, conflict = _hybrid_step([fused, obs], model)
+        stage_conflicts.append(conflict)
+    fused = BBA._trusted(frame, model, fused)
     conflict = max(stage_conflicts)
     flags = ()
     if conflict >= 1.0 - 1e-9:
@@ -309,7 +336,8 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
 def _run_dst(scenario: Scenario) -> EngineResult:
     axes = scenario.dst_axes
 
-    def atoms(prop: Proposition) -> frozenset[int]:
+    def atoms(masks: Masks) -> frozenset[int]:
+        prop = Proposition._trusted(scenario.frame, masks)
         return refine_to_atoms(prop, axes.axes, axes.literal_map)
 
     rules, observations = scenario._sources
@@ -328,7 +356,7 @@ def _run_dst(scenario: Scenario) -> EngineResult:
     fused = {focal: kept[focal] for focal in sorted(kept, key=sorted)}
     rows = []
     for q in scenario.queries:
-        target = atoms(q)
+        target = atoms(q.masks)
         bel = fsum(m for focal, m in fused.items() if focal <= target)
         pl = fsum(m for focal, m in fused.items() if focal & target)
         rows.append(QueryResult(query=q, bel=bel, pl=pl))

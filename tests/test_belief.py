@@ -29,7 +29,7 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from hyperbelief.belief import TOTAL_CONFLICT_EPS, _fold, belief_intervals, fsum_by_key
+from hyperbelief.belief import TOTAL_CONFLICT_EPS, _fold, _merged, belief_intervals, fsum_by_key
 from strategies import bbas, dsm_scale_sources, fold_cases, framed_models, propositions, wide_models
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
@@ -491,11 +491,16 @@ def test_rules_match_naive_reference_at_dsm_scale(case):
     assert hybrid.conflict_mass == pytest.approx(want_conflict, abs=1e-9)
 
 
+def mask_dicts(sources):
+    """Each BBA as the fold takes it: {term masks: mass}, in focal order."""
+    return [{p.masks: m for p, m in b.items()} for b in sources]
+
+
 @given(fold_cases())
 def test_fold_matches_the_absorb_reference_exactly(case):
     # same arithmetic in the same order, so keys, order and float bits agree
     model, sources = case
-    got = [(key, mass.hex()) for key, mass in _fold(sources, model).items()]
+    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
     want = [(key, mass.hex()) for key, mass in oracle.absorb_fold(sources, model).items()]
     assert got == want
 
@@ -507,12 +512,12 @@ def test_trusted_bba_equals_the_public_constructor(case):
     model, sources = case
     frame = model.frame
     ignorance = tuple(1 << i for i in range(len(frame)))
-    states = _fold(sources, model)
+    states = _fold(mask_dicts(sources), model)
     for pairs in (
         [(meet, m) for (meet, _), m in states.items()],
         [(meet or join or ignorance, m) for (meet, join), m in states.items()],
     ):
-        trusted = BBA._trusted(frame, model, pairs)
+        trusted = BBA._trusted(frame, model, _merged(pairs))
         public = BBA(frame, model, {Proposition(frame, k): m for k, m in fsum_by_key(pairs).items()})
         assert [(p.masks, m.hex()) for p, m in trusted.items()] == [
             (p.masks, m.hex()) for p, m in public.items()

@@ -232,6 +232,17 @@ def cut(text: str) -> str:
             "error: dst_axes.map key holds a lone surrogate",
             id="lone-surrogate-map-key",
         ),
+        pytest.param(
+            "\ufeff" + TP2_TEXT,
+            "error: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)\n",
+            id="leading-byte-order-mark",
+        ),
+        pytest.param(
+            tp2_with(("engines",), ["dsm", "bayes", "dsm"]),
+            "error: engines: 'dsm' is given twice\n",
+            id="engine-given-twice",
+        ),
     ],
 )
 def test_hostile_json_exits_two(text, needle):
@@ -283,13 +294,13 @@ def test_compare_with_an_uncovered_map_exits_two():
 @pytest.mark.parametrize("argv", [["compare", "-"], ["fuse", "-", "--engine", "all"]])
 def test_each_rule_is_encoded_once(argv, monkeypatch):
     calls = []
-    encode = rulebase.rule_to_conditional_bba
+    encode = rulebase._rule_masses
 
     def counted(*args):
         calls.append(args[0])
         return encode(*args)
 
-    monkeypatch.setattr(rulebase, "rule_to_conditional_bba", counted)
+    monkeypatch.setattr(rulebase, "_rule_masses", counted)
     assert run_main(argv, TP2_TEXT)[0] == EXIT_OK
     assert len(calls) == 3
 

@@ -1,7 +1,7 @@
 """Canonical form, enumeration, model reduction and refinement of the lattice."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hyperbelief import (
@@ -104,6 +104,36 @@ def test_names_round_trip():
         ["p", "nf"],
         ["b", "f"],
     ]
+
+
+@st.composite
+def named_terms(draw):
+    """A frame and name lists over it, with unknown names and empty terms among them."""
+    frame = draw(frames())
+    name = st.sampled_from((*frame.names, "z", "p∩b"))
+    return frame, draw(st.lists(st.lists(name, max_size=3), max_size=4))
+
+
+def _masks_or_error(build):
+    try:
+        return build().masks
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(named_terms())
+@example((TPFRAME, [[], ["z"]]))  # an unknown name beats an empty term before it
+@example((TPFRAME, [["z"], []]))
+@example((TPFRAME, [["p", "p"], [], ["b"]]))
+def test_names_resolve_as_the_checked_constructor_does(case):
+    frame, nested = case
+    got = _masks_or_error(lambda: proposition_from_names(frame, nested))
+    want = _masks_or_error(
+        lambda: canonicalize(frame, [[frame.index(n) for n in term] for term in nested])
+    )
+    assert got == want
+    if isinstance(got, tuple):
+        assert Proposition(frame, got).masks == got
 
 
 def test_str_rendering():

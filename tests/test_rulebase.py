@@ -21,7 +21,9 @@ from hyperbelief import (
     WeightedRule,
     belief,
     canonicalize,
+    conjoin,
     dempster_combine,
+    dsm_hybrid_combine,
     leq,
     observation_to_bba,
     plausibility,
@@ -32,7 +34,7 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from strategies import framed_models, propositions
+from strategies import framed_models, propositions, wide_models
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
 P, B, F, NF = (TPFRAME.singleton(n) for n in TPFRAME.names)
@@ -255,6 +257,46 @@ def test_dsm_without_rules_is_vacuous():
     assert result.fused.focals() == [total_ignorance(TPFRAME)]
     assert result.queries[0].bel == 0.0
     assert result.queries[0].pl == 1.0
+
+
+@st.composite
+def dsm_scenarios(draw):
+    """0-4 rules and 0-2 observations that the model admits, weights 0 and 1 among them."""
+    model = draw(st.one_of(framed_models(min_n=2), wide_models()))
+    frame = model.frame
+    weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    rules = []
+    for _ in range(draw(st.integers(0, 4))):
+        antecedent = draw(propositions(frame, allow_empty=False))
+        if reduce_under_model(antecedent, model).is_empty:  # keep one singleton of it
+            antecedent = frame.singleton(frame.names[min(antecedent.terms[0])])
+        consequent = draw(propositions(frame, allow_empty=False))
+        weight = draw(weights)
+        if reduce_under_model(conjoin(antecedent, consequent), model).is_empty:
+            weight = 0.0  # the only weight the model admits
+        rules.append(WeightedRule(antecedent, consequent, weight))
+    drawn = [draw(propositions(frame, allow_empty=False)) for _ in range(draw(st.integers(0, 2)))]
+    observations = [o for o in drawn if not reduce_under_model(o, model).is_empty]
+    return Scenario(frame, model, tuple(rules), tuple(observations), (total_ignorance(frame),))
+
+
+@given(dsm_scenarios())
+def test_dsm_stages_match_the_public_chain_exactly(scenario):
+    # the engine hands each stage's mask dict to the next; the public rule
+    # orders and wraps a BBA between stages, and must reach the same bits
+    frame, model = scenario.frame, scenario.model
+    got = run_scenario(scenario).engine("dsm")
+    rules = [rule_to_conditional_bba(rule, frame, model) for rule in scenario.rules]
+    report = dsm_hybrid_combine(rules or [vacuous(frame, model)])
+    fused, conflicts = report.result, [report.conflict_mass]
+    for obs in scenario.observations:
+        report = dsm_hybrid_combine([fused, observation_to_bba(obs, frame, model)])
+        fused = report.result
+        conflicts.append(report.conflict_mass)
+    assert [(p.masks, m.hex()) for p, m in got.fused.items()] == [
+        (p.masks, m.hex()) for p, m in fused.items()
+    ]
+    assert [c.hex() for c in got.stage_conflicts] == [c.hex() for c in conflicts]
 
 
 # ------------------------------------------------------------------ dst engine
