@@ -17,10 +17,11 @@ p_fly · (1−ε₃) = ε₁·(1−ε₂) — hold exactly, not just to rounding
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
+
+from ._value import Value, _set
 
 MAX_FORMULA_VARIABLES = 6
 
@@ -28,7 +29,7 @@ MAX_FORMULA_VARIABLES = 6
 # --------------------------------------------------------------------- logic
 
 
-class Formula:
+class Formula(Value):
     """A propositional formula over named boolean variables."""
 
     rank = 4  # how tightly it binds; an operand that binds more loosely is bracketed
@@ -40,9 +41,11 @@ class Formula:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
     def evaluate(self, env):
         return bool(env[self.name])
@@ -54,9 +57,11 @@ class Var(Formula):
         return self.name
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    _fields = ("operand",)
+
+    def __init__(self, operand: Formula) -> None:
+        _set(self, "operand", operand)
 
     def evaluate(self, env):
         return not self.operand.evaluate(env)
@@ -68,14 +73,16 @@ class Not(Formula):
         return f"~{_wrap(self.operand, self.rank)}"
 
 
-@dataclass(frozen=True)
 class _Connective(Formula):
     """A binary connective; each subclass gives its symbol, rank and truth
     function, and whether it groups to the right."""
 
-    left: Formula
-    right: Formula
+    _fields = ("left", "right")
     groups_right = False
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def evaluate(self, env):
         return self.truth(self.left.evaluate(env), self.right.evaluate(env))
@@ -219,8 +226,7 @@ def _unit(name: str, value) -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
-class BayesEstimates:
+class BayesEstimates(Value):
     """Chain-rule point estimates for a rule triangle, with their defects.
 
     ``p_fly`` and ``p_not_fly`` are the two conditional estimates for the
@@ -230,11 +236,21 @@ class BayesEstimates:
     exact rationals.
     """
 
-    p_fly: Fraction
-    p_not_fly: Fraction
-    additivity_deficit: Fraction
-    bound: Fraction
-    validity_flags: tuple[str, ...]
+    _fields = ("p_fly", "p_not_fly", "additivity_deficit", "bound", "validity_flags")
+
+    def __init__(
+        self,
+        p_fly: Fraction,
+        p_not_fly: Fraction,
+        additivity_deficit: Fraction,
+        bound: Fraction,
+        validity_flags: tuple[str, ...],
+    ) -> None:
+        _set(self, "p_fly", p_fly)
+        _set(self, "p_not_fly", p_not_fly)
+        _set(self, "additivity_deficit", additivity_deficit)
+        _set(self, "bound", bound)
+        _set(self, "validity_flags", validity_flags)
 
 
 def pearl_flying_bound(eps1, eps3) -> Fraction:
@@ -286,8 +302,7 @@ def indifference_estimates(eps1, eps2, eps3) -> BayesEstimates:
     )
 
 
-@dataclass(frozen=True)
-class ModusTollensPosteriors:
+class ModusTollensPosteriors(Value):
     """Both reverse-direction posteriors of a single weighted rule a -w-> b.
 
     Computed from assumed priors P(a) = pa and P(b) = pb; the flags record
@@ -295,9 +310,14 @@ class ModusTollensPosteriors:
     reverse direction is underdetermined by the rule weight alone.
     """
 
-    not_a_given_not_b: Fraction
-    not_a_given_b: Fraction
-    validity_flags: tuple[str, ...]
+    _fields = ("not_a_given_not_b", "not_a_given_b", "validity_flags")
+
+    def __init__(
+        self, not_a_given_not_b: Fraction, not_a_given_b: Fraction, validity_flags: tuple[str, ...]
+    ) -> None:
+        _set(self, "not_a_given_not_b", not_a_given_not_b)
+        _set(self, "not_a_given_b", not_a_given_b)
+        _set(self, "validity_flags", validity_flags)
 
     @property
     def pair(self) -> tuple[Fraction, Fraction]:

@@ -36,10 +36,10 @@ results are bit-reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, isfinite
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
+from ._value import Value, _set
 from .lattice import (
     Frame,
     Model,
@@ -91,8 +91,7 @@ def _canonical(frame: Frame, merged: Mapping[Masks, float]) -> dict[Proposition,
     return {Proposition._trusted(frame, masks): m for masks, m in focals}
 
 
-@dataclass(frozen=True)
-class BBA:
+class BBA(Value):
     """A normalized basic belief assignment, keyed in canonical order.
 
     The public constructor checks everything: each key is a proposition of
@@ -105,9 +104,13 @@ class BBA:
     every other producer keeps ∅ at zero.
     """
 
-    frame: Frame
-    model: Model
-    masses: Mapping[Proposition, float]
+    _fields = ("frame", "model", "masses")
+
+    def __init__(self, frame: Frame, model: Model, masses: Mapping[Proposition, float]) -> None:
+        _set(self, "frame", frame)
+        _set(self, "model", model)
+        _set(self, "masses", masses)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.model.frame != self.frame:
@@ -120,16 +123,16 @@ class BBA:
         merged = _merged(
             (reduce_under_model(p, self.model).masks, m) for p, m in self.masses.items()
         )
-        object.__setattr__(self, "masses", _canonical(self.frame, merged))
+        _set(self, "masses", _canonical(self.frame, merged))
 
     @classmethod
     def _trusted(cls, frame: Frame, model: Model, merged: Mapping[Masks, float]) -> "BBA":
         """The BBA of a mask dict that has passed :func:`_merged`, whose keys
         are already reduced under ``model``, absorbed and ascending."""
         bba = object.__new__(cls)
-        object.__setattr__(bba, "frame", frame)
-        object.__setattr__(bba, "model", model)
-        object.__setattr__(bba, "masses", _canonical(frame, merged))
+        _set(bba, "frame", frame)
+        _set(bba, "model", model)
+        _set(bba, "masses", _canonical(frame, merged))
         return bba
 
     def items(self) -> list[tuple[Proposition, float]]:
@@ -149,17 +152,21 @@ class BBA:
         return iter(self.masses)
 
 
-@dataclass(frozen=True)
-class CombinationReport:
+class CombinationReport(Value):
     """A fused BBA plus conflict diagnostics.
 
     ``normalization_constant`` is K = 1 - conflict for Dempster's rule and
     None for the rules that do not normalize.
     """
 
-    result: BBA
-    conflict_mass: float
-    normalization_constant: float | None
+    _fields = ("result", "conflict_mass", "normalization_constant")
+
+    def __init__(
+        self, result: BBA, conflict_mass: float, normalization_constant: float | None
+    ) -> None:
+        _set(self, "result", result)
+        _set(self, "conflict_mass", conflict_mass)
+        _set(self, "normalization_constant", normalization_constant)
 
 
 def vacuous(frame: Frame, model: Model) -> BBA:

@@ -20,11 +20,12 @@ proposition in the constrained lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, product, starmap
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from ._value import Value, _set
 
 
 class EnumerationLimitError(ValueError):
@@ -43,21 +44,30 @@ def _brief(text: str) -> str:
     return f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Value):
     """An ordered tuple of distinct singleton names."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Iterable[str]) -> None:
+        names = tuple(names)
         if not names:
             raise ValueError("frame needs at least one singleton")
+        if any(not isinstance(n, str) or not n for n in names):  # before hashing them
+            raise ValueError("frame names must be non-empty strings")
         if len(set(names)) != len(names):
             raise ValueError("frame names must be unique")
-        if any(not isinstance(n, str) or not n for n in names):
-            raise ValueError("frame names must be non-empty strings")
+        _set(self, "names", names)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -128,23 +138,39 @@ def _union_text(term_texts: list[str]) -> str:
     return " ∪ ".join(term_texts) or "∅"
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(Value):
     """Term masks, stored absorbed and ascending; () is the empty proposition.
 
     Each mask passed in must name at least one singleton of the frame and
-    none beyond it.  :func:`canonicalize` builds one from index sets.
+    none beyond it.  :func:`canonicalize` builds one from index sets.  A
+    proposition hashes by its masks alone; equality also compares frames.
     """
 
-    frame: Frame
-    masks: tuple[int, ...]
+    _fields = ("frame", "masks")
+
+    def __init__(self, frame: Frame, masks: tuple[int, ...]) -> None:
+        _set(self, "frame", frame)
+        _set(self, "masks", masks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         full = 1 << len(self.frame)
         for t in self.masks:
             if not isinstance(t, int) or not 0 < t < full:
                 raise ValueError(f"term mask {t!r} is not a non-empty subset of the frame")
-        object.__setattr__(self, "masks", _absorb(self.masks))
+        _set(self, "masks", _absorb(self.masks))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the frames are most often one object, and == would not shortcut on that
+        frame = self.frame
+        return self.masks == other.masks and (frame is other.frame or frame == other.frame)
+
+    def __hash__(self) -> int:
+        return hash(self.masks)
 
     @classmethod
     def empty(cls, frame: Frame) -> "Proposition":
@@ -154,8 +180,8 @@ class Proposition:
     def _trusted(cls, frame: Frame, masks: tuple[int, ...]) -> "Proposition":
         """Wrap masks already known to be an ascending antichain of terms of the frame."""
         prop = object.__new__(cls)
-        object.__setattr__(prop, "frame", frame)
-        object.__setattr__(prop, "masks", masks)
+        _set(prop, "frame", frame)
+        _set(prop, "masks", masks)
         return prop
 
     @property
@@ -244,8 +270,7 @@ def disjoin(a: Proposition, b: Proposition) -> Proposition:
     return Proposition(a.frame, a.masks + b.masks)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Value):
     """A frame plus the constraint masks whose joint intersection is declared empty.
 
     Each constraint has two or more members, and the set is kept minimal: a
@@ -254,9 +279,12 @@ class Model:
     singletons exclusive) or "hybrid" (anything in between).
     """
 
-    frame: Frame
-    masks: frozenset[int]
-    kind: str = field(init=False)
+    _fields = ("frame", "masks", "kind")
+
+    def __init__(self, frame: Frame, masks: frozenset[int]) -> None:
+        _set(self, "frame", frame)
+        _set(self, "masks", masks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.frame)
@@ -269,10 +297,25 @@ class Model:
         # a pair cannot strictly contain another constraint of two or more members
         wide = [c for c in masks if c.bit_count() > 2]
         minimal = masks.difference(c for c in wide if any(o != c and o & c == o for o in masks))
-        object.__setattr__(self, "masks", minimal)
+        _set(self, "masks", minimal)
         pairs = len(masks) - len(wide)
         kind = "free" if not minimal else "shafer" if pairs == n * (n - 1) // 2 else "hybrid"
-        object.__setattr__(self, "kind", kind)
+        _set(self, "kind", kind)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        frame = self.frame
+        return (
+            self.masks == other.masks
+            and (frame is other.frame or frame == other.frame)
+            and self.kind == other.kind
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.masks)
 
     @property
     def empty_intersections(self) -> frozenset[frozenset[int]]:
@@ -432,8 +475,7 @@ def enumerate_hyper_power_set(frame: Frame, *, allow_large: bool = False) -> lis
 # --- refinement onto an exclusive atom frame -------------------------------
 
 
-@dataclass(frozen=True)
-class AtomFrame:
+class AtomFrame(Value):
     """Ordered axes of mutually exclusive, exhaustive values.
 
     The atoms are the value combinations in mixed-radix order (first axis
@@ -441,18 +483,20 @@ class AtomFrame:
     starting with f∩b∩p.
     """
 
-    axes: tuple[tuple[str, ...], ...]
+    _fields = ("axes",)
 
-    def __post_init__(self) -> None:
-        axes = tuple(tuple(axis) for axis in self.axes)
-        object.__setattr__(self, "axes", axes)
+    def __init__(self, axes: Iterable[Iterable[str]]) -> None:
+        axes = tuple(tuple(axis) for axis in axes)
         if not axes:
             raise ValueError("atom frame needs at least one axis")
         for axis in axes:
             if len(axis) < 2:
                 raise ValueError("each axis needs at least two values")
-            if len(set(axis)) != len(axis) or any(not v or "∩" in v for v in axis):
+            # the type check comes first: the others read and hash the values as strings
+            bad = any(not isinstance(v, str) or not v or "∩" in v for v in axis)
+            if bad or len(set(axis)) != len(axis):
                 raise ValueError("axis values must be unique, non-empty and free of ∩")
+        _set(self, "axes", axes)
 
     @property
     def atom_count(self) -> int:

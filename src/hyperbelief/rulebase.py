@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import json
 from copy import copy
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import fsum
 from typing import Mapping, Sequence
 
+from ._value import Value, _set
 from .analysis import BayesEstimates, indifference_estimates
 from .belief import (
     BBA,
@@ -64,21 +64,21 @@ from .lattice import (
 ENGINES = ("bayes", "dst", "dsm")
 
 
-@dataclass(frozen=True)
-class WeightedRule:
+class WeightedRule(Value):
     """``antecedent -w-> consequent`` with w = 1 − ε."""
 
-    antecedent: Proposition
-    consequent: Proposition
-    weight: float
+    _fields = ("antecedent", "consequent", "weight")
 
-    def __post_init__(self) -> None:
-        if self.antecedent.frame != self.consequent.frame:
+    def __init__(self, antecedent: Proposition, consequent: Proposition, weight: float) -> None:
+        if antecedent.frame != consequent.frame:
             raise ValueError("rule antecedent and consequent use different frames")
-        if self.antecedent.is_empty:
+        if antecedent.is_empty:
             raise ValueError("rule antecedent must not be empty")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"rule weight {self.weight!r} outside [0, 1]")
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"rule weight {weight!r} outside [0, 1]")
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
+        _set(self, "weight", weight)
 
     def __str__(self) -> str:
         return f"if {self.antecedent} then {self.consequent} (w={self.weight:g})"
@@ -128,8 +128,7 @@ def observation_to_bba(obs: Proposition, frame: Frame, model: Model) -> BBA:
     return BBA._trusted(frame, model, _observation_masses(obs, model))
 
 
-@dataclass(frozen=True)
-class DstAxes:
+class DstAxes(Value):
     """Refinement declaration for the exclusive-frame engine.
 
     ``axes`` spans the atom space; ``literal_map`` pins each mapped singleton
@@ -137,38 +136,47 @@ class DstAxes:
     refined, so scenarios using them cannot select the dst engine.
     """
 
-    axes: AtomFrame
-    literal_map: Mapping[str, tuple[int, int]]
+    _fields = ("axes", "literal_map")
 
-    def __post_init__(self) -> None:
+    def __init__(self, axes: AtomFrame, literal_map: Mapping[str, tuple[int, int]]) -> None:
         checked = {}
-        for name, coordinate in self.literal_map.items():
+        for name, coordinate in literal_map.items():
             axis, value = coordinate
-            if not 0 <= axis < len(self.axes.axes):
+            if not 0 <= axis < len(axes.axes):
                 raise ValueError(
                     f"literal {_brief(repr(name))} names axis {axis}, which does not exist"
                 )
-            if not 0 <= value < len(self.axes.axes[axis]):
+            if not 0 <= value < len(axes.axes[axis]):
                 raise ValueError(
                     f"literal {_brief(repr(name))} names value {value} outside axis {axis}"
                 )
             checked[name] = (axis, value)
-        object.__setattr__(self, "literal_map", checked)
+        _set(self, "axes", axes)
+        _set(self, "literal_map", checked)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """One fusion problem: frame, constraints, rules, evidence, questions."""
 
-    frame: Frame
-    model: Model
-    rules: tuple[WeightedRule, ...]
-    observations: tuple[Proposition, ...]
-    queries: tuple[Proposition, ...]
-    engines: tuple[str, ...] = ("dsm",)
-    dst_axes: DstAxes | None = None
+    _fields = ("frame", "model", "rules", "observations", "queries", "engines", "dst_axes")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        frame: Frame,
+        model: Model,
+        rules: tuple[WeightedRule, ...],
+        observations: tuple[Proposition, ...],
+        queries: tuple[Proposition, ...],
+        engines: tuple[str, ...] = ("dsm",),
+        dst_axes: DstAxes | None = None,
+    ) -> None:
+        _set(self, "frame", frame)
+        _set(self, "model", model)
+        _set(self, "rules", rules)
+        _set(self, "observations", observations)
+        _set(self, "queries", queries)
+        _set(self, "engines", engines)
+        _set(self, "dst_axes", dst_axes)
         if self.model.frame != self.frame:
             raise ValueError("model belongs to a different frame")
         if not self.queries:
@@ -185,7 +193,7 @@ class Scenario:
     def with_engines(self, engines: tuple[str, ...]) -> Scenario:
         """This scenario run by ``engines``: checked again, but not encoded again."""
         other = copy(self)  # the copy keeps the cached _sources
-        object.__setattr__(other, "engines", engines)
+        _set(other, "engines", engines)
         other._check_engines()
         return other
 
@@ -241,42 +249,78 @@ class Scenario:
         return frozenset(self.frame.names[i] for i in used)
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(Value):
     """One output row: [Bel, Pl] for evidential engines, a point estimate for
     the chain-rule engine, with a free-text note when neither applies."""
 
-    query: Proposition
-    bel: float | None = None
-    pl: float | None = None
-    estimate: float | None = None
-    note: str = ""
+    _fields = ("query", "bel", "pl", "estimate", "note")
+
+    def __init__(
+        self,
+        query: Proposition,
+        bel: float | None = None,
+        pl: float | None = None,
+        estimate: float | None = None,
+        note: str = "",
+    ) -> None:
+        _set(self, "query", query)
+        _set(self, "bel", bel)
+        _set(self, "pl", pl)
+        _set(self, "estimate", estimate)
+        _set(self, "note", note)
 
 
-@dataclass(frozen=True)
-class AtomMasses:
+class AtomMasses(Value):
     """The dst engine's fused masses, keyed by atom sets of ``axes`` in sorted-atom order."""
 
-    axes: AtomFrame
-    masses: Mapping[frozenset[int], float]
+    _fields = ("axes", "masses")
+
+    def __init__(self, axes: AtomFrame, masses: Mapping[frozenset[int], float]) -> None:
+        _set(self, "axes", axes)
+        _set(self, "masses", masses)
 
 
-@dataclass(frozen=True)
-class EngineResult:
-    engine: str
-    status: str  # "ok" | "inconsistent" | "not_applicable"
-    queries: tuple[QueryResult, ...]
-    fused: BBA | AtomMasses | None = None  # a BBA for dsm, atom sets for dst
-    conflict_mass: float | None = None
-    stage_conflicts: tuple[float, ...] = ()
-    normalization_constant: float | None = None
-    flags: tuple[str, ...] = ()
-    estimates: BayesEstimates | None = None
+class EngineResult(Value):
+    _fields = (
+        "engine",
+        "status",
+        "queries",
+        "fused",
+        "conflict_mass",
+        "stage_conflicts",
+        "normalization_constant",
+        "flags",
+        "estimates",
+    )
+
+    def __init__(
+        self,
+        engine: str,
+        status: str,  # "ok" | "inconsistent" | "not_applicable"
+        queries: tuple[QueryResult, ...],
+        fused: BBA | AtomMasses | None = None,  # a BBA for dsm, atom sets for dst
+        conflict_mass: float | None = None,
+        stage_conflicts: tuple[float, ...] = (),
+        normalization_constant: float | None = None,
+        flags: tuple[str, ...] = (),
+        estimates: BayesEstimates | None = None,
+    ) -> None:
+        _set(self, "engine", engine)
+        _set(self, "status", status)
+        _set(self, "queries", queries)
+        _set(self, "fused", fused)
+        _set(self, "conflict_mass", conflict_mass)
+        _set(self, "stage_conflicts", stage_conflicts)
+        _set(self, "normalization_constant", normalization_constant)
+        _set(self, "flags", flags)
+        _set(self, "estimates", estimates)
 
 
-@dataclass(frozen=True)
-class FusionReport:
-    results: tuple[EngineResult, ...]
+class FusionReport(Value):
+    _fields = ("results",)
+
+    def __init__(self, results: tuple[EngineResult, ...]) -> None:
+        _set(self, "results", results)
 
     def engine(self, name: str) -> EngineResult:
         for result in self.results:

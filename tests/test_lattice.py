@@ -165,6 +165,22 @@ def test_empty_is_identity_for_disjoin():
     assert H2 | empty == H2
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((), "at least one"),
+        (("a", ""), "non-empty strings"),
+        (("a", "a"), "unique"),
+        # names are checked to be strings before the uniqueness check hashes them
+        (("a", ["b"]), "non-empty strings"),
+        (("a", 5, 5), "non-empty strings"),
+    ],
+)
+def test_bad_frames_rejected(names, message):
+    with pytest.raises(ValueError, match=message):
+        Frame(names)
+
+
 def test_frame_mismatch_rejected():
     other = Frame(("x", "y"))
     with pytest.raises(ValueError):
@@ -394,6 +410,13 @@ def test_axis_values_that_blur_atom_names_rejected():
         AtomFrame((("x∩y", "x"), ("z", "y∩z")))
     with pytest.raises(ValueError, match="non-empty"):
         AtomFrame((("", "x"),))
+
+
+@pytest.mark.parametrize("axes", [(("a", "b"), ("c", 5)), (("a", "b"), ("c", ["d"])), (("a", None),)])
+def test_axis_values_must_be_strings(axes):
+    # the ∩ check reads each value as a string, and the uniqueness check hashes it
+    with pytest.raises(ValueError, match="free of ∩"):
+        AtomFrame(axes)
 
 
 def test_refine_conjunction_pins_axes():

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hyperbelief import Frame, canonicalize
+from hyperbelief import BBA, Frame, Model, canonicalize
 from hyperbelief.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,10 +104,17 @@ def test_benchmark_tracer_wraps_the_package(capsys):
         traced = (main(argv), capsys.readouterr())
         # the tracer reads .terms before __post_init__ absorbs the masks
         absorbed = canonicalize(Frame(("a", "b")), [{0, 1}, {0}])
+        # the engines build BBAs through BBA._trusted; the public constructor is traced
+        frame = Frame(("a", "b"))
+        BBA(frame, Model.free(frame), {frame.singleton("a"): 1.0})
     finally:
         tracer.uninstall()
     assert traced == untraced
     assert absorbed.terms == (frozenset({0}),)
-    assert tracer.metrics()["lattice.Proposition.calls"] > 0
+    metrics = tracer.metrics()
+    # each constructor routes through its class's __post_init__, which the tracer wraps
+    assert metrics["lattice.Proposition.calls"] > 0
+    assert metrics["lattice.Model.calls"] > 0
+    assert metrics["belief.BBA.calls"] > 0
     # the traced dst path still refines to len()-able atom sets
-    assert tracer.metrics()["lattice.refine_to_atoms.calls"] > 0
+    assert metrics["lattice.refine_to_atoms.calls"] > 0

@@ -1,8 +1,11 @@
 """The package imports nothing outside the standard library, declares no
-dependency, and its modules import each other without a cycle."""
+dependency, its modules import each other without a cycle, and the CLI
+starts without the heavy introspection modules."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,3 +74,16 @@ def test_package_modules_import_no_cycle():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
+    every CLI run is a fresh process, so none of them may load at start-up.
+    ``-S`` keeps site hooks from loading modules of their own."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, hyperbelief.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
