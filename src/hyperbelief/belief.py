@@ -318,7 +318,7 @@ def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
 def _dempster_normalise(merged: Mapping[Hashable, float]) -> tuple[float, float, dict]:
     """Dempster's normalization of conjunctive masses keyed by meets.
 
-    The one falsy key (``()`` or ``frozenset()``) holds the conflict.  Returns
+    The one falsy key (``()`` or the atom mask ``0``) holds the conflict.  Returns
     (conflict, K = 1 - conflict, the other positive masses over their total);
     raises :class:`TotalConflictError` when K leaves nothing to normalize.
     """

@@ -127,11 +127,11 @@ class _JsonWriter:
             _array([texts[r] for r in sorted(map(rank.__getitem__, p.masks))], depth) for p in props
         ]
 
-    def _atom_set(self, axes: AtomFrame, focal: frozenset[int]) -> str:
-        """An atom set as one single-name term array per atom, atoms ascending."""
+    def _atom_set(self, axes: AtomFrame, focal: int) -> str:
+        """An atom mask as one single-name term array per atom, atoms ascending."""
         blocks = self._atoms.setdefault(axes.axes, {})
         terms = []
-        for i in sorted(focal):
+        for i in _members(focal):
             block = blocks.get(i)
             if block is None:
                 block = blocks[i] = _array([encode_basestring(axes.atom_name(i))], 7)

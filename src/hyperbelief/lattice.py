@@ -21,7 +21,7 @@ proposition in the constrained lattice.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import combinations, product, starmap
+from itertools import combinations, starmap
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -505,11 +505,22 @@ class AtomFrame(Value):
             count *= len(axis)
         return count
 
-    def atom_index(self, values: Sequence[int]) -> int:
-        index = 0
-        for axis, v in zip(self.axes, values):
-            index = index * len(axis) + v
-        return index
+    @cached_property
+    def _value_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per axis, per value: the atoms with that value on that axis, as a mask (bit i for atom i).
+
+        In mixed-radix order an axis's value holds one run of ``stride``
+        atoms in every ``period`` atoms, so each mask is one run repeated.
+        """
+        count = self.atom_count
+        masks = []
+        stride = count
+        for axis in self.axes:
+            period, stride = stride, stride // len(axis)
+            repeat = ((1 << count) - 1) // ((1 << period) - 1)  # bit j * period for each j
+            run = (1 << stride) - 1
+            masks.append(tuple((run << v * stride) * repeat for v in range(len(axis))))
+        return tuple(masks)
 
     def atom_values(self, index: int) -> tuple[int, ...]:
         values = []
@@ -522,8 +533,35 @@ class AtomFrame(Value):
         values = self.atom_values(index)
         return "∩".join(axis[v] for axis, v in zip(self.axes, values))
 
-    def to_frame(self) -> Frame:
-        return Frame(tuple(self.atom_name(i) for i in range(self.atom_count)))
+
+def _atom_mask(
+    names: Sequence[str],
+    masks: Iterable[int],
+    atom_frame: AtomFrame,
+    literal_map: Mapping[str, tuple[int, int]],
+) -> int:
+    """The atoms of :func:`refine_to_atoms` as a mask, bit i for atom i.
+
+    ``masks`` are term masks over the singletons ``names``.  A term's atoms
+    are the AND of its literals' value masks (every atom when it pins no
+    axis, none when it pins one axis to two values), and the proposition's
+    atoms are the OR over its terms.
+    """
+    value_masks = atom_frame._value_masks
+    every = (1 << atom_frame.atom_count) - 1
+    atoms = 0
+    for term in masks:
+        meet = every
+        for i in _members(term):
+            name = names[i]
+            if name not in literal_map:
+                raise ValueError(f"singleton {_brief(repr(name))} has no axis mapping")
+            axis, value = literal_map[name]
+            if not 0 <= axis < len(value_masks) or not 0 <= value < len(value_masks[axis]):
+                raise ValueError(f"axis mapping for {_brief(repr(name))} is out of range")
+            meet &= value_masks[axis][value]
+        atoms |= meet
+    return atoms
 
 
 def refine_to_atoms(
@@ -538,23 +576,4 @@ def refine_to_atoms(
     that pins one axis to two different values contributes no atoms.  Every
     singleton used by ``a`` must be mapped.
     """
-    axes = atom_frame.axes
-    atoms: set[int] = set()
-    for term in a.masks:
-        pinned: dict[int, int] = {}
-        for i in _members(term):
-            name = a.frame.names[i]
-            if name not in literal_map:
-                raise ValueError(f"singleton {_brief(repr(name))} has no axis mapping")
-            axis, value = literal_map[name]
-            if not 0 <= axis < len(axes) or not 0 <= value < len(axes[axis]):
-                raise ValueError(f"axis mapping for {_brief(repr(name))} is out of range")
-            if pinned.setdefault(axis, value) != value:
-                break  # the term pins one axis to two values
-        else:
-            choices = [
-                (pinned[axis],) if axis in pinned else range(len(axes[axis]))
-                for axis in range(len(axes))
-            ]
-            atoms.update(map(atom_frame.atom_index, product(*choices)))
-    return frozenset(atoms)
+    return frozenset(_members(_atom_mask(a.frame.names, a.masks, atom_frame, literal_map)))

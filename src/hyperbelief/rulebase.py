@@ -8,11 +8,13 @@ three ways:
 
 * ``dsm``   — hybrid DSm fusion directly on the constrained lattice: all rule
   BBAs (or the vacuous one) in one pass, then each observation in order.
-* ``dst``   — every proposition is refined to its set of atoms on an
-  exclusive frame (``dst_axes``); Dempster's rule is one fold over those atom
-  sets from the vacuous assignment (meet is ``&``, normalized as in
-  ``dempster_combine``), and the report keys the result by atom sets named by
-  :meth:`AtomFrame.atom_name`.  Total conflict is an inconsistency, not raised.
+* ``dst``   — every proposition is refined to its atoms on an exclusive
+  frame (``dst_axes``), as an int atom mask with bit i for atom i; Dempster's
+  rule is one fold over those masks from the vacuous assignment (every atom),
+  meeting with ``&`` and normalized as in ``dempster_combine``.  The result
+  keeps the masks as keys, ordered by their ascending atom lists, and the
+  report names each atom by :meth:`AtomFrame.atom_name`.  Total conflict is
+  an inconsistency, not raised.
 * ``bayes`` — no fusion at all: if the scenario is a three-rule triangle
   (x→c, y→c', x→y with observation x∧y and c, c' exclusive), the chain-rule
   point estimates and their defects are reported.
@@ -53,11 +55,12 @@ from .lattice import (
     Model,
     Proposition,
     _absorb,
+    _atom_mask,
     _brief,
+    _members,
     _reduce_masks,
     conjoin,
     reduce_under_model,
-    refine_to_atoms,
     total_ignorance,
 )
 
@@ -271,11 +274,16 @@ class QueryResult(Value):
 
 
 class AtomMasses(Value):
-    """The dst engine's fused masses, keyed by atom sets of ``axes`` in sorted-atom order."""
+    """The dst engine's fused masses on ``axes``.
+
+    Each key is an int atom mask, bit i for atom i, and the keys are ordered
+    by their ascending atom lists (not by their numeric value).  The report
+    names atom i by ``axes.atom_name(i)``.
+    """
 
     _fields = ("axes", "masses")
 
-    def __init__(self, axes: AtomFrame, masses: Mapping[frozenset[int], float]) -> None:
+    def __init__(self, axes: AtomFrame, masses: Mapping[int, float]) -> None:
         _set(self, "axes", axes)
         _set(self, "masses", masses)
 
@@ -298,7 +306,7 @@ class EngineResult(Value):
         engine: str,
         status: str,  # "ok" | "inconsistent" | "not_applicable"
         queries: tuple[QueryResult, ...],
-        fused: BBA | AtomMasses | None = None,  # a BBA for dsm, atom sets for dst
+        fused: BBA | AtomMasses | None = None,  # a BBA for dsm, atom masks for dst
         conflict_mass: float | None = None,
         stage_conflicts: tuple[float, ...] = (),
         normalization_constant: float | None = None,
@@ -379,14 +387,14 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
 
 def _run_dst(scenario: Scenario) -> EngineResult:
     axes = scenario.dst_axes
+    names = scenario.frame.names
 
-    def atoms(masks: Masks) -> frozenset[int]:
-        prop = Proposition._trusted(scenario.frame, masks)
-        return refine_to_atoms(prop, axes.axes, axes.literal_map)
+    def atoms(masks: Masks) -> int:
+        return _atom_mask(names, masks, axes.axes, axes.literal_map)
 
     rules, observations = scenario._sources
     sources = [fsum_by_key((atoms(p), m) for p, m in b.items()) for b in (*rules, *observations)]
-    states = {frozenset(range(axes.axes.atom_count)): 1.0}
+    states = {(1 << axes.axes.atom_count) - 1: 1.0}
     for source in sources:
         states = fsum_by_key((s & f, ms * m) for s, ms in states.items() for f, m in source.items())
     try:
@@ -397,11 +405,11 @@ def _run_dst(scenario: Scenario) -> EngineResult:
         return _unanswered(
             scenario, "dst", "inconsistent", note, flag, conflict_mass=1.0, stage_conflicts=(1.0,)
         )
-    fused = {focal: kept[focal] for focal in sorted(kept, key=sorted)}
+    fused = {focal: kept[focal] for focal in sorted(kept, key=_members)}
     rows = []
     for q in scenario.queries:
         target = atoms(q.masks)
-        bel = fsum(m for focal, m in fused.items() if focal <= target)
+        bel = fsum(m for focal, m in fused.items() if not focal & ~target)
         pl = fsum(m for focal, m in fused.items() if focal & target)
         rows.append(QueryResult(query=q, bel=bel, pl=pl))
     return EngineResult(

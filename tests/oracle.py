@@ -13,6 +13,8 @@ from collections import defaultdict
 from itertools import chain, combinations, product
 from math import fsum
 
+from hyperbelief import Frame
+
 
 def all_regions(n):
     return frozenset(
@@ -196,12 +198,62 @@ def shift_mask_antichains(n):
             yield tuple(terms)
 
 
+def atoms_of(mask):
+    """The atom indices of an int atom mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def atom_index(atom_frame, values):
+    """The index of the atom with one value per axis, first axis most significant."""
+    index = 0
+    for axis, v in zip(atom_frame.axes, values):
+        index = index * len(axis) + v
+    return index
+
+
+def to_frame(atom_frame):
+    """The atoms of an ``AtomFrame`` as the singletons of a frame, by their names."""
+    return Frame(tuple(atom_frame.atom_name(i) for i in range(atom_frame.atom_count)))
+
+
+def refine_to_atoms(prop, atom_frame, literal_map):
+    """The atoms consistent with some term of ``prop``, listed one by one.
+
+    Each term pins its literals' axes; a term that pins one axis to two
+    values lists no atoms, and every other term lists the product of its
+    pinned values and every value of each free axis.  Every literal is
+    checked, in the engine's order (terms by mask, members ascending), with
+    the engine's messages.
+    """
+    axes = atom_frame.axes
+    atoms = set()
+    for term in prop.masks:
+        pinned = {}
+        clash = False
+        for i in atoms_of(term):
+            name = prop.frame.names[i]
+            if name not in literal_map:
+                raise ValueError(f"singleton {name!r} has no axis mapping")
+            axis, value = literal_map[name]
+            if not 0 <= axis < len(axes) or not 0 <= value < len(axes[axis]):
+                raise ValueError(f"axis mapping for {name!r} is out of range")
+            clash = clash or pinned.setdefault(axis, value) != value
+        if not clash:
+            choices = [
+                (pinned[axis],) if axis in pinned else range(len(axes[axis]))
+                for axis in range(len(axes))
+            ]
+            atoms.update(atom_index(atom_frame, values) for values in product(*choices))
+    return frozenset(atoms)
+
+
 def fused_tree(fused):
     """A fused assignment as the report's dict: a BBA's keys by their names,
-    a dst ``AtomMasses`` key as one single-name term per atom, atoms ascending."""
+    a dst ``AtomMasses`` key (an int atom mask) as one single-name term per
+    atom, atoms ascending."""
     if hasattr(fused, "axes"):
         name = fused.axes.atom_name
-        props = [[[name(i)] for i in sorted(focal)] for focal in fused.masses]
+        props = [[[name(i)] for i in atoms_of(focal)] for focal in fused.masses]
     else:
         props = [prop.to_names() for prop in fused.masses]
     return {"masses": [{"prop": p, "mass": m} for p, m in zip(props, fused.masses.values())]}

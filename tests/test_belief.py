@@ -40,7 +40,7 @@ H2 = (P & NF) | (B & F) | (P & B)
 
 TPAXES = AtomFrame((("f", "nf"), ("b", "b'"), ("p", "p'")))
 TPLITERALS = {"f": (0, 0), "nf": (0, 1), "b": (1, 0), "p": (2, 0)}
-ATOMFRAME = TPAXES.to_frame()
+ATOMFRAME = oracle.to_frame(TPAXES)
 SHAFER = Model.shafer(ATOMFRAME)
 
 EXACT = pytest.approx

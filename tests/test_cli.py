@@ -366,7 +366,7 @@ def _engine_results(draw, frame: Frame) -> EngineResult:
                 for _ in range(draw(st.integers(1, 3)))
             )
         )
-        focals = st.frozensets(st.integers(0, axes.atom_count - 1), max_size=axes.atom_count)
+        focals = st.integers(0, (1 << axes.atom_count) - 1)  # int atom masks, bit i for atom i
         fused = AtomMasses(axes, {f: draw(_FLOAT) for f in draw(st.lists(focals, max_size=4, unique=True))})
     elif shape == "bayes":
         estimates = BayesEstimates(*(Fraction(draw(_FINITE)) for _ in range(4)), draw(_FLAGS))

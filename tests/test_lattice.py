@@ -396,7 +396,7 @@ def test_atom_frame_order_and_names():
     assert TPAXES.atom_name(0) == "f∩b∩p"
     assert TPAXES.atom_name(4) == "nf∩b∩p"
     assert TPAXES.atom_name(7) == "nf∩b'∩p'"
-    assert len(TPAXES.to_frame()) == 8
+    assert len(oracle.to_frame(TPAXES)) == 8  # the eight names are distinct
 
 
 def test_single_value_axis_rejected():
@@ -445,6 +445,42 @@ def test_unmapped_singleton_rejected():
 def test_out_of_range_mapping_rejected():
     with pytest.raises(ValueError, match="out of range"):
         refine_to_atoms(P, TPAXES, {"p": (5, 0)})
+
+
+@st.composite
+def refinement_cases(draw):
+    """A proposition, a random atom frame, and a literal map that leaves some
+    names unmapped or out of range and often sends two names to one axis."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    axes = AtomFrame(tuple(tuple(f"x{k}v{v}" for v in range(n)) for k, n in enumerate(sizes)))
+    frame = draw(frames())
+    literal_map = {}
+    for name in frame.names:
+        kind = draw(st.sampled_from(["mapped"] * 12 + ["unmapped", "bad axis", "bad value"]))
+        if kind == "unmapped":
+            continue
+        axis = draw(st.integers(0, len(sizes) - 1))
+        value = draw(st.integers(0, sizes[axis] - 1))
+        if kind == "bad axis":
+            axis = len(sizes)
+        elif kind == "bad value":
+            value = sizes[axis]
+        literal_map[name] = (axis, value)
+    return draw(propositions(frame)), axes, literal_map
+
+
+@example(((F & NF) | P, TPAXES, TPLITERALS))  # one term pins the f axis twice
+@example(((F & NF) | (B & P), TPAXES, {"f": (0, 0), "nf": (0, 1), "b": (1, 0)}))  # p unmapped
+@given(refinement_cases())
+def test_refinement_matches_atom_enumeration(case):
+    # the mask refinement against listing every atom of every term one by one
+    def outcome(refine):
+        try:
+            return refine(*case)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(refine_to_atoms) == outcome(oracle.refine_to_atoms)
 
 
 @given(frames(min_n=2, max_n=4), st.data())

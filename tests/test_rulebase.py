@@ -402,7 +402,7 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
         assume(not reduce_under_model(obs, TPMODEL).is_empty)
     extra = tuple(tuple(f"x{k}v{i}" for i in range(n)) for k, n in enumerate(extra_axes))
     axes = DstAxes(AtomFrame(TPAXES.axes.axes + extra), TPAXES.literal_map)
-    atom_frame = axes.axes.to_frame()
+    atom_frame = oracle.to_frame(axes.axes)
     shafer = Model.shafer(atom_frame)
 
     def lifted(prop):
@@ -433,7 +433,10 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
             dempster_combine(lifted_sources)
         return
     reference = dempster_combine(lifted_sources)
-    focals = [canonicalize(atom_frame, [[i] for i in focal]) for focal in result.fused.masses]
+    focals = [
+        canonicalize(atom_frame, [[i] for i in oracle.atoms_of(focal)])
+        for focal in result.fused.masses
+    ]
     assert focals == reference.result.focals()
     for got, (_, want) in zip(result.fused.masses.values(), reference.result.items()):
         assert got == pytest.approx(want, **APPROX)
@@ -449,6 +452,56 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
     for row in result.queries:
         assert row.bel == pytest.approx(belief(reference.result, lifted(row.query)), **APPROX)
         assert row.pl == pytest.approx(plausibility(reference.result, lifted(row.query)), **APPROX)
+
+
+EXTRA_RULE = st.tuples(*[propositions(TPFRAME, allow_empty=False)] * 2, st.floats(0.0, 1.0))
+
+
+@given(
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    st.lists(EXTRA_RULE, max_size=2),
+    st.lists(propositions(TPFRAME, allow_empty=False), max_size=2),
+    st.sampled_from(EXTRA_AXES),
+    st.data(),
+)
+def test_dst_answers_do_not_depend_on_source_order(
+    eps, extra_rules, extra_observations, extra_axes, data
+):
+    # Dempster's rule is commutative and associative, so any order of the
+    # rules and of the observations gives the same K, conflict, Bel and Pl
+    extra = tuple(tuple(f"x{k}v{i}" for i in range(n)) for k, n in enumerate(extra_axes))
+    axes = DstAxes(AtomFrame(TPAXES.axes.axes + extra), TPAXES.literal_map)
+    rules = triangle_rules(*eps) + tuple(WeightedRule(*rule) for rule in extra_rules)
+    observations = (P & B, *extra_observations)
+    queries = (F, NF, P & B, (P & NF) | B)
+
+    def dst(rules, observations):
+        scenario = Scenario(
+            TPFRAME, TPMODEL, rules, observations, queries, engines=("dst",), dst_axes=axes
+        )
+        result = run_scenario(scenario).engine("dst")
+        if result.status == "ok":
+            # both are fsums of non-negative masses, and Pl's focals include Bel's
+            assert all(row.bel <= row.pl for row in result.queries)
+        return result
+
+    try:
+        result = dst(rules, observations)
+    except ValueError:
+        assume(False)  # an extra input the model contradicts
+    permuted = dst(
+        tuple(data.draw(st.permutations(rules))), tuple(data.draw(st.permutations(observations)))
+    )
+    # as in test_dst_engine_matches_lattice_dempster: each order's rounding error is divided by K
+    assume(result.status == "inconsistent" or result.normalization_constant >= 1e-3)
+    assert permuted.status == result.status
+    if result.status == "inconsistent":
+        return
+    assert permuted.conflict_mass == pytest.approx(result.conflict_mass, **APPROX)
+    assert permuted.normalization_constant == pytest.approx(result.normalization_constant, **APPROX)
+    for got, want in zip(permuted.queries, result.queries):
+        assert got.bel == pytest.approx(want.bel, **APPROX)
+        assert got.pl == pytest.approx(want.pl, **APPROX)
 
 
 # ---------------------------------------------------------------- bayes engine

@@ -1,14 +1,15 @@
 """Smoke tests: the example scripts, the README example and the benchmark tracer
-run against the package."""
+run against the package, and the committed benchmark runs read correct."""
 
 import importlib.util
+import json
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-from hyperbelief import BBA, Frame, Model, canonicalize
+from hyperbelief import BBA, AtomFrame, Frame, Model, canonicalize, lattice
 from hyperbelief.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,14 +108,35 @@ def test_benchmark_tracer_wraps_the_package(capsys):
         # the engines build BBAs through BBA._trusted; the public constructor is traced
         frame = Frame(("a", "b"))
         BBA(frame, Model.free(frame), {frame.singleton("a"): 1.0})
+        # the dst engine refines through lattice._atom_mask; the public function is
+        # traced, and the tracer swaps it in the package's module namespaces
+        axes = AtomFrame((("a", "a'"), ("b", "b'")))
+        refined = lattice.refine_to_atoms(frame.singleton("b"), axes, {"a": (0, 0), "b": (1, 0)})
     finally:
         tracer.uninstall()
     assert traced == untraced
     assert absorbed.terms == (frozenset({0}),)
+    assert refined == frozenset({0, 2})
     metrics = tracer.metrics()
     # each constructor routes through its class's __post_init__, which the tracer wraps
     assert metrics["lattice.Proposition.calls"] > 0
     assert metrics["lattice.Model.calls"] > 0
     assert metrics["belief.BBA.calls"] > 0
-    # the traced dst path still refines to len()-able atom sets
+    # refine_to_atoms still returns a len()-able atom set for the tracer to count
     assert metrics["lattice.refine_to_atoms.calls"] > 0
+
+
+def test_committed_benchmark_runs_are_correct():
+    # each BENCH_*.json holds benchmark runs, each with the command that made it and
+    # the run's last output line verbatim; a speed claim may only cite correct runs
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        assert runs, path.name
+        for run in runs:
+            command = shlex.split(run["command"])
+            assert command[:2] == ["python3", "perfbench/run.py"], path.name
+            assert command[command.index("--seed") + 1] == str(run["seed"]), path.name
+            assert run["last_line"]["correct"] is True, (path.name, run["command"])
+            assert run["last_line"]["failed"] == 0, (path.name, run["command"])

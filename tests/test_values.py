@@ -93,9 +93,9 @@ CASES = {
     "AtomMasses": (
         AtomMasses,
         ("axes", "masses"),
-        (AXES, {frozenset({0}): 1.0}),
+        (AXES, {0b1: 1.0}),
         (),
-        [(AXES2, {frozenset({0}): 1.0}), (AXES, {frozenset({1}): 1.0})],
+        [(AXES2, {0b1: 1.0}), (AXES, {0b10: 1.0})],
         False,
     ),
     "EngineResult": (
