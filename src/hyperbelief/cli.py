@@ -21,7 +21,8 @@ import io
 import json
 import sys
 from functools import cache
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from .analysis import CLASSICAL_PRINCIPLES, parse_formula, tautology_check
 from .json_report import render_json
@@ -35,6 +36,7 @@ from .lattice import (
     _check_enumeration_limit,
     _brief,
     _members,
+    _rank_tables,
     _term_order,
     _term_text,
     _union_text,
@@ -364,23 +366,38 @@ def _run_compare(args: argparse.Namespace) -> int:
     return _exit_code(report)
 
 
+def _enumeration_lines(n: int) -> Callable[[Iterable[int]], list[str]]:
+    """A renderer of rank bit sets from ``_antichains(n)``, one line of text each.
+
+    A line of one term (or none) is looked up whole.  A longer one is its
+    bracketed terms, each followed by " ∪ ", with the last separator cut.
+    """
+    members = [_members(s) for s in _term_order(n)]
+    alone = {1 << r: _term_text(_ENUM_NAMES, term, False) for r, term in enumerate(members)}
+    alone[0] = _union_text([])
+    w, (t0, t1, t2, t3) = _rank_tables(n, [_term_text(_ENUM_NAMES, term, True) + " ∪ " for term in members])
+    m, w2, w3 = (1 << w) - 1, 2 * w, 3 * w
+
+    def lines(antichains: Iterable[int]) -> list[str]:
+        return [
+            (t0[b & m] + t1[b >> w & m] + t2[b >> w2 & m] + t3[b >> w3])[:-3] if b & b - 1 else alone[b]
+            for b in antichains
+        ]
+
+    return lines
+
+
 def _run_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ScenarioError("--n must be at least 1")
     _check_enumeration_limit(args.n, args.allow_large, "--allow-large")
-    members = [_members(s) for s in _term_order(args.n)]
-    alone = [_term_text(_ENUM_NAMES, m, False) for m in members]
-    grouped = [_term_text(_ENUM_NAMES, m, True) for m in members]
+    render = _enumeration_lines(args.n)
+    antichains = _antichains(args.n)
     count = 0
-    lines = []
-    for count, ranks in enumerate(_antichains(args.n), 1):
-        texts = grouped if len(ranks) > 1 else alone
-        lines.append(_union_text([texts[r] for r in ranks]))
-        if len(lines) == _ENUM_CHUNK:
-            sys.stdout.write("\n".join(lines) + "\n")
-            lines.clear()
-    lines.append(f"total {count}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    while lines := render(islice(antichains, _ENUM_CHUNK)):
+        count += len(lines)
+        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(f"total {count}\n")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbelief import AtomFrame, BBA, Frame, enumerate_hyper_power_set
+from hyperbelief import AtomFrame, BBA, Frame, Proposition, enumerate_hyper_power_set
 from hyperbelief.analysis import BayesEstimates
 from hyperbelief.cli import (
     EXIT_INCONSISTENT,
@@ -23,11 +23,13 @@ from hyperbelief.cli import (
     EXIT_OK,
     ScenarioError,
     _build_parser,
+    _enumeration_lines,
     emit_report,
     main,
     parse_scenario,
 )
 from hyperbelief import rulebase
+from hyperbelief.lattice import _absorb, _term_order
 from hyperbelief.rulebase import AtomMasses, EngineResult, FusionReport, QueryResult, run_scenario
 from strategies import models, propositions
 
@@ -547,11 +549,26 @@ def test_enumerate_prints_all_propositions(capsys):
     assert len(set(lines[:-1])) == 167
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_lines_are_the_propositions(capsys, n):
     assert main(["enumerate", "--n", str(n)]) == EXIT_OK
-    props = enumerate_hyper_power_set(Frame(tuple("abcd"[:n])))
+    props = enumerate_hyper_power_set(Frame(tuple("abcde"[:n])))
     assert capsys.readouterr().out.splitlines() == [str(p) for p in props] + [f"total {len(props)}"]
+
+
+SIX = Frame(tuple("abcdef"))
+SIX_RANK = {s: r for r, s in enumerate(_term_order(6))}
+SIX_LINES = _enumeration_lines(6)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 63), st.lists(st.tuples(st.integers(1, 63), st.booleans()), max_size=8))
+def test_enumerate_six_renders_each_antichain_as_its_proposition(floor, drawn):
+    # n = 6 prints about 1 GB, so its lines are checked one drawn antichain at a
+    # time; widening some terms by a shared floor reaches the large, high-rank ones
+    masks = [t | floor if widen else t for t, widen in drawn]
+    bits = sum(1 << SIX_RANK[t] for t in _absorb(masks))
+    assert SIX_LINES([bits]) == [str(Proposition(SIX, tuple(masks)))]
 
 
 @pytest.mark.parametrize(

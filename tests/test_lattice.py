@@ -22,7 +22,7 @@ from hyperbelief import (
     total_ignorance,
     u_of,
 )
-from hyperbelief.lattice import _antichains, _term_order
+from hyperbelief.lattice import _antichains, _rank_tables, _term_order
 
 import oracle
 from strategies import frames, modeled_props, propositions, single_term_props
@@ -219,13 +219,18 @@ def test_enumeration_unique_canonical_and_repeatable():
     assert first[0].is_empty
 
 
+def ranks_of(bits):
+    """The ranks set in a rank bit set, ascending."""
+    return [r for r in range(bits.bit_length()) if bits >> r & 1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_matches_brute_force_antichains(n):
     want = oracle.naive_antichains(n)
     assert [p.terms for p in enumerate_hyper_power_set(Frame(tuple("abcd"[:n])))] == want
     # the raw antichains too: the CLI prints them without Proposition's absorption
     members = [frozenset(i for i in range(n) if s >> i & 1) for s in _term_order(n)]
-    assert [tuple(members[s] for s in terms) for terms in _antichains(n)] == want
+    assert [tuple(members[r] for r in ranks_of(bits)) for bits in _antichains(n)] == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -240,14 +245,32 @@ def test_enumerated_propositions_equal_checked_ones(n):
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 19), (4, 167), (5, 7580)])
 def test_antichains_match_the_shift_and_mask_oracle(n, count):
     order = _term_order(n)
-    ranked = list(_antichains(n))
+    ranked = [ranks_of(bits) for bits in _antichains(n)]
     assert [tuple(order[r] for r in ranks) for ranks in ranked] == list(oracle.shift_mask_antichains(n))
     assert len(ranked) == count
     for ranks in ranked:
-        # ascending ranks are the canonical term order, and no term contains another
-        assert list(ranks) == sorted(set(ranks))
+        # the empty term is never one, and no term contains another
+        assert 0 not in ranks
         terms = [order[r] for r in ranks]
         assert all(s & t != s for s in terms for t in terms if s != t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rank_tables_hold_exactly_the_antichains_of_each_quarter(n):
+    order = _term_order(n)
+    w, tables = _rank_tables(n, [(s,) for s in order])
+    for q, table in enumerate(tables):
+        terms = order[q * w : q * w + w]
+        for bits in range(1 << len(terms)):
+            chosen = tuple(t for j, t in enumerate(terms) if bits >> j & 1)
+            antichain = all(s & t != s for s in chosen for t in chosen if s != t)
+            assert table.get(bits) == (chosen if antichain else None)
+
+
+def test_rank_tables_at_six_keep_only_antichains():
+    # eager tables over 16 rank bits would hold 4 x 65,536 entries
+    w, tables = _rank_tables(6, [(s,) for s in _term_order(6)])
+    assert (w, [len(t) for t in tables]) == (16, [1429, 11664, 11664, 1429])
 
 
 def test_enumeration_limits():

@@ -299,6 +299,52 @@ def test_dsm_stages_match_the_public_chain_exactly(scenario):
     assert [c.hex() for c in got.stage_conflicts] == [c.hex() for c in conflicts]
 
 
+def test_tp2_dsm_staging_is_pinned():
+    # the engine fuses the rules in one step, then each observation in a
+    # two-source step; the hybrid rule is not associative, so one step over
+    # all four sources reaches other masses (and another Bel(p∩b)) but the
+    # same intervals for f and nf
+    e1 = e2 = e3 = 0.1
+    scenario = tp2_scenario(e1, e2, e3, engines=("dsm",))
+    staged = run_scenario(scenario).engine("dsm").fused
+    sources = [rule_to_conditional_bba(r, TPFRAME, TPMODEL) for r in scenario.rules]
+    sources.append(observation_to_bba(P & B, TPFRAME, TPMODEL))
+    one_pass = dsm_hybrid_combine(sources).result
+    want_staged = {P & B: 0.82, P & B & F: 0.09, P & B & NF: 0.09}
+    want_one_pass = {
+        P | (B & F): 0.081,
+        P & B: 0.01,
+        (P & B) | (P & NF) | (B & F): 0.729,
+        P & B & F: 0.09,
+        P & B & NF: 0.09,
+    }
+    for fused, want, bel_pb in ((staged, want_staged, 1.0), (one_pass, want_one_pass, 0.19)):
+        assert set(fused.focals()) == set(want)
+        for focal, mass in want.items():
+            assert fused.mass(focal) == pytest.approx(mass, **APPROX)
+        assert belief(fused, P & B) == pytest.approx(bel_pb, **APPROX)
+        for query in (F, NF):
+            assert belief(fused, query) == pytest.approx(0.09, **APPROX)
+            assert plausibility(fused, query) == pytest.approx(0.91, **APPROX)
+
+
+@given(dsm_scenarios())
+def test_dsm_stages_without_rerouting_equal_one_pass(scenario):
+    # with nothing rerouted the hybrid rule is the conjunctive rule, which is
+    # associative: the staging cannot change the fused BBA
+    frame, model = scenario.frame, scenario.model
+    got = run_scenario(scenario).engine("dsm")
+    assume(all(c == 0.0 for c in got.stage_conflicts))
+    sources = [rule_to_conditional_bba(rule, frame, model) for rule in scenario.rules]
+    sources = sources or [vacuous(frame, model)]
+    sources += [observation_to_bba(obs, frame, model) for obs in scenario.observations]
+    one_pass = dsm_hybrid_combine(sources)
+    assert one_pass.conflict_mass == 0.0
+    assert set(got.fused.focals()) == set(one_pass.result.focals())
+    for focal, mass in one_pass.result.items():
+        assert got.fused.mass(focal) == pytest.approx(mass, **APPROX)
+
+
 # ------------------------------------------------------------------ dst engine
 
 
