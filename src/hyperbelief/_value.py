@@ -2,10 +2,14 @@
 
 Each value class names its fields in ``_fields`` and sets them in its own
 ``__init__`` through ``_set`` (``object.__setattr__``); after that no
-attribute can be assigned or deleted.  Two values are equal when they are of
-the same class with equal fields, a value hashes as its field tuple, and its
-repr lists the fields as ``Class(name=value, ...)``.  The module imports
-nothing, so building the classes costs no more than defining them.
+attribute can be assigned or deleted.  Two values are equal when they are
+one object, or of the same class with equal fields; the field tuples compare
+element by element, and each element that is one object on both sides is
+equal without a call to its ``__eq__``.  A value hashes as its field tuple
+unless its class keeps its own ``__hash__``, which must still give equal
+values equal hashes (a ``Proposition`` hashes its masks alone).  The repr
+lists the fields as ``Class(name=value, ...)``.  The module imports nothing,
+so building the classes costs no more than defining them.
 """
 
 _set = object.__setattr__
@@ -18,6 +22,8 @@ class Value:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is self.__class__:
             return self._values() == other._values()
         return NotImplemented

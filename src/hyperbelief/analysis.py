@@ -293,7 +293,7 @@ def indifference_estimates(eps1, eps2, eps3) -> BayesEstimates:
         p_fly=p_fly,
         p_not_fly=p_not_fly,
         additivity_deficit=deficit,
-        bound=e1 / (1 - e3),
+        bound=pearl_flying_bound(e1, e3),
         # a negative deficit means the two "probabilities" exceed one
         # together, so it is a range violation just like an estimate > 1
         validity_flags=_range_flags(

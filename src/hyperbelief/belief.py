@@ -45,7 +45,7 @@ from .lattice import (
     Model,
     Proposition,
     _absorb,
-    _term_key,
+    _term_ranks,
     reduce_under_model,
     total_ignorance,
 )
@@ -81,12 +81,10 @@ def _merged(pairs: Iterable[tuple[Masks, float]]) -> dict[Masks, float]:
 def _canonical(frame: Frame, merged: Mapping[Masks, float]) -> dict[Proposition, float]:
     """The masses of ``merged`` (see :func:`_merged`), keyed by propositions in canonical order.
 
-    A key sorts by its terms' :func:`~hyperbelief.lattice._term_key` in
-    ascending order, as :attr:`Proposition.sort_key` does.  Each distinct
-    term's key is computed once and stands in as its rank among the terms.
+    A key sorts by its terms' ranks (:func:`~hyperbelief.lattice._term_ranks`)
+    in ascending order, as :attr:`Proposition.sort_key` does.
     """
-    terms = sorted({t for masks in merged for t in masks}, key=_term_key)
-    rank = {t: r for r, t in enumerate(terms)}
+    rank = _term_ranks(t for masks in merged for t in masks)
     focals = sorted(merged.items(), key=lambda focal: sorted(map(rank.__getitem__, focal[0])))
     return {Proposition._trusted(frame, masks): m for masks, m in focals}
 

@@ -57,6 +57,14 @@ class ScenarioError(ValueError):
     """Scenario text that cannot be turned into a valid Scenario."""
 
 
+def _checked(where: str, build: Callable, *args):
+    """``build(*args)``; its ValueError becomes a ScenarioError, prefixed ``where: `` if ``where``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
 # ------------------------------------------------------------------- parsing
 
 
@@ -122,10 +130,7 @@ def _proposition(frame: Frame, nested, where: str) -> Proposition:
         term = _expect(term, list, f"{where}[{i}]")
         for j, name in enumerate(term):
             _expect(name, str, f"{where}[{i}][{j}]")
-    try:
-        return proposition_from_names(frame, terms)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    return _checked(where, proposition_from_names, frame, terms)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -152,26 +157,19 @@ def parse_scenario(text: str) -> Scenario:
         # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
         if "∩" in name or "∪" in name:
             raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {_brief(repr(name))}")
-    try:
-        frame = Frame(tuple(names))
-    except ValueError as exc:
-        raise ScenarioError(f"frame: {exc}") from exc
+        if name == "∅":  # the reports print the empty proposition as ∅
+            raise ScenarioError(f"frame[{i}] must not be ∅, the name of the empty proposition")
+    frame = _checked("frame", Frame, tuple(names))
 
     constraint_sets = []
     for i, group in enumerate(_get(data, "constraints", list, "", default=[])):
         group = _expect(group, list, f"constraints[{i}]")
         members = set()
         for j, name in enumerate(group):
-            name = _expect(name, str, f"constraints[{i}][{j}]")
-            try:
-                members.add(frame.index(name))
-            except ValueError as exc:
-                raise ScenarioError(f"constraints[{i}][{j}]: {exc}") from exc
+            where = f"constraints[{i}][{j}]"
+            members.add(_checked(where, frame.index, _expect(name, str, where)))
         constraint_sets.append(frozenset(members))
-    try:
-        model = Model.from_constraints(frame, constraint_sets)
-    except ValueError as exc:
-        raise ScenarioError(f"constraints: {exc}") from exc
+    model = _checked("constraints", Model.from_constraints, frame, constraint_sets)
 
     rules = []
     for i, blob in enumerate(_get(data, "rules", list, "", default=[])):
@@ -179,10 +177,7 @@ def parse_scenario(text: str) -> Scenario:
         antecedent = _proposition(frame, _get(blob, "if", list, f"rules[{i}].", required=True), f"rules[{i}].if")
         consequent = _proposition(frame, _get(blob, "then", list, f"rules[{i}].", required=True), f"rules[{i}].then")
         weight = _get(blob, "weight", float, f"rules[{i}].", required=True)
-        try:
-            rules.append(WeightedRule(antecedent, consequent, weight))
-        except ValueError as exc:
-            raise ScenarioError(f"rules[{i}]: {exc}") from exc
+        rules.append(_checked(f"rules[{i}]", WeightedRule, antecedent, consequent, weight))
 
     observations = tuple(
         _proposition(frame, blob, f"observations[{i}]")
@@ -216,23 +211,11 @@ def parse_scenario(text: str) -> Scenario:
             if not (axis.is_integer() and value.is_integer()):  # also NaN and ±inf
                 raise ScenarioError(f"{where} must hold integers")
             literal_map[_name(name, "dst_axes.map key")] = (int(axis), int(value))
-        try:
-            dst_axes = DstAxes(AtomFrame(tuple(tuple(axis) for axis in axes)), literal_map)
-        except ValueError as exc:
-            raise ScenarioError(f"dst_axes: {exc}") from exc
+        dst_axes = _checked("dst_axes", lambda: DstAxes(AtomFrame(axes), literal_map))
 
-    try:
-        return Scenario(
-            frame=frame,
-            model=model,
-            rules=tuple(rules),
-            observations=observations,
-            queries=queries,
-            engines=tuple(engines),
-            dst_axes=dst_axes,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return _checked(
+        "", Scenario, frame, model, tuple(rules), observations, queries, tuple(engines), dst_axes
+    )
 
 
 # ------------------------------------------------------------------ emission
@@ -324,32 +307,27 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _exit_code(report: FusionReport) -> int:
+def _report(scenario: Scenario, fmt: str) -> int:
+    """Run the scenario and print its report; exit 3 if an engine found it inconsistent."""
+    report = run_scenario(scenario)
+    sys.stdout.write(emit_report(report, fmt))
     if any(result.status == "inconsistent" for result in report.results):
         return EXIT_INCONSISTENT
     return EXIT_OK
 
 
-def _with_engines(scenario: Scenario, engines: tuple[str, ...]) -> Scenario:
-    try:
-        return scenario.with_engines(engines)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
 def _run_fuse(args: argparse.Namespace) -> int:
     scenario = parse_scenario(_read_input(args.path))
     if args.engine:
-        scenario = _with_engines(scenario, ENGINES if args.engine == "all" else (args.engine,))
+        engines = ENGINES if args.engine == "all" else (args.engine,)
+        scenario = _checked("", scenario.with_engines, engines)
     if args.verbose:
         print(
             f"running {', '.join(scenario.engines)} on {len(scenario.rules)} rule(s), "
             f"{len(scenario.observations)} observation(s)",
             file=sys.stderr,
         )
-    report = run_scenario(scenario)
-    sys.stdout.write(emit_report(report, args.fmt))
-    return _exit_code(report)
+    return _report(scenario, args.fmt)
 
 
 def _run_compare(args: argparse.Namespace) -> int:
@@ -361,9 +339,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
     if "dst" not in engines:
         print("note: dst skipped (scenario declares no dst_axes)", file=sys.stderr)
-    report = run_scenario(_with_engines(scenario, engines))
-    sys.stdout.write(emit_report(report, args.fmt))
-    return _exit_code(report)
+    return _report(_checked("", scenario.with_engines, engines), args.fmt)
 
 
 def _enumeration_lines(n: int) -> Callable[[Iterable[int]], list[str]]:
@@ -455,10 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.subcommand](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EnumerationLimitError as exc:

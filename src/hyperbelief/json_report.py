@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .analysis import BayesEstimates
 from .belief import BBA
-from .lattice import AtomFrame, Frame, Proposition, _members, _term_key
+from .lattice import AtomFrame, Frame, Proposition, _members, _term_ranks
 
 if TYPE_CHECKING:
     from .rulebase import AtomMasses, EngineResult, FusionReport, QueryResult
@@ -110,19 +110,18 @@ class _JsonWriter:
     def _props(self, frame: Frame, props: list[Proposition], depth: int) -> list[str]:
         """Each proposition as an array at ``depth`` of its term arrays, in canonical order.
 
-        The distinct terms are sorted once by :func:`_term_key`, and a
-        proposition's terms then sort as their ranks among them.
+        A proposition's terms sort as their ranks among all the distinct
+        terms (:func:`_term_ranks`).
         """
         blocks = self._terms.setdefault((frame.names, depth), {})
-        terms = sorted({t for p in props for t in p.masks}, key=_term_key)
+        rank = _term_ranks(t for p in props for t in p.masks)
         texts = []
-        for t in terms:
+        for t in rank:
             text = blocks.get(t)
             if text is None:
                 names = [encode_basestring(frame.names[i]) for i in _members(t)]
                 text = blocks[t] = _array(names, depth + 1)
             texts.append(text)
-        rank = {t: r for r, t in enumerate(terms)}
         return [
             _array([texts[r] for r in sorted(map(rank.__getitem__, p.masks))], depth) for p in props
         ]

@@ -10,7 +10,8 @@ lattice generated by the singletons, whose cardinalities 1, 2, 5, 19, 167,
 and names enter through :func:`canonicalize`, :func:`proposition_from_names`
 and :meth:`Frame.singleton`; the canonical term order (by size, then by
 sorted members) is defined once, by :func:`_term_key`, and read by the
-output views, the key order of a BBA and the ranks the enumeration carries.
+output views and the ranks the enumeration carries; :func:`_term_ranks`
+gives the key order of a BBA and of the JSON report's term arrays.
 
 A :class:`Model` stores the constraint masks whose joint intersection is
 declared empty.  Reduction drops every term t that contains a constraint c
@@ -59,16 +60,6 @@ class Frame(Value):
             raise ValueError("frame names must be unique")
         _set(self, "names", names)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
@@ -109,6 +100,11 @@ def _index_mask(n: int, indices: Iterable[int]) -> int:
 def _term_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """A term's place in canonical order: its size, then its sorted members."""
     return mask.bit_count(), tuple(_members(mask))
+
+
+def _term_ranks(terms: Iterable[int]) -> dict[int, int]:
+    """Each distinct term mask of ``terms`` mapped to its rank among them, in rank order."""
+    return {t: r for r, t in enumerate(sorted(set(terms), key=_term_key))}
 
 
 def _absorb(masks: Iterable[int]) -> tuple[int, ...]:
@@ -159,15 +155,6 @@ class Proposition(Value):
             if not isinstance(t, int) or not 0 < t < full:
                 raise ValueError(f"term mask {t!r} is not a non-empty subset of the frame")
         _set(self, "masks", _absorb(self.masks))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # the frames are most often one object, and == would not shortcut on that
-        frame = self.frame
-        return self.masks == other.masks and (frame is other.frame or frame == other.frame)
 
     def __hash__(self) -> int:
         return hash(self.masks)
@@ -301,21 +288,6 @@ class Model(Value):
         pairs = len(masks) - len(wide)
         kind = "free" if not minimal else "shafer" if pairs == n * (n - 1) // 2 else "hybrid"
         _set(self, "kind", kind)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        frame = self.frame
-        return (
-            self.masks == other.masks
-            and (frame is other.frame or frame == other.frame)
-            and self.kind == other.kind
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.masks)
 
     @property
     def empty_intersections(self) -> frozenset[frozenset[int]]:

@@ -183,7 +183,7 @@ class Scenario(Value):
         if self.model.frame != self.frame:
             raise ValueError("model belongs to a different frame")
         if not self.queries:
-            raise ValueError("scenario needs at least one query")
+            raise ValueError("queries: scenario needs at least one query")
         for prop in (*self.observations, *self.queries):
             if prop.frame != self.frame:
                 raise ValueError(f"{prop} does not live on the scenario frame")
@@ -202,7 +202,7 @@ class Scenario(Value):
 
     def _check_engines(self) -> None:
         if not self.engines:
-            raise ValueError("scenario selects no engine")
+            raise ValueError("engines: scenario selects no engine")
         for i, engine in enumerate(self.engines):
             if engine not in ENGINES:
                 raise ValueError(f"unknown engine {_brief(repr(engine))}; choose from {ENGINES}")

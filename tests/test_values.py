@@ -185,6 +185,23 @@ def test_value_classes_never_equal_across_classes():
     assert ModusTollensPosteriors(Fraction(1), Fraction(1), ()) != (Fraction(1), Fraction(1), ())
 
 
+def test_values_on_two_equal_frames_are_equal():
+    # every case above shares one F; here the frames are equal but two objects
+    f1, f2 = Frame(("a", "b", "c")), Frame(("a", "b", "c"))
+    assert f1 is not f2 and f1 == f2 and hash(f1) == hash(f2)
+    p1, p2 = Proposition(f1, (1, 6)), Proposition(f2, (1, 6))
+    assert p1 == p2 and not p1 != p2 and hash(p1) == hash(p2)
+    m1, m2 = Model(f1, frozenset({3})), Model(f2, frozenset({3}))
+    assert m1 == m2 and not m1 != m2 and hash(m1) == hash(m2)
+    masses = {(1,): 0.25, (1, 2): 0.75}
+    b1 = BBA(f1, m1, {Proposition(f1, k): m for k, m in masses.items()})
+    b2 = BBA(f2, m2, {Proposition(f2, k): m for k, m in masses.items()})
+    assert b1 == b2 and not b1 != b2
+    assert b1.mass(Proposition(f2, (1, 2))) == 0.75
+    assert b2.mass(Proposition(f1, (1,))) == 0.25
+    assert Proposition(f2, (1, 6)) in {p1: None}
+
+
 def test_model_kind_is_computed_compared_and_read_only():
     model = Model(F, frozenset({3, 5, 6}))
     assert model.kind == "shafer"
