@@ -263,6 +263,11 @@ def pearl_flying_bound(eps1, eps3) -> Fraction:
     e3 = _unit("eps3", eps3)
     if e3 == 1:
         raise ValueError("eps3 = 1 makes the bound's denominator vanish")
+    return _flying_bound(e1, e3)
+
+
+def _flying_bound(e1: Fraction, e3: Fraction) -> Fraction:
+    """ε₁/(1−ε₃) on values already checked, with ε₃ < 1."""
     return e1 / (1 - e3)
 
 
@@ -293,7 +298,7 @@ def indifference_estimates(eps1, eps2, eps3) -> BayesEstimates:
         p_fly=p_fly,
         p_not_fly=p_not_fly,
         additivity_deficit=deficit,
-        bound=pearl_flying_bound(e1, e3),
+        bound=_flying_bound(e1, e3),
         # a negative deficit means the two "probabilities" exceed one
         # together, so it is a range violation just like an estimate > 1
         validity_flags=_range_flags(

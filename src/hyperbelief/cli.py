@@ -10,17 +10,24 @@ Subcommands:
 Exit codes: 0 success, 2 input error, 3 inconsistent system (total conflict),
 4 enumeration limit exceeded.  Inconsistency is a finding, not a fault, so it
 gets its own code instead of a generic failure.
+
+The argv is read by one table, ``_PARSERS``: an entry per subcommand with
+its handler, its positional argument and its long options (dest, choices or
+``int``, default), and one for the top level with ``-h/--help`` and
+``-v/--verbose``.  Options and the positional come in any order; a long
+option may be cut to a unique prefix and given as ``--opt=value``; ``--``
+ends the options, and ``-`` names stdin.  ``--help`` prints a fixed text.  A
+usage error prints a usage block and the reason on stderr, and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import io
 import json
+import re
 import sys
-from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -316,22 +323,23 @@ def _report(scenario: Scenario, fmt: str) -> int:
     return EXIT_OK
 
 
-def _run_fuse(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(_read_input(args.path))
-    if args.engine:
-        engines = ENGINES if args.engine == "all" else (args.engine,)
-        scenario = _checked("", scenario.with_engines, engines)
-    if args.verbose:
+def _run_fuse(args: dict) -> int:
+    scenario = parse_scenario(_read_input(args["path"]))
+    engine = args["engine"]
+    if engine:
+        engines = ENGINES if engine == "all" else (engine,)
+        scenario = _checked(f"--engine {engine}", scenario.with_engines, engines)
+    if args["verbose"]:
         print(
             f"running {', '.join(scenario.engines)} on {len(scenario.rules)} rule(s), "
             f"{len(scenario.observations)} observation(s)",
             file=sys.stderr,
         )
-    return _report(scenario, args.fmt)
+    return _report(scenario, args["fmt"])
 
 
-def _run_compare(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(_read_input(args.path))
+def _run_compare(args: dict) -> int:
+    scenario = parse_scenario(_read_input(args["path"]))
     engines = tuple(
         engine
         for engine in ENGINES
@@ -339,7 +347,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
     if "dst" not in engines:
         print("note: dst skipped (scenario declares no dst_axes)", file=sys.stderr)
-    return _report(_checked("", scenario.with_engines, engines), args.fmt)
+    return _report(_checked("", scenario.with_engines, engines), args["fmt"])
 
 
 def _enumeration_lines(n: int) -> Callable[[Iterable[int]], list[str]]:
@@ -363,12 +371,13 @@ def _enumeration_lines(n: int) -> Callable[[Iterable[int]], list[str]]:
     return lines
 
 
-def _run_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 1:
+def _run_enumerate(args: dict) -> int:
+    n = args["n"]
+    if n < 1:
         raise ScenarioError("--n must be at least 1")
-    _check_enumeration_limit(args.n, args.allow_large, "--allow-large")
-    render = _enumeration_lines(args.n)
-    antichains = _antichains(args.n)
+    _check_enumeration_limit(n, args["allow_large"], "--allow-large")
+    render = _enumeration_lines(n)
+    antichains = _antichains(n)
     count = 0
     while lines := render(islice(antichains, _ENUM_CHUNK)):
         count += len(lines)
@@ -377,7 +386,7 @@ def _run_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_check_logic(args: argparse.Namespace) -> int:
+def _run_check_logic(args: dict) -> int:
     all_hold = True
     for name, text in CLASSICAL_PRINCIPLES.items():
         holds = tautology_check(parse_formula(text))
@@ -388,49 +397,251 @@ def _run_check_logic(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- driver
 
-
-@cache  # one parser per process: parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperbelief",
-        description="Fuse weighted rule bases with Bayesian, Dempster-Shafer, "
-        "and hybrid DSm engines.",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true", help="diagnostics on stderr")
-    commands = parser.add_subparsers(dest="subcommand", required=True)
-
-    fuse = commands.add_parser("fuse", help="run a scenario file ('-' reads stdin)")
-    fuse.add_argument("path")
-    fuse.add_argument("--engine", choices=(*ENGINES, "all"), help="override the scenario's engines")
-    fuse.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="table")
-
-    compare = commands.add_parser("compare", help="run every engine the scenario supports")
-    compare.add_argument("path")
-    compare.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="table")
-
-    enumerate_cmd = commands.add_parser("enumerate", help="print the hyper-power set")
-    enumerate_cmd.add_argument("--n", type=int, required=True, help="number of singletons")
-    enumerate_cmd.add_argument("--allow-large", action="store_true", help="permit n above the default cap")
-
-    commands.add_parser("check-logic", help="verify the classical principles by truth table")
-    return parser
+_HELP = ("-h/--help", "help", "help", None)
+_FORMAT = ("--format", "fmt", ("table", "json", "csv"), "table")
 
 
-_COMMANDS = {
-    "fuse": _run_fuse,
-    "compare": _run_compare,
-    "enumerate": _run_enumerate,
-    "check-logic": _run_check_logic,
+def _options(*specs: tuple) -> dict[str, tuple]:
+    """Each spec under each of its option strings, ``-h`` before ``--help``."""
+    return {string: spec for spec in specs for string in spec[0].split("/")}
+
+
+# The argv table: one entry per subcommand, and the top level under None.
+# An entry is (handler, positional, options, help).  ``positional`` is the
+# dest of the one positional argument; at the top level it names the
+# subcommand, which reads every later string.  ``options`` maps each option
+# string to its spec (name, dest, kind, default): ``kind`` is a tuple of
+# choices, ``int``, None for a flag that stores True, or "help"; a default of
+# ``...`` marks an option that must be given.  ``help`` is the fixed text of
+# ``--help``; its first paragraph is the usage block of a usage error.
+_PARSERS: dict[str | None, tuple] = {
+    None: (
+        None,
+        "subcommand",
+        _options(_HELP, ("-v/--verbose", "verbose", None, False)),
+        """\
+usage: hyperbelief [-h] [-v] {fuse,compare,enumerate,check-logic} ...
+
+Fuse weighted rule bases with Bayesian, Dempster-Shafer, and hybrid DSm
+engines.
+
+positional arguments:
+  {fuse,compare,enumerate,check-logic}
+    fuse                run a scenario file ('-' reads stdin)
+    compare             run every engine the scenario supports
+    enumerate           print the hyper-power set
+    check-logic         verify the classical principles by truth table
+
+options:
+  -h, --help            show this help message and exit
+  -v, --verbose         diagnostics on stderr
+""",
+    ),
+    "fuse": (
+        _run_fuse,
+        "path",
+        _options(_HELP, ("--engine", "engine", (*ENGINES, "all"), None), _FORMAT),
+        """\
+usage: hyperbelief fuse [-h] [--engine {bayes,dst,dsm,all}]
+                        [--format {table,json,csv}]
+                        path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --engine {bayes,dst,dsm,all}
+                        override the scenario's engines
+  --format {table,json,csv}
+""",
+    ),
+    "compare": (
+        _run_compare,
+        "path",
+        _options(_HELP, _FORMAT),
+        """\
+usage: hyperbelief compare [-h] [--format {table,json,csv}] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json,csv}
+""",
+    ),
+    "enumerate": (
+        _run_enumerate,
+        None,
+        _options(_HELP, ("--n", "n", int, ...), ("--allow-large", "allow_large", None, False)),
+        """\
+usage: hyperbelief enumerate [-h] --n N [--allow-large]
+
+options:
+  -h, --help     show this help message and exit
+  --n N          number of singletons
+  --allow-large  permit n above the default cap
+""",
+    ),
+    "check-logic": (
+        _run_check_logic,
+        None,
+        _options(_HELP),
+        """\
+usage: hyperbelief check-logic [-h]
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ),
 }
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # read as a positional, not as an option
+
+
+class _Stop(Exception):
+    """The end of reading argv: ``--help`` (exit 0, text for stdout) or a usage error (exit 2)."""
+
+    def __init__(self, code: int, text: str) -> None:
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _usage_error(command: str | None, message: str) -> _Stop:
+    usage = _PARSERS[command][3].partition("\n\n")[0]
+    prog = "hyperbelief" if command is None else f"hyperbelief {command}"
+    return _Stop(EXIT_INPUT_ERROR, f"{usage}\n{prog}: error: {message}\n")
+
+
+def _read_option(command: str | None, arg: str):
+    """None if ``arg`` is a positional, else (spec, option string, explicit value or None).
+
+    The spec is None for an option the table does not know.  A long option
+    may be cut to a unique prefix, and any option may carry ``=value``; a
+    short one may carry more short flags, as in ``-vv``.
+    """
+    options = _PARSERS[command][2]
+    if arg[:1] != "-":
+        return None
+    if arg in options:
+        return options[arg], arg, None
+    if arg == "-":
+        return None
+    string, eq, explicit = arg.partition("=")
+    if eq and string in options:
+        return options[string], string, explicit
+    if arg[1] == "-":
+        found = [(option, explicit if eq else None) for option in options if option.startswith(string)]
+    else:
+        found = [(arg[:2], arg[2:])] if arg[:2] in options else []
+    if len(found) > 1:
+        matches = ", ".join(option for option, _ in found)
+        raise _usage_error(command, f"ambiguous option: {arg} could match {matches}")
+    if found:
+        option, explicit = found[0]
+        return options[option], option, explicit
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _read_options(command: str | None, argv: list[str]) -> tuple[list, int]:
+    """``_read_option`` of each string, and the index of the first ``--``, after which all are positionals."""
+    ends = argv.index("--") if "--" in argv else len(argv)
+    return [_read_option(command, arg) for arg in argv[:ends]] + [None] * (len(argv) - ends), ends
+
+
+def _take_option(command: str | None, argv: list[str], reads: list, i: int, args: dict, extras: list) -> int:
+    """Store the option at ``argv[i]`` and its value in ``args``; return the index after them."""
+    spec, string, explicit = reads[i]
+    if spec is None:
+        extras.append(argv[i])
+        return i + 1
+    options = _PARSERS[command][2]
+    taken = []  # (spec, value or None): -vh is -v then -h
+    while explicit is not None and spec[2] in (None, "help"):
+        if string[1] == "-" or not explicit or "-" + explicit[0] not in options:
+            raise _usage_error(command, f"argument {spec[0]}: ignored explicit argument {explicit!r}")
+        taken.append((spec, None))
+        string = "-" + explicit[0]
+        spec, explicit = options[string], explicit[1:] or None
+    stop = i + 1
+    if explicit is None and spec[2] not in (None, "help"):  # the value is the next string
+        if stop == len(argv) or reads[stop] is not None or argv[stop] == "--":
+            raise _usage_error(command, f"argument {spec[0]}: expected one argument")
+        explicit, stop = argv[stop], stop + 1
+    taken.append((spec, explicit))
+    for (name, dest, kind, _), value in taken:
+        if kind == "help":
+            raise _Stop(EXIT_OK, _PARSERS[command][3])
+        if kind is None:
+            value = True
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _usage_error(command, f"argument {name}: invalid int value: {value!r}") from None
+        elif value not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _usage_error(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        args[dest] = value
+    return stop
+
+
+def _read_argv(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and its arguments, read by the argv table; raises _Stop instead."""
+    args = {"verbose": False}
+    extras: list[str] = []
+    reads, _ = _read_options(None, argv)
+    i = 0
+    while i < len(argv) and reads[i] is not None:
+        i = _take_option(None, argv, reads, i, args, extras)
+    name = _PARSERS[None][1]
+    if argv[i:] in ([], ["--"]):
+        raise _usage_error(None, f"the following arguments are required: {name}")
+    command = argv[i]
+    if command not in _PARSERS:
+        choices = ", ".join(repr(known) for known in _PARSERS if known is not None)
+        raise _usage_error(None, f"argument {name}: invalid choice: {command!r} (choose from {choices})")
+    _, positional, options, _ = _PARSERS[command]
+    for _, dest, kind, default in options.values():
+        if kind != "help":
+            args[dest] = None if default is ... else default
+    if positional:
+        args[positional] = None
+    argv = argv[i + 1 :]
+    reads, ends = _read_options(command, argv)
+    i = 0
+    while i < len(argv):
+        if reads[i] is not None:
+            i = _take_option(command, argv, reads, i, args, extras)
+            continue
+        at = i + (i == ends)  # a "--" before the positional is taken with it
+        if positional and args[positional] is None and at < len(argv):
+            args[positional] = argv[at]
+            i = at + 1 + (at + 1 == ends)  # and so is a "--" straight after it
+        else:
+            extras.append(argv[i])
+            i += 1
+    missing = [positional] if positional and args[positional] is None else []
+    missing += [name for name, dest, _, default in options.values() if default is ... and args[dest] is None]
+    if missing:
+        raise _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return command, args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        command, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        (sys.stdout if stop.code == EXIT_OK else sys.stderr).write(stop.text)
+        return stop.code
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _PARSERS[command][0](args)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

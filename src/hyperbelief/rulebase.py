@@ -205,12 +205,12 @@ class Scenario(Value):
             raise ValueError("engines: scenario selects no engine")
         for i, engine in enumerate(self.engines):
             if engine not in ENGINES:
-                raise ValueError(f"unknown engine {_brief(repr(engine))}; choose from {ENGINES}")
+                raise ValueError(f"engines[{i}]: unknown engine {_brief(repr(engine))}; choose from {ENGINES}")
             if engine in self.engines[:i]:
                 raise ValueError(f"engines: {engine!r} is given twice")
         if "dst" in self.engines:
             if self.dst_axes is None:
-                raise ValueError("the dst engine needs a dst_axes declaration")
+                raise ValueError("missing required field dst_axes, which the dst engine needs")
             unmapped = sorted(
                 name
                 for name in self.used_singletons()

@@ -9,11 +9,14 @@ propositions are equal under a model iff they cover the same surviving
 regions, so region sets double as comparison keys for fused outputs.
 """
 
+import argparse
 from collections import defaultdict
+from functools import cache
 from itertools import chain, combinations, product
 from math import fsum
 
 from hyperbelief import Frame
+from hyperbelief.rulebase import ENGINES
 
 
 def all_regions(n):
@@ -295,3 +298,31 @@ def report_tree(report):
         }
 
     return {"results": [result(r) for r in report.results]}
+
+
+@cache  # one parser per process: parse_args leaves it unchanged
+def build_parser() -> argparse.ArgumentParser:
+    """The command line as argparse reads it: the reference for ``cli``'s argv table."""
+    parser = argparse.ArgumentParser(
+        prog="hyperbelief",
+        description="Fuse weighted rule bases with Bayesian, Dempster-Shafer, "
+        "and hybrid DSm engines.",
+    )
+    parser.add_argument("-v", "--verbose", action="store_true", help="diagnostics on stderr")
+    commands = parser.add_subparsers(dest="subcommand", required=True)
+
+    fuse = commands.add_parser("fuse", help="run a scenario file ('-' reads stdin)")
+    fuse.add_argument("path")
+    fuse.add_argument("--engine", choices=(*ENGINES, "all"), help="override the scenario's engines")
+    fuse.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="table")
+
+    compare = commands.add_parser("compare", help="run every engine the scenario supports")
+    compare.add_argument("path")
+    compare.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="table")
+
+    enumerate_cmd = commands.add_parser("enumerate", help="print the hyper-power set")
+    enumerate_cmd.add_argument("--n", type=int, required=True, help="number of singletons")
+    enumerate_cmd.add_argument("--allow-large", action="store_true", help="permit n above the default cap")
+
+    commands.add_parser("check-logic", help="verify the classical principles by truth table")
+    return parser

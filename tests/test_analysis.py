@@ -125,12 +125,14 @@ def test_bound_examples():
 
 
 def test_bound_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps3 = 1 makes the bound's denominator vanish$"):
         pearl_flying_bound(0.05, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps1 must lie in \[0, 1\], got -0\.1$"):
         pearl_flying_bound(-0.1, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps1 must lie in \[0, 1\], got 1\.1$"):
         pearl_flying_bound(1.1, 0.5)
+    with pytest.raises(ValueError, match=r"^eps3 must lie in \[0, 1\], got 2$"):
+        pearl_flying_bound(0.5, 2)
 
 
 # ------------------------------------------------------------ chain-rule side
@@ -159,10 +161,12 @@ def test_estimates_flag_out_of_range_values():
 
 
 def test_estimates_reject_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps3 = 1 makes the estimates' denominator vanish$"):
         indifference_estimates(0.1, 0.1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps1 must lie in \[0, 1\], got 1\.5$"):
         indifference_estimates(1.5, 0.1, 0.1)
+    with pytest.raises(ValueError, match=r"^eps3 must lie in \[0, 1\], got -1$"):
+        indifference_estimates(0.1, 0.1, -1)
 
 
 unit_floats = st.floats(0, 1, allow_nan=False, allow_infinity=False)

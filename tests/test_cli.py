@@ -4,14 +4,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
 import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperbelief import AtomFrame, BBA, Frame, Proposition, enumerate_hyper_power_set
@@ -22,8 +26,9 @@ from hyperbelief.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     ScenarioError,
-    _build_parser,
+    _Stop,
     _enumeration_lines,
+    _read_argv,
     emit_report,
     main,
     parse_scenario,
@@ -80,8 +85,8 @@ def test_engines_default_to_dsm():
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "rules": [{"if": [["a"]], "then": [["b"]], "weight": 1.2}]}', "rules[0]: "),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "constraints": [["a", "z"]]}', "constraints[0][1]: "),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "constraints": [["a"]]}', "constraints: "),
-        ('{"frame": ["a", "b"], "queries": [[["a"]]], "engines": ["magic"]}', "unknown engine"),
-        ('{"frame": ["a", "b"], "queries": [[["a"]]], "engines": ["dst"]}', "the dst engine needs a dst_axes declaration"),
+        ('{"frame": ["a", "b"], "queries": [[["a"]]], "engines": ["magic"]}', "engines[0]: unknown engine 'magic'; choose from ('bayes', 'dst', 'dsm')"),
+        ('{"frame": ["a", "b"], "queries": [[["a"]]], "engines": ["dst"]}', "missing required field dst_axes, which the dst engine needs"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "dst_axes": {"axes": [["x", "y"]]}}', "missing required field dst_axes.map"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "dst_axes": {"axes": [["x", "y"]], "map": {"a": [0]}}}', "dst_axes.map['a'] must be [axis, value]"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "dst_axes": {"axes": [["x∩y", "x"], ["z", "y∩z"]], "map": {}}}', "dst_axes: "),
@@ -211,7 +216,7 @@ def cut(text: str) -> str:
             f"frame[0] must not contain ∩ or ∪, got {cut(repr(LONG + '∩'))}\n",
             id="long-frame-name",
         ),
-        pytest.param(tp2_with(("engines", 0), LONG), f"unknown engine {cut(repr(LONG))};", id="long-engine"),
+        pytest.param(tp2_with(("engines", 0), LONG), f"engines[0]: unknown engine {cut(repr(LONG))};", id="long-engine"),
         pytest.param(tp2_with((LONG,), 1), f"unknown field {cut(LONG)}\n", id="long-field"),
         pytest.param(
             tp2_with(("dst_axes", "map", LONG), [0]),
@@ -454,15 +459,16 @@ def test_engine_override(capsys):
     assert all(line.startswith("dsm,") for line in lines[1:])
 
 
-def test_engine_all_requires_axes(capsys, monkeypatch):
-    import io
-
+@pytest.mark.parametrize("engine", ["all", "dst"])
+def test_engine_override_names_the_flag_and_the_missing_field(engine):
     blob = json.loads(TP2_TEXT)
     del blob["dst_axes"]
     blob["engines"] = ["dsm"]
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
-    assert main(["fuse", "-", "--engine", "all"]) == EXIT_INPUT_ERROR
-    assert "dst_axes" in capsys.readouterr().err
+    assert run_main(["fuse", "-", "--engine", engine], json.dumps(blob)) == (
+        EXIT_INPUT_ERROR,
+        "",
+        f"error: --engine {engine}: missing required field dst_axes, which the dst engine needs\n",
+    )
 
 
 def test_total_conflict_exits_three(capsys, monkeypatch):
@@ -754,18 +760,267 @@ def test_unknown_keys_exit_two(capsys, monkeypatch, owner, field):
     assert f"unknown field {field}" in capsys.readouterr().err
 
 
-def test_one_parser_serves_every_call(capsys):
+def test_repeated_calls_read_argv_alike(capsys):
     def call(*argv):
         code = main(list(argv))
         out, err = capsys.readouterr()
         return code, out, err
 
-    _build_parser.cache_clear()
     fresh = call("fuse", str(TP2_PATH))
     usage = call("fuse")
-    assert usage[0] == EXIT_INPUT_ERROR and "usage:" in usage[2]
+    assert usage[:2] == (EXIT_INPUT_ERROR, "") and usage[2].startswith("usage:")
     helped = call("--help")
-    assert helped[0] == EXIT_OK and "usage:" in helped[1]
+    assert (helped[0], helped[2]) == (EXIT_OK, "") and helped[1].startswith("usage:")
     assert call("fuse", str(TP2_PATH)) == fresh
     assert [call("fuse"), call("--help")] == [usage, helped]
-    assert _build_parser.cache_info().misses == 1
+
+
+def test_the_command_line_loads_no_argparse():
+    """Every run is a fresh process, so none of argparse, gettext and locale may load.
+
+    ``-S`` keeps site hooks from loading modules of their own.
+    """
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from hyperbelief.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['fuse', {str(TP2_PATH)!r}]), main(['enumerate', '--n', '3']),"
+        " main(['check-logic']), main(['--help'])]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(TP2_PATH.parent.parent / "src")}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0, 0, 0] []\n"
+
+
+# ---------------------------------------------------------------------- argv
+
+_COMMANDS = ("fuse", "compare", "enumerate", "check-logic")
+# subcommands, a bogus one, top-level flags, whole and cut options, "=" forms, "--", "-" and values
+_ARGV_WORDS = (
+    *_COMMANDS, "bogus", "",
+    "-v", "-vv", "-vh", "--verb", "--verbose=1", "-h", "--help", "--he",
+    "--engine", "--eng", "--engine=dst", "--format", "--form", "--f", "--format=json", "--form=csv",
+    "--n", "--n=5", "--n=x", "--allow-large", "--allow", "--allow-large=1", "--bogus",
+    "--", "-", "table", "json", "csv", "dsm", "all", "magic", "5", "05", " 5", "-1", "x",
+)
+
+
+def read_argv(argv: list[str]) -> tuple[int, dict | None, str, str]:
+    """(exit code, parsed values or None, stdout, stderr) of the argv table."""
+    try:
+        command, args = _read_argv(list(argv))
+    except _Stop as stop:
+        out, err = (stop.text, "") if stop.code == EXIT_OK else ("", stop.text)
+        return stop.code, None, out, err
+    return EXIT_OK, {"subcommand": command, **args}, "", ""
+
+
+def read_argv_by_argparse(argv: list[str]) -> tuple[int, dict | None, str, str]:
+    """``read_argv`` by the argparse parser in ``oracle``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = oracle.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+    return EXIT_OK, vars(namespace), "", ""
+
+
+def argparse_releases_agree(argv: list[str]) -> bool:
+    """Whether argparse reads ``argv`` alike on every Python the CI runs.
+
+    argparse 3.13 drops a "--" before the subcommand, which 3.11 reads as the
+    subcommand's name (pinned in ``test_argv_forms_argparse_reads_differently``),
+    and releases after 3.11 changed how "--" reads elsewhere, so only 3.11
+    compares argv holding one.
+    """
+    if "--" not in argv:
+        return True
+    head = argv[: next((i for i, word in enumerate(argv) if word in _COMMANDS), len(argv))]
+    return sys.version_info[:2] == (3, 11) and "--" not in head
+
+
+def assert_read_as_argparse_did(argv: list[str]) -> None:
+    code, values, out, err = read_argv(argv)
+    want = read_argv_by_argparse(argv)
+    assert (code, values) == want[:2], argv
+    # the usage block is on stdout for --help and on stderr for a usage error
+    assert ("usage:" in out, "usage:" in err) == ("usage:" in want[2], "usage:" in want[3]), argv
+    if sys.version_info[:2] == (3, 11):  # the fixed texts are what argparse prints there at 80 columns
+        assert (out, err) == want[2:], argv
+
+
+def test_argv_table_reads_every_short_argv_as_argparse_did():
+    """Every argv of up to two words, and every subcommand followed by up to two."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for size in range(3):
+            for words in product(_ARGV_WORDS, repeat=size):
+                for argv in ([*words], *([command, *words] for command in _COMMANDS)):
+                    if argparse_releases_agree(argv):
+                        assert_read_as_argparse_did(argv)
+
+
+@settings(max_examples=500)
+@given(
+    head=st.lists(st.sampled_from(_ARGV_WORDS), max_size=2),
+    command=st.sampled_from(_COMMANDS),
+    tail=st.lists(st.sampled_from(_ARGV_WORDS), max_size=6),
+)
+def test_argv_table_reads_argv_as_argparse_did(head, command, tail):
+    argv = [*head, command, *tail]
+    assume(argparse_releases_agree(argv))
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert_read_as_argparse_did(argv)
+
+
+_TOP_USAGE = "usage: hyperbelief [-h] [-v] {fuse,compare,enumerate,check-logic} ...\n"
+_FUSE_USAGE = """\
+usage: hyperbelief fuse [-h] [--engine {bayes,dst,dsm,all}]
+                        [--format {table,json,csv}]
+                        path
+"""
+_ENUMERATE_USAGE = "usage: hyperbelief enumerate [-h] --n N [--allow-large]\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "text"),
+    [
+        (
+            ["--help"],
+            _TOP_USAGE
+            + """
+Fuse weighted rule bases with Bayesian, Dempster-Shafer, and hybrid DSm
+engines.
+
+positional arguments:
+  {fuse,compare,enumerate,check-logic}
+    fuse                run a scenario file ('-' reads stdin)
+    compare             run every engine the scenario supports
+    enumerate           print the hyper-power set
+    check-logic         verify the classical principles by truth table
+
+options:
+  -h, --help            show this help message and exit
+  -v, --verbose         diagnostics on stderr
+""",
+        ),
+        (
+            ["fuse", "-h"],
+            _FUSE_USAGE
+            + """
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --engine {bayes,dst,dsm,all}
+                        override the scenario's engines
+  --format {table,json,csv}
+""",
+        ),
+        (
+            ["compare", "--he"],
+            """\
+usage: hyperbelief compare [-h] [--format {table,json,csv}] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json,csv}
+""",
+        ),
+        (
+            ["enumerate", "--help"],
+            _ENUMERATE_USAGE
+            + """
+options:
+  -h, --help     show this help message and exit
+  --n N          number of singletons
+  --allow-large  permit n above the default cap
+""",
+        ),
+        (
+            ["check-logic", "-h"],
+            """\
+usage: hyperbelief check-logic [-h]
+
+options:
+  -h, --help  show this help message and exit
+""",
+        ),
+    ],
+)
+def test_help_texts_are_pinned(argv, text):
+    assert run_main(argv, "") == (EXIT_OK, text, "")
+
+
+@pytest.mark.parametrize(
+    ("argv", "err"),
+    [
+        ([], _TOP_USAGE + "hyperbelief: error: the following arguments are required: subcommand\n"),
+        (
+            ["fuze", "x"],
+            _TOP_USAGE + "hyperbelief: error: argument subcommand: invalid choice: 'fuze' "
+            "(choose from 'fuse', 'compare', 'enumerate', 'check-logic')\n",
+        ),
+        (["fuse"], _FUSE_USAGE + "hyperbelief fuse: error: the following arguments are required: path\n"),
+        (
+            ["enumerate", "--allow-large"],
+            _ENUMERATE_USAGE + "hyperbelief enumerate: error: the following arguments are required: --n\n",
+        ),
+        (
+            ["fuse", "x", "--eng", "magic"],
+            _FUSE_USAGE + "hyperbelief fuse: error: argument --engine: invalid choice: 'magic' "
+            "(choose from 'bayes', 'dst', 'dsm', 'all')\n",
+        ),
+        (["fuse", "x", "--format"], _FUSE_USAGE + "hyperbelief fuse: error: argument --format: expected one argument\n"),
+        (["enumerate", "--n=x"], _ENUMERATE_USAGE + "hyperbelief enumerate: error: argument --n: invalid int value: 'x'\n"),
+        (["fuse", "-v", "x", "y"], _TOP_USAGE + "hyperbelief: error: unrecognized arguments: -v y\n"),
+        (
+            ["--verbose=1", "check-logic"],
+            _TOP_USAGE + "hyperbelief: error: argument -v/--verbose: ignored explicit argument '1'\n",
+        ),
+        (
+            ["-v=", "check-logic"],
+            _TOP_USAGE + "hyperbelief: error: argument -v/--verbose: ignored explicit argument ''\n",
+        ),
+    ],
+)
+def test_usage_errors_are_pinned(argv, err):
+    assert run_main(argv, "") == (EXIT_INPUT_ERROR, "", err)
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        # argparse 3.13 drops this "--"; 3.11 reads it as the subcommand's name
+        (["--", "fuse", "x"], "argument subcommand: invalid choice: '--' (choose from "),
+        # argparse 3.11 drops a "--" value and stores [], so the command crashed
+        (["fuse", "--format=--", "x"], "argument --format: invalid choice: '--' (choose from "),
+        (["enumerate", "--n=--"], "argument --n: invalid int value: '--'\n"),
+    ],
+)
+def test_argv_forms_argparse_reads_differently(argv, message):
+    code, out, err = run_main(argv, "")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.partition(": error: ")[2].startswith(message)
+
+
+def test_argv_forms_give_one_report():
+    argvs = [
+        ["fuse", "-", "--format", "csv"],
+        ["fuse", "--format=csv", "-"],
+        ["fuse", "--form", "csv", "--", "-"],
+        ["-vv", "fuse", "--f=csv", "-", "--engine", "all"],
+    ]
+    runs = [run_main(argv, TP2_TEXT) for argv in argvs]
+    assert runs[0][1].startswith("engine,query,bel,pl,note\n")
+    assert {run[:2] for run in runs} == {runs[0][:2]}
+    assert runs[3][2] == "running bayes, dst, dsm on 3 rule(s), 1 observation(s)\n"
