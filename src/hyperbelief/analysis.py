@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
 
-from ._value import Value, _set
+from ._value import Value
 
 MAX_FORMULA_VARIABLES = 6
 
@@ -44,9 +44,6 @@ class Formula(Value):
 class Var(Formula):
     _fields = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-
     def evaluate(self, env):
         return bool(env[self.name])
 
@@ -59,9 +56,6 @@ class Var(Formula):
 
 class Not(Formula):
     _fields = ("operand",)
-
-    def __init__(self, operand: Formula) -> None:
-        _set(self, "operand", operand)
 
     def evaluate(self, env):
         return not self.operand.evaluate(env)
@@ -79,10 +73,6 @@ class _Connective(Formula):
 
     _fields = ("left", "right")
     groups_right = False
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
 
     def evaluate(self, env):
         return self.truth(self.left.evaluate(env), self.right.evaluate(env))
@@ -238,20 +228,6 @@ class BayesEstimates(Value):
 
     _fields = ("p_fly", "p_not_fly", "additivity_deficit", "bound", "validity_flags")
 
-    def __init__(
-        self,
-        p_fly: Fraction,
-        p_not_fly: Fraction,
-        additivity_deficit: Fraction,
-        bound: Fraction,
-        validity_flags: tuple[str, ...],
-    ) -> None:
-        _set(self, "p_fly", p_fly)
-        _set(self, "p_not_fly", p_not_fly)
-        _set(self, "additivity_deficit", additivity_deficit)
-        _set(self, "bound", bound)
-        _set(self, "validity_flags", validity_flags)
-
 
 def pearl_flying_bound(eps1, eps3) -> Fraction:
     """Upper bound ε₁/(1−ε₃) on the first conclusion's conditional probability.
@@ -316,13 +292,6 @@ class ModusTollensPosteriors(Value):
     """
 
     _fields = ("not_a_given_not_b", "not_a_given_b", "validity_flags")
-
-    def __init__(
-        self, not_a_given_not_b: Fraction, not_a_given_b: Fraction, validity_flags: tuple[str, ...]
-    ) -> None:
-        _set(self, "not_a_given_not_b", not_a_given_not_b)
-        _set(self, "not_a_given_b", not_a_given_b)
-        _set(self, "validity_flags", validity_flags)
 
     @property
     def pair(self) -> tuple[Fraction, Fraction]:

@@ -104,12 +104,6 @@ class BBA(Value):
 
     _fields = ("frame", "model", "masses")
 
-    def __init__(self, frame: Frame, model: Model, masses: Mapping[Proposition, float]) -> None:
-        _set(self, "frame", frame)
-        _set(self, "model", model)
-        _set(self, "masses", masses)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.model.frame != self.frame:
             raise ValueError("model belongs to a different frame")
@@ -158,13 +152,6 @@ class CombinationReport(Value):
     """
 
     _fields = ("result", "conflict_mass", "normalization_constant")
-
-    def __init__(
-        self, result: BBA, conflict_mass: float, normalization_constant: float | None
-    ) -> None:
-        _set(self, "result", result)
-        _set(self, "conflict_mass", conflict_mass)
-        _set(self, "normalization_constant", normalization_constant)
 
 
 def vacuous(frame: Frame, model: Model) -> BBA:

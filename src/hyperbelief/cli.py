@@ -8,8 +8,9 @@ Subcommands:
 * ``check-logic``      — re-verify the classical principles by truth table.
 
 Exit codes: 0 success, 2 input error, 3 inconsistent system (total conflict),
-4 enumeration limit exceeded.  Inconsistency is a finding, not a fault, so it
-gets its own code instead of a generic failure.
+4 size limit exceeded: an enumeration above its cap, or a dst frame of more
+atoms than ``lattice.ATOM_LIMIT``.  Inconsistency is a finding, not a fault,
+so it gets its own code instead of a generic failure.
 
 The argv is read by one table, ``_PARSERS``: an entry per subcommand with
 its handler, its positional argument and its long options (dest, choices or

@@ -30,11 +30,15 @@ from ._value import Value, _set
 
 
 class EnumerationLimitError(ValueError):
-    """Raised when a hyper-power-set enumeration exceeds the size cap."""
+    """Raised when work is refused for its size: a hyper-power-set
+    enumeration above its cap, or a dst atom frame of more than ATOM_LIMIT atoms."""
 
 
 DEFAULT_ENUMERATION_LIMIT = 5
 HARD_ENUMERATION_LIMIT = 6
+# atoms of the largest frame the dst engine refines onto: 2^19 atoms take
+# seconds to fuse and print, and 2^21 more than a minute
+ATOM_LIMIT = 1 << 19
 _ECHO_LIMIT = 200  # characters of an input's text that an error message repeats
 
 
@@ -143,11 +147,6 @@ class Proposition(Value):
     """
 
     _fields = ("frame", "masks")
-
-    def __init__(self, frame: Frame, masks: tuple[int, ...]) -> None:
-        _set(self, "frame", frame)
-        _set(self, "masks", masks)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         full = 1 << len(self.frame)
@@ -519,6 +518,7 @@ class AtomFrame(Value):
         In mixed-radix order an axis's value holds one run of ``stride``
         atoms in every ``period`` atoms, so each mask is one run repeated.
         """
+        _check_atom_limit(self)
         count = self.atom_count
         masks = []
         stride = count
@@ -539,6 +539,15 @@ class AtomFrame(Value):
     def atom_name(self, index: int) -> str:
         values = self.atom_values(index)
         return "∩".join(axis[v] for axis, v in zip(self.axes, values))
+
+
+def _check_atom_limit(atom_frame: AtomFrame) -> None:
+    """Refuse an atom frame above ATOM_LIMIT atoms, before any atom mask is built."""
+    count = atom_frame.atom_count
+    if count > ATOM_LIMIT:
+        raise EnumerationLimitError(
+            f"dst_axes: the axes span {count} atoms, more than the limit of {ATOM_LIMIT}"
+        )
 
 
 def _atom_mask(

@@ -37,7 +37,7 @@ from math import fsum
 from typing import Mapping, Sequence
 
 from ._value import Value, _set
-from .analysis import BayesEstimates, indifference_estimates
+from .analysis import indifference_estimates
 from .belief import (
     BBA,
     Masks,
@@ -57,6 +57,7 @@ from .lattice import (
     _absorb,
     _atom_mask,
     _brief,
+    _check_atom_limit,
     _members,
     _reduce_masks,
     conjoin,
@@ -72,16 +73,13 @@ class WeightedRule(Value):
 
     _fields = ("antecedent", "consequent", "weight")
 
-    def __init__(self, antecedent: Proposition, consequent: Proposition, weight: float) -> None:
-        if antecedent.frame != consequent.frame:
+    def __post_init__(self) -> None:
+        if self.antecedent.frame != self.consequent.frame:
             raise ValueError("rule antecedent and consequent use different frames")
-        if antecedent.is_empty:
+        if self.antecedent.is_empty:
             raise ValueError("rule antecedent must not be empty")
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"rule weight {weight!r} outside [0, 1]")
-        _set(self, "antecedent", antecedent)
-        _set(self, "consequent", consequent)
-        _set(self, "weight", weight)
+        if not 0.0 <= self.weight <= 1.0:
+            raise ValueError(f"rule weight {self.weight!r} outside [0, 1]")
 
     def __str__(self) -> str:
         return f"if {self.antecedent} then {self.consequent} (w={self.weight:g})"
@@ -162,24 +160,9 @@ class Scenario(Value):
     """One fusion problem: frame, constraints, rules, evidence, questions."""
 
     _fields = ("frame", "model", "rules", "observations", "queries", "engines", "dst_axes")
+    _defaults = {"engines": ("dsm",), "dst_axes": None}
 
-    def __init__(
-        self,
-        frame: Frame,
-        model: Model,
-        rules: tuple[WeightedRule, ...],
-        observations: tuple[Proposition, ...],
-        queries: tuple[Proposition, ...],
-        engines: tuple[str, ...] = ("dsm",),
-        dst_axes: DstAxes | None = None,
-    ) -> None:
-        _set(self, "frame", frame)
-        _set(self, "model", model)
-        _set(self, "rules", rules)
-        _set(self, "observations", observations)
-        _set(self, "queries", queries)
-        _set(self, "engines", engines)
-        _set(self, "dst_axes", dst_axes)
+    def __post_init__(self) -> None:
         if self.model.frame != self.frame:
             raise ValueError("model belongs to a different frame")
         if not self.queries:
@@ -257,20 +240,7 @@ class QueryResult(Value):
     the chain-rule engine, with a free-text note when neither applies."""
 
     _fields = ("query", "bel", "pl", "estimate", "note")
-
-    def __init__(
-        self,
-        query: Proposition,
-        bel: float | None = None,
-        pl: float | None = None,
-        estimate: float | None = None,
-        note: str = "",
-    ) -> None:
-        _set(self, "query", query)
-        _set(self, "bel", bel)
-        _set(self, "pl", pl)
-        _set(self, "estimate", estimate)
-        _set(self, "note", note)
+    _defaults = {"bel": None, "pl": None, "estimate": None, "note": ""}
 
 
 class AtomMasses(Value):
@@ -283,52 +253,31 @@ class AtomMasses(Value):
 
     _fields = ("axes", "masses")
 
-    def __init__(self, axes: AtomFrame, masses: Mapping[int, float]) -> None:
-        _set(self, "axes", axes)
-        _set(self, "masses", masses)
-
 
 class EngineResult(Value):
     _fields = (
         "engine",
-        "status",
+        "status",  # "ok" | "inconsistent" | "not_applicable"
         "queries",
-        "fused",
+        "fused",  # a BBA for dsm, atom masks for dst
         "conflict_mass",
         "stage_conflicts",
         "normalization_constant",
         "flags",
         "estimates",
     )
-
-    def __init__(
-        self,
-        engine: str,
-        status: str,  # "ok" | "inconsistent" | "not_applicable"
-        queries: tuple[QueryResult, ...],
-        fused: BBA | AtomMasses | None = None,  # a BBA for dsm, atom masks for dst
-        conflict_mass: float | None = None,
-        stage_conflicts: tuple[float, ...] = (),
-        normalization_constant: float | None = None,
-        flags: tuple[str, ...] = (),
-        estimates: BayesEstimates | None = None,
-    ) -> None:
-        _set(self, "engine", engine)
-        _set(self, "status", status)
-        _set(self, "queries", queries)
-        _set(self, "fused", fused)
-        _set(self, "conflict_mass", conflict_mass)
-        _set(self, "stage_conflicts", stage_conflicts)
-        _set(self, "normalization_constant", normalization_constant)
-        _set(self, "flags", flags)
-        _set(self, "estimates", estimates)
+    _defaults = {
+        "fused": None,
+        "conflict_mass": None,
+        "stage_conflicts": (),
+        "normalization_constant": None,
+        "flags": (),
+        "estimates": None,
+    }
 
 
 class FusionReport(Value):
     _fields = ("results",)
-
-    def __init__(self, results: tuple[EngineResult, ...]) -> None:
-        _set(self, "results", results)
 
     def engine(self, name: str) -> EngineResult:
         for result in self.results:
@@ -388,6 +337,7 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
 def _run_dst(scenario: Scenario) -> EngineResult:
     axes = scenario.dst_axes
     names = scenario.frame.names
+    _check_atom_limit(axes.axes)  # the vacuous state below is a mask of every atom
 
     def atoms(masks: Masks) -> int:
         return _atom_mask(names, masks, axes.axes, axes.literal_map)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
@@ -707,6 +708,26 @@ def test_wide_dst_output_bytes_are_pinned(capsys, tmp_path):
         2973,
         "d27f08a90013cd2bc80a6732b4e70fff0083c4600c90222ba0378cfffbf42390",
     )
+
+
+def test_dst_frame_past_the_atom_limit_exits_four(capsys, tmp_path):
+    # 2^43 atoms: building one atom mask would exhaust memory
+    blob = json.loads(TP2_TEXT)
+    blob["dst_axes"]["axes"] += [[f"x{i}", f"y{i}"] for i in range(40)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["fuse", str(path)]) == EXIT_LIMIT
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dst_axes: the axes span 8796093022208 atoms, more than the limit of 524288\n"
+    assert main(["fuse", str(path), "--engine", "dsm"]) == EXIT_OK  # only the dst engine builds atoms
+    capsys.readouterr()
+    blob["rules"], blob["observations"] = [], []  # the vacuous state is the first mask built
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["fuse", str(path), "--engine", "dst"]) == EXIT_LIMIT
+    assert capsys.readouterr().err.startswith("error: dst_axes: the axes span 8796093022208 atoms")
 
 
 def test_enumerate_limits(capsys):

@@ -22,7 +22,7 @@ from hyperbelief import (
     total_ignorance,
     u_of,
 )
-from hyperbelief.lattice import _antichains, _rank_tables, _term_order
+from hyperbelief.lattice import ATOM_LIMIT, _antichains, _check_atom_limit, _rank_tables, _term_order
 
 import oracle
 from strategies import frames, modeled_props, propositions, single_term_props
@@ -278,6 +278,22 @@ def test_enumeration_limits():
         enumerate_hyper_power_set(Frame(tuple("abcdef")))
     with pytest.raises(EnumerationLimitError):
         enumerate_hyper_power_set(Frame(tuple("abcdefg")), allow_large=True)
+
+
+def test_atom_frame_limit_is_checked_without_fusing():
+    def binary(k):
+        return AtomFrame(tuple((f"x{i}", f"y{i}") for i in range(k)))
+
+    assert binary(19).atom_count == ATOM_LIMIT == 1 << 19
+    _check_atom_limit(binary(19))
+    wide = binary(20)
+    message = r"^dst_axes: the axes span 1048576 atoms, more than the limit of 524288$"
+    with pytest.raises(EnumerationLimitError, match=message):
+        _check_atom_limit(wide)
+    with pytest.raises(EnumerationLimitError):
+        wide._value_masks  # no mask is built for a frame past the limit
+    with pytest.raises(EnumerationLimitError):
+        refine_to_atoms(Frame(("x0",)).singleton("x0"), wide, {"x0": (0, 0)})
 
 
 # --- model reduction and order ----------------------------------------------

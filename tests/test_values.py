@@ -2,10 +2,13 @@
 by keyword and with defaults, equality and hashing by value, read-only fields
 and the repr text."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import hyperbelief
 from hyperbelief import (
     BBA,
     AtomFrame,
@@ -23,6 +26,7 @@ from hyperbelief import (
     Scenario,
     WeightedRule,
 )
+from hyperbelief._value import Value
 from hyperbelief.analysis import And, Implies, Not, Or, Var
 
 F = Frame(("a", "b", "c"))
@@ -173,6 +177,49 @@ def test_value_semantics(case):
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is before
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_constructor_refuses_bad_arguments(case):
+    cls, names, args, defaults, _, _ = CASES[case]
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*args, args[-1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*args, bogus=1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(bogus=args[0], **dict(zip(names[1:], args[1:])))  # in place of the first field
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(*args, **{names[0]: args[0]})
+    required = len(args) - len(defaults)
+    with pytest.raises(TypeError, match=f"missing .*'{names[required - 1]}'"):
+        cls(*args[: required - 1])
+    with pytest.raises(TypeError, match=f"missing .*'{names[0]}'"):
+        cls(**dict(zip(names[1:], args[1:])))
+
+
+def test_checks_run_under_keyword_construction():
+    with pytest.raises(ValueError, match=r"^rule weight 2.0 outside \[0, 1\]$"):
+        WeightedRule(antecedent=A, consequent=B, weight=2.0)
+    with pytest.raises(ValueError, match="^queries: scenario needs at least one query$"):
+        Scenario(frame=F, model=FREE, rules=(RULE,), observations=(A,), queries=())
+    with pytest.raises(ValueError, match="^term mask 8 is not a non-empty subset of the frame$"):
+        Proposition(frame=F, masks=(8,))
+    assert Proposition(masks=(3, 1), frame=F).masks == (1,)  # absorbed by the check hook
+
+
+def test_every_value_class_has_a_case():
+    # a class that declares its own fields has a row above; And, Or and
+    # Implies take theirs from _Connective, and Formula declares none
+    for module in pkgutil.iter_modules(hyperbelief.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"hyperbelief.{module.name}")
+    found, todo = set(), Value.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("hyperbelief.") and "_fields" in vars(cls):
+            found.add(cls.__name__)
+    assert found == set(CASES)
 
 
 def test_value_classes_never_equal_across_classes():
