@@ -44,6 +44,7 @@ from .lattice import (
     _check_enumeration_limit,
     _brief,
     _members,
+    _name_masks,
     _rank_tables,
     _term_order,
     _term_text,
@@ -65,55 +66,71 @@ class ScenarioError(ValueError):
     """Scenario text that cannot be turned into a valid Scenario."""
 
 
-def _checked(where: str, build: Callable, *args):
-    """``build(*args)``; its ValueError becomes a ScenarioError, prefixed ``where: `` if ``where``."""
+def _checked(where: str, build: Callable, *args, at: tuple = ()):
+    """``build(*args)``; its ValueError becomes a ScenarioError, prefixed with the path ``where``, if any."""
     try:
         return build(*args)
     except ValueError as exc:
+        where = _path(where, at)
         raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 # ------------------------------------------------------------------- parsing
+# One pass over the decoded JSON; a field path is built only for a value that
+# is refused, by ``_path`` from a format string and the steps that fill it.
+
+_SCENARIO_FIELDS = frozenset(("frame", "constraints", "rules", "observations", "queries", "engines", "dst_axes"))
+_RULE_FIELDS = frozenset(("if", "then", "weight"))
+_AXES_FIELDS = frozenset(("axes", "map"))
 
 
-def _expect(value, kind, where: str):
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{where} must be a number, got {_brief(repr(value))}")
-        try:
-            return float(value)
-        except OverflowError:  # an integer literal past the float range
-            raise ScenarioError(f"{where} is too large for a float") from None
-    if not isinstance(value, kind):
-        raise ScenarioError(f"{where} must be {kind.__name__}, got {type(value).__name__}")
-    return value
+def _path(where: str, at: tuple) -> str:
+    """The field path ``where.format(*at)``; a name in ``at`` is echoed quoted and cut short."""
+    return where.format(*(_brief(repr(step)) if type(step) is str else step for step in at))
 
 
-def _name(value, where: str) -> str:
+def _typed(value, kind: type, where: str, *at):
+    """``value``, which must be of JSON type ``kind``; for float, any number, as a float."""
+    if type(value) is kind:
+        return value
+    if kind is not float:
+        raise ScenarioError(f"{_path(where, at)} must be {kind.__name__}, got {type(value).__name__}")
+    if type(value) is not int:
+        raise ScenarioError(f"{_path(where, at)} must be a number, got {_brief(repr(value))}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ScenarioError(f"{_path(where, at)} is too large for a float") from None
+
+
+def _name(value, where: str, *at) -> str:
     """A string the reports print: it must encode as UTF-8, so no lone surrogate."""
-    name = _expect(value, str, where)
+    name = _typed(value, str, where, *at)
     try:
         name.encode("utf-8")
     except UnicodeEncodeError:  # JSON can escape half of a surrogate pair, "\ud800"
-        raise ScenarioError(f"{where} holds a lone surrogate, got {_brief(repr(name))}") from None
+        raise ScenarioError(f"{_path(where, at)} holds a lone surrogate, got {_brief(repr(name))}") from None
     return name
 
 
-def _get(mapping: dict, key: str, kind, where: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ScenarioError(f"missing required field {where}{key}")
+def _get(blob: dict, key: str, kind: type, where: str = "", *at, default=...):
+    """``blob[key]``, of JSON type ``kind``; ``default`` if absent, which ``...`` refuses."""
+    if key not in blob:
+        if default is ...:
+            raise ScenarioError(f"missing required field {_path(where, at)}{key}")
         return default
-    return _expect(mapping[key], kind, f"{where}{key}")
+    value = blob[key]
+    return value if type(value) is kind else _typed(value, kind, where + key, *at)
 
 
-def _fields(value, where: str, known: tuple[str, ...]) -> dict:
-    """A JSON object whose keys all lie in ``known``; ``where`` prefixes field paths."""
-    blob = _expect(value, dict, where.rstrip(".") or "scenario")
-    for key in blob:
-        if key not in known:
-            raise ScenarioError(f"unknown field {where}{_brief(key)}")
-    return blob
+def _fields(value, known: frozenset[str], where: str = "", *at) -> dict:
+    """A JSON object whose keys all lie in ``known``; ``where`` prefixes their paths."""
+    if type(value) is not dict:
+        _typed(value, dict, _path(where, at).rstrip(".") or "scenario")
+    if not value.keys() <= known:
+        key = next(key for key in value if key not in known)
+        raise ScenarioError(f"unknown field {_path(where, at)}{_brief(key)}")
+    return value
 
 
 def _object(pairs: list[tuple[str, object]]) -> dict:
@@ -132,17 +149,30 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_object)
 
 
-def _proposition(frame: Frame, nested, where: str) -> Proposition:
-    terms = _expect(nested, list, where)
-    for i, term in enumerate(terms):
-        term = _expect(term, list, f"{where}[{i}]")
-        for j, name in enumerate(term):
-            _expect(name, str, f"{where}[{i}][{j}]")
-    return _checked(where, proposition_from_names, frame, terms)
+def _proposition(frame: Frame, nested, where: str, *at) -> Proposition:
+    """The proposition ``nested`` spells; a refused one is walked again for its first fault."""
+    try:
+        if type(nested) is list:
+            return proposition_from_names(frame, nested)
+    except (ValueError, TypeError):
+        pass
+    where = _path(where, at)  # built from fixed names and indices, so it holds no braces
+    for i, term in enumerate(_typed(nested, list, where)):
+        for j, name in enumerate(_typed(term, list, where + "[{}]", i)):
+            _typed(name, str, where + "[{}][{}]", i, j)
+    return _checked(where, proposition_from_names, frame, nested)
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Validate scenario JSON, raising ScenarioError naming the broken field."""
+    """Validate scenario JSON, raising ScenarioError naming the broken field.
+
+    The first fault is reported: invalid JSON (a key given twice too), then
+    the fields in the order read below, each value before its parts.  Within
+    a proposition a wrong type anywhere comes first, then the first unknown
+    name, then an empty term.  The frame, the model, each rule and
+    ``dst_axes`` are checked as wholes after their parts; the scenario
+    (queries, engines, each rule and observation against the model) last.
+    """
     try:
         if text.startswith("\ufeff"):  # as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -153,71 +183,65 @@ def parse_scenario(text: str) -> Scenario:
         # a scenario author cannot act on Python's advice to raise its digit limit
         reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
         raise ScenarioError(f"not valid JSON: {reason}") from exc
-    data = _fields(
-        data,
-        "",
-        ("frame", "constraints", "rules", "observations", "queries", "engines", "dst_axes"),
-    )
+    data = _fields(data, _SCENARIO_FIELDS)
 
-    names = _get(data, "frame", list, "", required=True)
+    names = _get(data, "frame", list)
     for i, name in enumerate(names):
-        _name(name, f"frame[{i}]")
+        _name(name, "frame[{}]", i)
         # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
         if "∩" in name or "∪" in name:
             raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {_brief(repr(name))}")
         if name == "∅":  # the reports print the empty proposition as ∅
             raise ScenarioError(f"frame[{i}] must not be ∅, the name of the empty proposition")
-    frame = _checked("frame", Frame, tuple(names))
+    frame = _checked("frame", Frame, names)
 
-    constraint_sets = []
-    for i, group in enumerate(_get(data, "constraints", list, "", default=[])):
-        group = _expect(group, list, f"constraints[{i}]")
-        members = set()
-        for j, name in enumerate(group):
-            where = f"constraints[{i}][{j}]"
-            members.add(_checked(where, frame.index, _expect(name, str, where)))
-        constraint_sets.append(frozenset(members))
-    model = _checked("constraints", Model.from_constraints, frame, constraint_sets)
+    groups = _get(data, "constraints", list, default=[])
+    try:
+        masks = _name_masks(frame._index, groups)
+    except (KeyError, TypeError):  # walk again for the first fault: a wrong type or an unknown name
+        for i, group in enumerate(groups):
+            for j, name in enumerate(_typed(group, list, "constraints[{}]", i)):
+                _checked("constraints[{}][{}]", frame.index, _typed(name, str, "constraints[{}][{}]", i, j), at=(i, j))
+        raise
+    model = _checked("constraints", Model, frame, frozenset(masks))
 
     rules = []
-    for i, blob in enumerate(_get(data, "rules", list, "", default=[])):
-        blob = _fields(blob, f"rules[{i}].", ("if", "then", "weight"))
-        antecedent = _proposition(frame, _get(blob, "if", list, f"rules[{i}].", required=True), f"rules[{i}].if")
-        consequent = _proposition(frame, _get(blob, "then", list, f"rules[{i}].", required=True), f"rules[{i}].then")
-        weight = _get(blob, "weight", float, f"rules[{i}].", required=True)
-        rules.append(_checked(f"rules[{i}]", WeightedRule, antecedent, consequent, weight))
+    for i, blob in enumerate(_get(data, "rules", list, default=[])):
+        blob = _fields(blob, _RULE_FIELDS, "rules[{}].", i)
+        antecedent = _proposition(frame, _get(blob, "if", list, "rules[{}].", i), "rules[{}].if", i)
+        consequent = _proposition(frame, _get(blob, "then", list, "rules[{}].", i), "rules[{}].then", i)
+        weight = _get(blob, "weight", float, "rules[{}].", i)
+        rules.append(_checked("rules[{}]", WeightedRule, antecedent, consequent, weight, at=(i,)))
 
     observations = tuple(
-        _proposition(frame, blob, f"observations[{i}]")
-        for i, blob in enumerate(_get(data, "observations", list, "", default=[]))
+        _proposition(frame, blob, "observations[{}]", i)
+        for i, blob in enumerate(_get(data, "observations", list, default=[]))
     )
     queries = tuple(
-        _proposition(frame, blob, f"queries[{i}]")
-        for i, blob in enumerate(_get(data, "queries", list, "", default=[]))
+        _proposition(frame, blob, "queries[{}]", i)
+        for i, blob in enumerate(_get(data, "queries", list, default=[]))
     )
 
-    engines = _get(data, "engines", list, "", default=["dsm"])
+    engines = _get(data, "engines", list, default=["dsm"])
     for i, engine in enumerate(engines):
-        _expect(engine, str, f"engines[{i}]")
+        _typed(engine, str, "engines[{}]", i)
 
     dst_axes = None
     if "dst_axes" in data:
-        axes_blob = _fields(data["dst_axes"], "dst_axes.", ("axes", "map"))
-        axes = _get(axes_blob, "axes", list, "dst_axes.", required=True)
+        axes_blob = _fields(data["dst_axes"], _AXES_FIELDS, "dst_axes.")
+        axes = _get(axes_blob, "axes", list, "dst_axes.")
         for i, axis in enumerate(axes):
-            axis = _expect(axis, list, f"dst_axes.axes[{i}]")
-            for j, value in enumerate(axis):
-                _name(value, f"dst_axes.axes[{i}][{j}]")
+            for j, value in enumerate(_typed(axis, list, "dst_axes.axes[{}]", i)):
+                _name(value, "dst_axes.axes[{}][{}]", i, j)
         literal_map = {}
-        for name, coordinate in _get(axes_blob, "map", dict, "dst_axes.", required=True).items():
-            where = f"dst_axes.map[{_brief(repr(name))}]"
-            coordinate = _expect(coordinate, list, where)
-            if len(coordinate) != 2:
-                raise ScenarioError(f"{where} must be [axis, value]")
-            axis = _expect(coordinate[0], float, f"{where}[0]")
-            value = _expect(coordinate[1], float, f"{where}[1]")
+        where = "dst_axes.map[{}]"
+        for name, coordinate in _get(axes_blob, "map", dict, "dst_axes.").items():
+            if len(_typed(coordinate, list, where, name)) != 2:
+                raise ScenarioError(f"{_path(where, (name,))} must be [axis, value]")
+            axis = _typed(coordinate[0], float, where + "[0]", name)
+            value = _typed(coordinate[1], float, where + "[1]", name)
             if not (axis.is_integer() and value.is_integer()):  # also NaN and ±inf
-                raise ScenarioError(f"{where} must hold integers")
+                raise ScenarioError(f"{_path(where, (name,))} must hold integers")
             literal_map[_name(name, "dst_axes.map key")] = (int(axis), int(value))
         dst_axes = _checked("dst_axes", lambda: DstAxes(AtomFrame(axes), literal_map))
 

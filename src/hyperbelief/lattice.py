@@ -220,6 +220,23 @@ def canonicalize(frame: Frame, terms: Iterable[Iterable[int]]) -> Proposition:
     return Proposition(frame, masks)
 
 
+def _name_masks(index: Mapping[str, int], nested: Iterable[Sequence[str]]) -> list[int]:
+    """Each term, a list of names, as an int mask of their ``index``.
+
+    The first name ``index`` lacks raises KeyError; a term that is not a list
+    or tuple, or a name that is not hashable, raises TypeError.
+    """
+    masks = []
+    for term in nested:
+        if not isinstance(term, (list, tuple)):
+            raise TypeError(f"term {_brief(repr(term))} is not a list of names")
+        mask = 0
+        for name in term:
+            mask |= 1 << index[name]
+        masks.append(mask)
+    return masks
+
+
 def proposition_from_names(frame: Frame, nested: Sequence[Sequence[str]]) -> Proposition:
     """Inverse of :meth:`Proposition.to_names`.
 
@@ -227,16 +244,13 @@ def proposition_from_names(frame: Frame, nested: Sequence[Sequence[str]]) -> Pro
     them from :meth:`Frame.index`: an unknown name anywhere is reported
     before an empty term.
     """
-    index = frame._index
-    masks = []
-    for term in nested:
-        mask = 0
-        for name in term:
-            mask |= 1 << (index[name] if name in index else frame.index(name))
-        masks.append(mask)
+    try:
+        masks = _name_masks(frame._index, nested)
+    except KeyError as exc:
+        raise ValueError(f"unknown singleton {_brief(repr(exc.args[0]))}") from None
     if 0 in masks:
         raise ValueError("terms must be non-empty index sets")
-    return Proposition._trusted(frame, _absorb(masks))
+    return Proposition._trusted(frame, (masks[0],) if len(masks) == 1 else _absorb(masks))  # one term: an antichain
 
 
 def _require_same_frame(a: Proposition, b: Proposition) -> None:

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import json
 from copy import copy
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations
 from math import fsum
+from operator import or_
 from typing import Mapping, Sequence
 
 from ._value import Value, _set
@@ -194,11 +195,7 @@ class Scenario(Value):
         if "dst" in self.engines:
             if self.dst_axes is None:
                 raise ValueError("missing required field dst_axes, which the dst engine needs")
-            unmapped = sorted(
-                name
-                for name in self.used_singletons()
-                if name not in self.dst_axes.literal_map
-            )
+            unmapped = sorted(self.used_singletons() - self.dst_axes.literal_map.keys())
             if unmapped:
                 raise ValueError(
                     f"dst_axes.map does not cover singleton(s): {_brief(', '.join(unmapped))}"
@@ -226,13 +223,9 @@ class Scenario(Value):
         )
 
     def used_singletons(self) -> frozenset[str]:
-        used = set()
-        for rule in self.rules:
-            used |= rule.antecedent.singleton_indices()
-            used |= rule.consequent.singleton_indices()
-        for prop in (*self.observations, *self.queries):
-            used |= prop.singleton_indices()
-        return frozenset(self.frame.names[i] for i in used)
+        rules = (prop for rule in self.rules for prop in (rule.antecedent, rule.consequent))
+        used = reduce(or_, (t for prop in (*rules, *self.observations, *self.queries) for t in prop.masks), 0)
+        return frozenset(self.frame.names[i] for i in _members(used))
 
 
 class QueryResult(Value):

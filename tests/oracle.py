@@ -10,13 +10,16 @@ regions, so region sets double as comparison keys for fused outputs.
 """
 
 import argparse
+import json
 from collections import defaultdict
 from functools import cache
 from itertools import chain, combinations, product
 from math import fsum
 
 from hyperbelief import Frame
-from hyperbelief.rulebase import ENGINES
+from hyperbelief.cli import _DECODER, ScenarioError
+from hyperbelief.lattice import AtomFrame, Model, Proposition, _brief, proposition_from_names
+from hyperbelief.rulebase import ENGINES, DstAxes, Scenario, WeightedRule
 
 
 def all_regions(n):
@@ -326,3 +329,155 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("check-logic", help="verify the classical principles by truth table")
     return parser
+
+
+# ----------------------------------------------------------- scenario parser
+#
+# The check-then-resolve scenario parser, kept as the reference for
+# ``cli.parse_scenario``: every field's type is checked first, with its field
+# path built before the check, and each name list is then resolved again by
+# ``proposition_from_names``.  The two must refuse the same input with the
+# same message, or return equal scenarios.
+
+
+def _checked(where: str, build, *args):
+    """``build(*args)``; its ValueError becomes a ScenarioError, prefixed ``where: `` if ``where``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def _expect(value, kind, where: str):
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"{where} must be a number, got {_brief(repr(value))}")
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the float range
+            raise ScenarioError(f"{where} is too large for a float") from None
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{where} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _name(value, where: str) -> str:
+    """A string the reports print: it must encode as UTF-8, so no lone surrogate."""
+    name = _expect(value, str, where)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # JSON can escape half of a surrogate pair, "\ud800"
+        raise ScenarioError(f"{where} holds a lone surrogate, got {_brief(repr(name))}") from None
+    return name
+
+
+def _get(mapping: dict, key: str, kind, where: str, default=None, required=False):
+    if key not in mapping:
+        if required:
+            raise ScenarioError(f"missing required field {where}{key}")
+        return default
+    return _expect(mapping[key], kind, f"{where}{key}")
+
+
+def _fields(value, where: str, known: tuple[str, ...]) -> dict:
+    """A JSON object whose keys all lie in ``known``; ``where`` prefixes field paths."""
+    blob = _expect(value, dict, where.rstrip(".") or "scenario")
+    for key in blob:
+        if key not in known:
+            raise ScenarioError(f"unknown field {where}{_brief(key)}")
+    return blob
+
+
+
+def _proposition(frame: Frame, nested, where: str) -> Proposition:
+    terms = _expect(nested, list, where)
+    for i, term in enumerate(terms):
+        term = _expect(term, list, f"{where}[{i}]")
+        for j, name in enumerate(term):
+            _expect(name, str, f"{where}[{i}][{j}]")
+    return _checked(where, proposition_from_names, frame, terms)
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Validate scenario JSON, raising ScenarioError naming the broken field."""
+    try:
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
+    except ScenarioError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to read
+        # a scenario author cannot act on Python's advice to raise its digit limit
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise ScenarioError(f"not valid JSON: {reason}") from exc
+    data = _fields(
+        data,
+        "",
+        ("frame", "constraints", "rules", "observations", "queries", "engines", "dst_axes"),
+    )
+
+    names = _get(data, "frame", list, "", required=True)
+    for i, name in enumerate(names):
+        _name(name, f"frame[{i}]")
+        # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
+        if "∩" in name or "∪" in name:
+            raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {_brief(repr(name))}")
+        if name == "∅":  # the reports print the empty proposition as ∅
+            raise ScenarioError(f"frame[{i}] must not be ∅, the name of the empty proposition")
+    frame = _checked("frame", Frame, tuple(names))
+
+    constraint_sets = []
+    for i, group in enumerate(_get(data, "constraints", list, "", default=[])):
+        group = _expect(group, list, f"constraints[{i}]")
+        members = set()
+        for j, name in enumerate(group):
+            where = f"constraints[{i}][{j}]"
+            members.add(_checked(where, frame.index, _expect(name, str, where)))
+        constraint_sets.append(frozenset(members))
+    model = _checked("constraints", Model.from_constraints, frame, constraint_sets)
+
+    rules = []
+    for i, blob in enumerate(_get(data, "rules", list, "", default=[])):
+        blob = _fields(blob, f"rules[{i}].", ("if", "then", "weight"))
+        antecedent = _proposition(frame, _get(blob, "if", list, f"rules[{i}].", required=True), f"rules[{i}].if")
+        consequent = _proposition(frame, _get(blob, "then", list, f"rules[{i}].", required=True), f"rules[{i}].then")
+        weight = _get(blob, "weight", float, f"rules[{i}].", required=True)
+        rules.append(_checked(f"rules[{i}]", WeightedRule, antecedent, consequent, weight))
+
+    observations = tuple(
+        _proposition(frame, blob, f"observations[{i}]")
+        for i, blob in enumerate(_get(data, "observations", list, "", default=[]))
+    )
+    queries = tuple(
+        _proposition(frame, blob, f"queries[{i}]")
+        for i, blob in enumerate(_get(data, "queries", list, "", default=[]))
+    )
+
+    engines = _get(data, "engines", list, "", default=["dsm"])
+    for i, engine in enumerate(engines):
+        _expect(engine, str, f"engines[{i}]")
+
+    dst_axes = None
+    if "dst_axes" in data:
+        axes_blob = _fields(data["dst_axes"], "dst_axes.", ("axes", "map"))
+        axes = _get(axes_blob, "axes", list, "dst_axes.", required=True)
+        for i, axis in enumerate(axes):
+            axis = _expect(axis, list, f"dst_axes.axes[{i}]")
+            for j, value in enumerate(axis):
+                _name(value, f"dst_axes.axes[{i}][{j}]")
+        literal_map = {}
+        for name, coordinate in _get(axes_blob, "map", dict, "dst_axes.", required=True).items():
+            where = f"dst_axes.map[{_brief(repr(name))}]"
+            coordinate = _expect(coordinate, list, where)
+            if len(coordinate) != 2:
+                raise ScenarioError(f"{where} must be [axis, value]")
+            axis = _expect(coordinate[0], float, f"{where}[0]")
+            value = _expect(coordinate[1], float, f"{where}[1]")
+            if not (axis.is_integer() and value.is_integer()):  # also NaN and ±inf
+                raise ScenarioError(f"{where} must hold integers")
+            literal_map[_name(name, "dst_axes.map key")] = (int(axis), int(value))
+        dst_axes = _checked("dst_axes", lambda: DstAxes(AtomFrame(axes), literal_map))
+
+    return _checked(
+        "", Scenario, frame, model, tuple(rules), observations, queries, tuple(engines), dst_axes
+    )

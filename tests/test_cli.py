@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import hashlib
 import io
 import json
@@ -323,6 +324,137 @@ def test_each_rule_is_encoded_once(argv, monkeypatch):
     monkeypatch.setattr(rulebase, "_rule_masses", counted)
     assert run_main(argv, TP2_TEXT)[0] == EXIT_OK
     assert len(calls) == 3
+
+
+# The parser against the check-then-resolve reference in tests/oracle.py, on
+# scenarios shaped like the benchmark's three parsing workloads with one or
+# two nodes broken: the same error text, or equal scenarios.
+
+DSM_SHAPED = {
+    "frame": ["a", "b", "c", "d", "e", "g"],
+    "constraints": [["a", "d"], ["b", "c", "e"]],
+    "rules": [
+        {"if": [["a"]], "then": [["b", "c"]], "weight": 0.8},
+        {"if": [["b", "c"]], "then": [["g"]], "weight": 0.7},
+        {"if": [["c"]], "then": [["a"], ["e"]], "weight": 0.6},
+        {"if": [["e"], ["g"]], "then": [["b"]], "weight": 0.9},
+    ],
+    "observations": [[["a", "b"]], [["g"]]],
+    "queries": [[["a"]], [["b", "g"]], [["c"], ["d"]]],
+    "engines": ["dsm"],
+}
+
+
+def _dst_shaped() -> dict:
+    """tp2 on the dst engine, plus a binary and a ternary axis as the dst-atoms workload adds them."""
+    blob = json.loads(TP2_TEXT)
+    blob["engines"] = ["dst"]
+    blob["frame"] += ["x0", "y1", "z1"]
+    blob["constraints"].append(["y1", "z1"])
+    blob["dst_axes"]["axes"] += [["x0", "x0_"], ["y1", "z1", "w1"]]
+    blob["dst_axes"]["map"].update({"x0": [3, 0], "y1": [4, 0], "z1": [4, 1]})
+    blob["rules"] += [
+        {"if": [["p"]], "then": [["x0"]], "weight": 0.7},
+        {"if": [["x0"]], "then": [["f"]], "weight": 0.8},
+    ]
+    blob["queries"] += [[["x0"]], [["f"], ["y1"]]]
+    return blob
+
+
+SHAPES = (json.loads(TP2_TEXT), DSM_SHAPED, _dst_shaped())
+
+
+class _Raw:
+    """A literal written into the JSON text as it is, such as 1e400."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+class _Twice(dict):
+    """A JSON object whose first key the text gives twice."""
+
+
+def _render(node) -> str:
+    if isinstance(node, _Raw):
+        return node.text
+    if isinstance(node, dict):
+        pairs = [f"{json.dumps(key)}: {_render(value)}" for key, value in node.items()]
+        if isinstance(node, _Twice):
+            pairs.insert(1, pairs[0])
+        return "{" + ", ".join(pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_render, node)) + "]"
+    return json.dumps(node)
+
+
+_MUTATIONS = (
+    "delete", "wrong type", "unknown name", "empty term", "[]", "lone surrogate", "unknown key", "key twice", "NaN", "1e400"
+)
+
+
+def _mutated(blob, path: tuple, mutation: str, wrong):
+    """``blob`` with the node at ``path`` broken by ``mutation``; ``wrong`` is the wrong-typed value."""
+    node = blob
+    for step in path:
+        node = node[step]
+    if mutation == "delete":
+        replacement = None
+    elif mutation == "wrong type":
+        replacement = wrong
+    elif mutation == "unknown name":
+        replacement = "zz"
+    elif mutation == "empty term":
+        replacement = [*node, []] if isinstance(node, list) else [[]]
+    elif mutation == "[]":
+        replacement = []
+    elif mutation == "lone surrogate":
+        replacement = node + "\udc00" if isinstance(node, str) else "p\ud800"
+    elif mutation in ("unknown key", "key twice"):
+        if not isinstance(node, dict) or not node:
+            return blob
+        replacement = _Twice(node) if mutation == "key twice" else {**node, "extra": 1}
+    else:
+        replacement = math.nan if mutation == "NaN" else _Raw("1e400")
+    if not path:
+        return replacement if replacement is not None else blob
+    parent = blob
+    for step in path[:-1]:
+        parent = parent[step]
+    if replacement is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return blob
+
+
+def _parsed(parse, text: str):
+    try:
+        scenario = parse(text)
+    except Exception as exc:  # the reference's error, of whatever type, is what must come out
+        return type(exc).__name__, str(exc)
+    return scenario, scenario._sources
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_parser_matches_the_reference_on_broken_scenarios(data):
+    blob = copy.deepcopy(data.draw(st.sampled_from(SHAPES)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_nodes(blob))))
+        # "p" and "a" are frame names, so a string that stands where a term should is caught too
+        wrong = data.draw(st.sampled_from([0, 2, 0.5, True, None, "p", "a", {}, [["p"]], [[0]]]))
+        blob = _mutated(blob, path, data.draw(st.sampled_from(_MUTATIONS)), wrong)
+    text = _render(blob)
+    assert _parsed(parse_scenario, text) == _parsed(oracle.parse_scenario, text)
+
+
+@pytest.mark.parametrize("shape", range(len(SHAPES)))
+def test_parser_matches_the_reference_on_the_shapes(shape):
+    text = json.dumps(SHAPES[shape])
+    got = _parsed(parse_scenario, text)
+    assert isinstance(got[0], rulebase.Scenario)
+    assert got == _parsed(oracle.parse_scenario, text)
 
 
 # ------------------------------------------------------------------ emission
