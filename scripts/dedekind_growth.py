@@ -4,8 +4,8 @@
 The element counts follow the Dedekind numbers minus one (1, 2, 5, 19, 167,
 7580, 7828353, ...), so the walltime explodes quickly.  The script counts a
 stream of propositions without keeping them: n = 5 takes about 0.02 s, and
-n = 6 (gated behind --max-n 6) about 23 s at a peak RSS of 22 MB (2 runs,
-Python 3.11.7 on a 2-core Xeon VM).
+n = 6 (gated behind --max-n 6) about 20 s at a peak RSS of 21 MB (median of
+3 runs, Python 3.11.7 on a 2-core Xeon VM).
 """
 
 import argparse

@@ -29,7 +29,6 @@ import io
 import json
 import re
 import sys
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .analysis import CLASSICAL_PRINCIPLES, parse_formula, tautology_check
@@ -59,7 +58,6 @@ EXIT_INCONSISTENT = 3
 EXIT_LIMIT = 4
 
 _ENUM_NAMES = "abcdef"  # one name per singleton, up to the hard enumeration limit
-_ENUM_CHUNK = 4096  # lines per write, so n = 6 never holds its output at once
 
 
 class ScenarioError(ValueError):
@@ -376,7 +374,7 @@ def _run_compare(args: dict) -> int:
 
 
 def _enumeration_lines(n: int) -> Callable[[Iterable[int]], list[str]]:
-    """A renderer of rank bit sets from ``_antichains(n)``, one line of text each.
+    """A renderer of a block of rank bit sets from ``_antichains(n)``, one line of text each.
 
     A line of one term (or none) is looked up whole.  A longer one is its
     bracketed terms, each followed by " ∪ ", with the last separator cut.
@@ -402,11 +400,10 @@ def _run_enumerate(args: dict) -> int:
         raise ScenarioError("--n must be at least 1")
     _check_enumeration_limit(n, args["allow_large"], "--allow-large")
     render = _enumeration_lines(n)
-    antichains = _antichains(n)
     count = 0
-    while lines := render(islice(antichains, _ENUM_CHUNK)):
-        count += len(lines)
-        sys.stdout.write("\n".join(lines) + "\n")
+    for block in _antichains(n):  # one write per block: n = 6 never holds its output at once
+        count += len(block)
+        sys.stdout.write("\n".join(render(block)) + "\n")
     sys.stdout.write(f"total {count}\n")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from math import fsum
 
 from hyperbelief import Frame
 from hyperbelief.cli import _DECODER, ScenarioError
-from hyperbelief.lattice import AtomFrame, Model, Proposition, _brief, proposition_from_names
+from hyperbelief.lattice import AtomFrame, Model, Proposition, _brief, _families, _term_order, proposition_from_names
 from hyperbelief.rulebase import ENGINES, DstAxes, Scenario, WeightedRule
 
 
@@ -202,6 +202,34 @@ def shift_mask_antichains(n):
                 minimal ^= bit
             terms.sort(key=rank.__getitem__)
             yield tuple(terms)
+
+
+@cache
+def filter_walk(n):
+    """The walk ``lattice._antichains`` took before the sub-family walk: every lo ≤ hi filtered by lo ⊆ hi.
+
+    Returns the number of his (the families over n - 1 singletons) and a
+    function from a hi's index to its list of rank bit sets, one per lo ⊆ hi
+    but the all-true lo, in the engine's order and encoding.
+    """
+    rank = {s: r for r, s in enumerate(_term_order(n))}
+    top = 1 << (n - 1)
+    lifts = [1 << rank[s | top] for s in range(top)]  # the rank bit of S ∪ {n - 1}, per S
+    halves = _families(n - 1)
+    # per lo: its family, its terms' rank bits, and every bit but those of S ∪ {n - 1} for S in lo
+    lows = [
+        (lo, sum(1 << rank[s] for s in lo_min), ~sum(b for s, b in enumerate(lifts) if lo >> s & 1))
+        for lo, lo_min in halves[:-1]
+    ]
+
+    def block(i):
+        hi, hi_min = halves[i]
+        lifted = sum(lifts[s] for s in hi_min)
+        outside = ~hi
+        # lo ⊆ hi needs lo ≤ hi
+        return [lo_bits | lifted & lo_lacks for lo, lo_bits, lo_lacks in lows[: i + 1] if not lo & outside]
+
+    return len(halves), block
 
 
 def atoms_of(mask):

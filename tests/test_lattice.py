@@ -1,7 +1,10 @@
 """Canonical form, enumeration, model reduction and refinement of the lattice."""
 
+import time
+from functools import cache
+
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperbelief import (
@@ -230,7 +233,7 @@ def test_enumeration_matches_brute_force_antichains(n):
     assert [p.terms for p in enumerate_hyper_power_set(Frame(tuple("abcd"[:n])))] == want
     # the raw antichains too: the CLI prints them without Proposition's absorption
     members = [frozenset(i for i in range(n) if s >> i & 1) for s in _term_order(n)]
-    assert [tuple(members[r] for r in ranks_of(bits)) for bits in _antichains(n)] == want
+    assert [tuple(members[r] for r in ranks_of(bits)) for block in _antichains(n) for bits in block] == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -245,7 +248,7 @@ def test_enumerated_propositions_equal_checked_ones(n):
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 19), (4, 167), (5, 7580)])
 def test_antichains_match_the_shift_and_mask_oracle(n, count):
     order = _term_order(n)
-    ranked = [ranks_of(bits) for bits in _antichains(n)]
+    ranked = [ranks_of(bits) for block in _antichains(n) for bits in block]
     assert [tuple(order[r] for r in ranks) for ranks in ranked] == list(oracle.shift_mask_antichains(n))
     assert len(ranked) == count
     for ranks in ranked:
@@ -253,6 +256,34 @@ def test_antichains_match_the_shift_and_mask_oracle(n, count):
         assert 0 not in ranks
         terms = [order[r] for r in ranks]
         assert all(s & t != s for s in terms for t in terms if s != t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_each_block_is_the_filter_walks_list_for_its_hi(n):
+    count, block = oracle.filter_walk(n)
+    assert list(_antichains(n)) == [block(i) for i in range(count)]
+
+
+@cache
+def six_blocks():
+    """The length and hash of each block of ``_antichains(6)``: the blocks themselves fill hundreds of MB."""
+    return [(len(b), hash(tuple(b))) for b in _antichains(6)]
+
+
+def test_blocks_at_six_hold_every_antichain():
+    sizes = [size for size, _ in six_blocks()]
+    assert (len(sizes), sum(sizes)) == (7581, 7828353)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 7580))
+@example(0)  # the empty hi
+@example(7580)  # the all-true hi, whose block drops the all-true lo
+def test_blocks_at_six_match_the_filter_walk(i):
+    count, block = oracle.filter_walk(6)
+    want = block(i)
+    assert count == 7581
+    assert six_blocks()[i] == (len(want), hash(tuple(want)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -278,6 +309,14 @@ def test_enumeration_limits():
         enumerate_hyper_power_set(Frame(tuple("abcdef")))
     with pytest.raises(EnumerationLimitError):
         enumerate_hyper_power_set(Frame(tuple("abcdefg")), allow_large=True)
+
+
+def test_iteration_past_the_hard_limit_is_refused_at_once():
+    # seven singletons span about 2.4e12 propositions: refused before any table is built
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match="^enumeration over 7 singletons exceeds the limit of 6$"):
+        iter_hyper_power_set(Frame(tuple("abcdefg")))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_atom_frame_limit_is_checked_without_fusing():

@@ -1,5 +1,6 @@
 """Tests for rule/observation encoding and the three-engine pipeline."""
 
+import json
 from itertools import product
 from math import prod
 
@@ -34,7 +35,9 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
+from hyperbelief.cli import parse_scenario
 from strategies import framed_models, propositions, wide_models
+from test_reference import generated
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
 P, B, F, NF = (TPFRAME.singleton(n) for n in TPFRAME.names)
@@ -326,6 +329,34 @@ def test_tp2_dsm_staging_is_pinned():
         for query in (F, NF):
             assert belief(fused, query) == pytest.approx(0.09, **APPROX)
             assert plausibility(fused, query) == pytest.approx(0.91, **APPROX)
+
+
+def test_dsm_observation_order_is_pinned():
+    # scenario 148 of the seed-7 generator: two rules, then observations b∩d
+    # and c∩f.  Each observation is its own two-source stage, so swapping
+    # them moves Bel(a ∪ d) from 0 to 1: in file order the last stage's
+    # meets are all empty and every mass goes to one union
+    scenario = generated(count=149)[148]
+    assert scenario["observations"] == [[["b", "d"]], [["c", "f"]]]
+    a, b, c, d, e, f = (frozenset({i}) for i in range(6))
+    want = {
+        "file order": (
+            {(c | f, b | d | e): 1.0},
+            [0.0, 0.0, 1.0],
+            [(0.0, 1.0)] * 6,
+        ),
+        "swapped": (
+            {(b | d, c | d | e | f): 0.32081863983011627, (b | d | e, b | c | d | f): 0.6791813601698837},
+            [0.0, 0.6791813601698837, 0.32081863983011627],
+            [(1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (0.6791813601698837, 1.0), (0.0, 1.0), (0.6791813601698837, 1.0)],
+        ),
+    }
+    for order, observations in (("file order", scenario["observations"]), ("swapped", scenario["observations"][::-1])):
+        got = run_scenario(parse_scenario(json.dumps(dict(scenario, observations=observations)))).engine("dsm")
+        focals, conflicts, intervals = want[order]
+        assert {p.terms: m for p, m in got.fused.masses.items()} == pytest.approx(focals, **APPROX)
+        assert list(got.stage_conflicts) == pytest.approx(conflicts, **APPROX)
+        assert [(q.bel, q.pl) for q in got.queries] == [pytest.approx(bel_pl, **APPROX) for bel_pl in intervals]
 
 
 @given(dsm_scenarios())
