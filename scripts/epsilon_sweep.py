@@ -1,47 +1,26 @@
 #!/usr/bin/env python3
 """Sweep rule weights on the weighted-rule triangle and compare engines.
 
-For each epsilon the three rules get weights 1-e1, 1-e2, 1-e3 and the
-scenario is fused with every engine.  The table shows how the point
-estimates, the refined-frame Dempster intervals, and the constrained hybrid
-intervals drift apart as the rules lose certainty.
+The triangle is read from scenarios/tp2.json.  For each epsilon its three
+rules get weights 1-e1, 1-e2, 1-e3 and the scenario is fused with every
+engine.  The table shows how the point estimates, the refined-frame
+Dempster intervals, and the constrained hybrid intervals drift apart as the
+rules lose certainty.
 """
 
 import argparse
+from pathlib import Path
 
-from hyperbelief import (
-    AtomFrame,
-    DstAxes,
-    Frame,
-    Model,
-    Scenario,
-    WeightedRule,
-    run_scenario,
-)
+from hyperbelief import Scenario, WeightedRule, run_scenario
+from hyperbelief.cli import parse_scenario
 
-FRAME = Frame(("p", "b", "f", "nf"))
-P, B, F, NF = (FRAME.singleton(name) for name in FRAME.names)
-MODEL = Model.from_constraints(FRAME, [(2, 3)])
-AXES = DstAxes(
-    AtomFrame((("f", "nf"), ("b", "b'"), ("p", "p'"))),
-    {"f": (0, 0), "nf": (0, 1), "b": (1, 0), "p": (2, 0)},
-)
+TP2 = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios" / "tp2.json").read_text("utf-8"))
 
 
 def scenario(e1: float, e2: float, e3: float) -> Scenario:
-    return Scenario(
-        frame=FRAME,
-        model=MODEL,
-        rules=(
-            WeightedRule(P, NF, 1 - e1),
-            WeightedRule(B, F, 1 - e2),
-            WeightedRule(P, B, 1 - e3),
-        ),
-        observations=(P & B,),
-        queries=(F, NF),
-        engines=("bayes", "dst", "dsm"),
-        dst_axes=AXES,
-    )
+    """The triangle of scenarios/tp2.json with its rules weighted 1-e1, 1-e2 and 1-e3."""
+    rules = tuple(WeightedRule(r.antecedent, r.consequent, 1 - e) for r, e in zip(TP2.rules, (e1, e2, e3)))
+    return Scenario(TP2.model, rules, TP2.observations, TP2.queries, TP2.engines, TP2.dst_axes)
 
 
 def sweep_points(args) -> list[tuple[float, float]]:

@@ -9,7 +9,8 @@ that repeats a positional one, or a missing field.  It then calls
 normalisation (a field set again through ``_set``).  ``help()`` shows the
 constructor as ``(*args, **kwargs)``, so ``_fields`` names the arguments.
 A class keeps its own ``__init__`` only to store a converted copy of its
-input or to derive a field that no caller may pass.
+input.  A fact that follows from the fields is a property, not a field, so
+no caller can pass it or make it disagree with them.
 
 After construction no attribute can be assigned or deleted.  Two values are
 equal when they are one object, or of the same class with equal fields; the

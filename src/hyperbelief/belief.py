@@ -102,11 +102,13 @@ class BBA(Value):
     every other producer keeps ∅ at zero.
     """
 
-    _fields = ("frame", "model", "masses")
+    _fields = ("model", "masses")
+
+    @property
+    def frame(self) -> Frame:
+        return self.model.frame
 
     def __post_init__(self) -> None:
-        if self.model.frame != self.frame:
-            raise ValueError("model belongs to a different frame")
         for prop, mass in self.masses.items():
             if prop.frame != self.frame:
                 raise ValueError("mass keyed by a proposition from another frame")
@@ -118,13 +120,12 @@ class BBA(Value):
         _set(self, "masses", _canonical(self.frame, merged))
 
     @classmethod
-    def _trusted(cls, frame: Frame, model: Model, merged: Mapping[Masks, float]) -> "BBA":
+    def _trusted(cls, model: Model, merged: Mapping[Masks, float]) -> "BBA":
         """The BBA of a mask dict that has passed :func:`_merged`, whose keys
         are already reduced under ``model``, absorbed and ascending."""
         bba = object.__new__(cls)
-        _set(bba, "frame", frame)
         _set(bba, "model", model)
-        _set(bba, "masses", _canonical(frame, merged))
+        _set(bba, "masses", _canonical(model.frame, merged))
         return bba
 
     def items(self) -> list[tuple[Proposition, float]]:
@@ -154,9 +155,9 @@ class CombinationReport(Value):
     _fields = ("result", "conflict_mass", "normalization_constant")
 
 
-def vacuous(frame: Frame, model: Model) -> BBA:
+def vacuous(model: Model) -> BBA:
     """The all-ignorance assignment m(Θ₁∪...∪Θₙ) = 1."""
-    return BBA._trusted(frame, model, {total_ignorance(frame).masks: 1.0})
+    return BBA._trusted(model, {total_ignorance(model.frame).masks: 1.0})
 
 
 def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float, float]]:
@@ -206,15 +207,15 @@ def plausibility(b: BBA, a: Proposition) -> float:
     return belief_intervals(b, [a])[0][1]
 
 
-def _common_context(bbas: Sequence[BBA]) -> tuple[Frame, Model, list[dict[Masks, float]]]:
-    """The sources' shared frame and model, and each source as a mask dict."""
+def _common_context(bbas: Sequence[BBA]) -> tuple[Model, list[dict[Masks, float]]]:
+    """The sources' shared model, and each source as a mask dict."""
     if not bbas:
         raise ValueError("combination needs at least one source")
-    frame, model = bbas[0].frame, bbas[0].model
+    model = bbas[0].model
     for b in bbas[1:]:
-        if b.frame != frame or b.model != model:
+        if b.model != model:
             raise ValueError("sources disagree on frame or model")
-    return frame, model, [{p.masks: m for p, m in b.masses.items()} for b in bbas]
+    return model, [{p.masks: m for p, m in b.masses.items()} for b in bbas]
 
 
 def _fold(
@@ -294,9 +295,9 @@ def _fold(
 
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Unnormalized conjunctive rule; conflicting mass is kept on ∅."""
-    frame, model, sources = _common_context(bbas)
+    model, sources = _common_context(bbas)
     merged = _merged((meet, m) for (meet, _), m in _fold(sources, model).items())
-    result = BBA._trusted(frame, model, merged)
+    result = BBA._trusted(model, merged)
     return CombinationReport(result, result.mass_on_empty(), None)
 
 
@@ -319,10 +320,10 @@ def _dempster_normalise(merged: Mapping[Hashable, float]) -> tuple[float, float,
 
 def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Dempster's rule: the conjunctive meets normalized by :func:`_dempster_normalise`."""
-    frame, model, sources = _common_context(bbas)
+    model, sources = _common_context(bbas)
     merged = fsum_by_key((meet, m) for (meet, _), m in _fold(sources, model).items())
     conflict, k, kept = _dempster_normalise(merged)
-    return CombinationReport(BBA._trusted(frame, model, _merged(kept.items())), conflict, k)
+    return CombinationReport(BBA._trusted(model, _merged(kept.items())), conflict, k)
 
 
 def _hybrid_step(
@@ -351,6 +352,6 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
 
     See :func:`_hybrid_step`; ``conflict_mass`` reports the rerouted mass.
     """
-    frame, model, sources = _common_context(bbas)
+    model, sources = _common_context(bbas)
     targets, rerouted = _hybrid_step(sources, model)
-    return CombinationReport(BBA._trusted(frame, model, targets), rerouted, None)
+    return CombinationReport(BBA._trusted(model, targets), rerouted, None)

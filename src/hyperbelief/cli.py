@@ -244,7 +244,7 @@ def parse_scenario(text: str) -> Scenario:
         dst_axes = _checked("dst_axes", lambda: DstAxes(AtomFrame(axes), literal_map))
 
     return _checked(
-        "", Scenario, frame, model, tuple(rules), observations, queries, tuple(engines), dst_axes
+        "", Scenario, model, tuple(rules), observations, queries, tuple(engines), dst_axes
     )
 
 

@@ -274,17 +274,12 @@ class Model(Value):
     """A frame plus the constraint masks whose joint intersection is declared empty.
 
     Each constraint has two or more members, and the set is kept minimal: a
-    constraint that contains another is redundant.  ``kind`` follows from
-    the constraints: "free" (none), "shafer" (every pair of distinct
-    singletons exclusive) or "hybrid" (anything in between).
+    constraint that contains another is redundant.  The model is the one
+    owner of the frame: a BBA and a scenario read theirs from it.  ``kind``
+    is read from the constraints, never stored or passed.
     """
 
-    _fields = ("frame", "masks", "kind")
-
-    def __init__(self, frame: Frame, masks: frozenset[int]) -> None:
-        _set(self, "frame", frame)
-        _set(self, "masks", masks)
-        self.__post_init__()
+    _fields = ("frame", "masks")
 
     def __post_init__(self) -> None:
         n = len(self.frame)
@@ -298,9 +293,13 @@ class Model(Value):
         wide = [c for c in masks if c.bit_count() > 2]
         minimal = masks.difference(c for c in wide if any(o != c and o & c == o for o in masks))
         _set(self, "masks", minimal)
-        pairs = len(masks) - len(wide)
-        kind = "free" if not minimal else "shafer" if pairs == n * (n - 1) // 2 else "hybrid"
-        _set(self, "kind", kind)
+
+    @property
+    def kind(self) -> str:
+        """The model's kind: "free" (no constraint), "shafer" (every pair of
+        distinct singletons exclusive) or "hybrid" (anything in between)."""
+        n, pairs = len(self.frame), sum(c.bit_count() == 2 for c in self.masks)
+        return "free" if not self.masks else "shafer" if pairs == n * (n - 1) // 2 else "hybrid"
 
     @property
     def empty_intersections(self) -> frozenset[frozenset[int]]:

@@ -25,6 +25,8 @@ their merged, non-zero masses, which sum to 1.  The dsm engine hands one
 stage's mask dict to the next and builds a :class:`BBA` only for the result
 it reports; the dst engine refines the same dicts.  The public
 ``rule_to_conditional_bba`` and ``observation_to_bba`` wrap the same dicts.
+A scenario, like a BBA, reads its frame from its model, and an engine
+result reads its ``conflict_mass`` from its ``stage_conflicts``.
 """
 
 from __future__ import annotations
@@ -106,28 +108,23 @@ def _observation_masses(obs: Proposition, model: Model) -> dict[Masks, float]:
     return {reduced: 1.0}
 
 
-def _check_frames(prop: Proposition, frame: Frame, model: Model, what: str) -> None:
-    if prop.frame != frame:
-        raise ValueError(f"{what} does not live on the scenario frame")
-    if model.frame != frame:
-        raise ValueError("proposition and model belong to different frames")
-
-
-def rule_to_conditional_bba(rule: WeightedRule, frame: Frame, model: Model) -> BBA:
+def rule_to_conditional_bba(rule: WeightedRule, model: Model) -> BBA:
     """The least-committed BBA encoding a weighted rule.
 
     m(antecedent∧consequent) = w and m(antecedent) = 1−w, both keys reduced
     under the model, so Bel(consequent | antecedent) = w and nothing else is
     committed.
     """
-    _check_frames(rule.antecedent, frame, model, "rule")
-    return BBA._trusted(frame, model, _rule_masses(rule, model))
+    if rule.antecedent.frame != model.frame:
+        raise ValueError("rule does not live on the model's frame")
+    return BBA._trusted(model, _rule_masses(rule, model))
 
 
-def observation_to_bba(obs: Proposition, frame: Frame, model: Model) -> BBA:
+def observation_to_bba(obs: Proposition, model: Model) -> BBA:
     """Certain evidence: m(obs) = 1."""
-    _check_frames(obs, frame, model, "observation")
-    return BBA._trusted(frame, model, _observation_masses(obs, model))
+    if obs.frame != model.frame:
+        raise ValueError("observation does not live on the model's frame")
+    return BBA._trusted(model, _observation_masses(obs, model))
 
 
 class DstAxes(Value):
@@ -158,14 +155,16 @@ class DstAxes(Value):
 
 
 class Scenario(Value):
-    """One fusion problem: frame, constraints, rules, evidence, questions."""
+    """One fusion problem: a model (frame and constraints), rules, evidence, questions."""
 
-    _fields = ("frame", "model", "rules", "observations", "queries", "engines", "dst_axes")
+    _fields = ("model", "rules", "observations", "queries", "engines", "dst_axes")
     _defaults = {"engines": ("dsm",), "dst_axes": None}
 
+    @property
+    def frame(self) -> Frame:
+        return self.model.frame
+
     def __post_init__(self) -> None:
-        if self.model.frame != self.frame:
-            raise ValueError("model belongs to a different frame")
         if not self.queries:
             raise ValueError("queries: scenario needs at least one query")
         for prop in (*self.observations, *self.queries):
@@ -248,12 +247,13 @@ class AtomMasses(Value):
 
 
 class EngineResult(Value):
+    """One engine's answer: a status, a row per query and the fusion's diagnostics."""
+
     _fields = (
         "engine",
         "status",  # "ok" | "inconsistent" | "not_applicable"
         "queries",
         "fused",  # a BBA for dsm, atom masks for dst
-        "conflict_mass",
         "stage_conflicts",
         "normalization_constant",
         "flags",
@@ -261,12 +261,16 @@ class EngineResult(Value):
     )
     _defaults = {
         "fused": None,
-        "conflict_mass": None,
         "stage_conflicts": (),
         "normalization_constant": None,
         "flags": (),
         "estimates": None,
     }
+
+    @property
+    def conflict_mass(self) -> float | None:
+        """The largest stage conflict, or None when no stage fused anything."""
+        return max(self.stage_conflicts, default=None)
 
 
 class FusionReport(Value):
@@ -304,23 +308,21 @@ def _unanswered(
 
 
 def _run_dsm(scenario: Scenario) -> EngineResult:
-    frame, model = scenario.frame, scenario.model
+    model = scenario.model
     rules, observations = scenario._sources
-    fused, conflict = _hybrid_step(rules or ({total_ignorance(frame).masks: 1.0},), model)
+    fused, conflict = _hybrid_step(rules or ({total_ignorance(model.frame).masks: 1.0},), model)
     stage_conflicts = [conflict]
     for obs in observations:
         fused, conflict = _hybrid_step([fused, obs], model)
         stage_conflicts.append(conflict)
-    fused = BBA._trusted(frame, model, fused)
-    conflict = max(stage_conflicts)
+    fused = BBA._trusted(model, fused)
     flags = ()
-    if conflict >= 1.0 - 1e-9:
+    if max(stage_conflicts) >= 1.0 - 1e-9:
         flags = ("all prior mass conflicts; the intervals below are uninformative",)
     return EngineResult(
         engine="dsm",
         status="ok",
         fused=fused,
-        conflict_mass=conflict,
         stage_conflicts=tuple(stage_conflicts),
         queries=_intervals(fused, scenario.queries),
         flags=flags,
@@ -345,9 +347,7 @@ def _run_dst(scenario: Scenario) -> EngineResult:
     except TotalConflictError:
         note = "inconsistent (total conflict)"
         flag = f"{note}: the rules admit no common world"
-        return _unanswered(
-            scenario, "dst", "inconsistent", note, flag, conflict_mass=1.0, stage_conflicts=(1.0,)
-        )
+        return _unanswered(scenario, "dst", "inconsistent", note, flag, stage_conflicts=(1.0,))
     fused = {focal: kept[focal] for focal in sorted(kept, key=_members)}
     rows = []
     for q in scenario.queries:
@@ -359,7 +359,6 @@ def _run_dst(scenario: Scenario) -> EngineResult:
         engine="dst",
         status="ok",
         fused=AtomMasses(axes.axes, fused),
-        conflict_mass=conflict,
         stage_conflicts=(conflict,),
         normalization_constant=k,
         queries=tuple(rows),

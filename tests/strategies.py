@@ -80,7 +80,7 @@ def bbas(draw, model, max_focals=4, allow_conflict_mass=False):
     if not focals:
         focals[reduce_under_model(canonicalize(frame, ((frozenset((0,)),))), model)] = 1.0
     total = sum(focals.values())
-    return BBA(frame, model, {k: v / total for k, v in focals.items()})
+    return BBA(model, {k: v / total for k, v in focals.items()})
 
 
 @st.composite
@@ -118,7 +118,7 @@ def rule_bbas(draw, model):
     w = draw(st.floats(0.05, 0.95))
     masses = {both: w}
     masses[antecedent] = masses.get(antecedent, 0.0) + (1.0 - w)
-    return BBA(frame, model, masses)
+    return BBA(model, masses)
 
 
 @st.composite
@@ -144,5 +144,5 @@ def fold_cases(draw):
     on_empty = draw(st.floats(0.01, 0.5))
     masses = {p: m * (1.0 - on_empty) for p, m in sources[k].items()}
     masses[Proposition.empty(frame)] = on_empty
-    sources[k] = BBA(frame, model, masses)
+    sources[k] = BBA(model, masses)
     return model, sources

@@ -92,14 +92,13 @@ def triangle_rules(e1, e2, e3):
 
 def triangle_sources(e1, e2, e3):
     return tuple(
-        rule_to_conditional_bba(rule, TPFRAME, TPMODEL)
+        rule_to_conditional_bba(rule, TPMODEL)
         for rule in triangle_rules(e1, e2, e3)
     )
 
 
 def tp2_scenario(e1, e2, e3, engines):
     return Scenario(
-        frame=TPFRAME,
         model=TPMODEL,
         rules=triangle_rules(e1, e2, e3),
         observations=(P & B,),
@@ -295,7 +294,7 @@ def _random_bba(rng, model, allow_conflict_mass):
     if not focals:
         focals[reduce_under_model(total_ignorance(frame), model)] = 1.0
     total = sum(focals.values())
-    return BBA(frame, model, {p: m / total for p, m in focals.items()})
+    return BBA(model, {p: m / total for p, m in focals.items()})
 
 
 def _regions(result, model):

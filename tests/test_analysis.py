@@ -62,7 +62,7 @@ def test_operator_precedence():
     )
 
 
-@pytest.mark.parametrize("text", ["a &", "(a", "a b", ")", "a + b", ""])
+@pytest.mark.parametrize("text", ["a &", "(a", "(a b", "a b", ")", "a + b", ""])
 def test_malformed_formulas_raise(text):
     with pytest.raises(ValueError):
         parse_formula(text)

@@ -48,9 +48,9 @@ TIGHT = dict(abs=1e-12)
 
 
 def rule_sources(e1, e2, e3):
-    m1 = BBA(TPFRAME, TPMODEL, {P & NF: 1 - e1, P: e1})
-    m2 = BBA(TPFRAME, TPMODEL, {B & F: 1 - e2, B: e2})
-    m3 = BBA(TPFRAME, TPMODEL, {P & B: 1 - e3, P: e3})
+    m1 = BBA(TPMODEL, {P & NF: 1 - e1, P: e1})
+    m2 = BBA(TPMODEL, {B & F: 1 - e2, B: e2})
+    m3 = BBA(TPMODEL, {P & B: 1 - e3, P: e3})
     return m1, m2, m3
 
 
@@ -61,7 +61,7 @@ def lifted_query(prop):
 
 def lift(bba):
     """Re-express a triangle BBA on the eight-atom exclusive frame."""
-    return BBA(ATOMFRAME, SHAFER, {lifted_query(k): v for k, v in bba.items()})
+    return BBA(SHAFER, {lifted_query(k): v for k, v in bba.items()})
 
 
 # ---------------------------------------------------------------- construction
@@ -69,14 +69,14 @@ def lift(bba):
 
 def test_keys_are_reduced_and_merged():
     noisy = (P & F & NF) | B  # first term is impossible, so this is just b
-    b = BBA(TPFRAME, TPMODEL, {noisy: 0.4, B: 0.6})
+    b = BBA(TPMODEL, {noisy: 0.4, B: 0.6})
     assert b.focals() == [B]
     assert b.mass(B) == 1.0
     assert b.mass(noisy) == 1.0  # lookup reduces the query too
 
 
 def test_zero_mass_entries_are_dropped():
-    b = BBA(TPFRAME, TPMODEL, {P: 0.0, B: 1.0})
+    b = BBA(TPMODEL, {P: 0.0, B: 1.0})
     assert b.focals() == [B]
 
 
@@ -84,24 +84,24 @@ def test_negative_mass_rejected():
     nan, inf = float("nan"), float("inf")
     for masses in ({P: -0.1, B: 1.1}, {P: nan, B: 1.0}, {P: inf, B: 1.0}, {P: -inf, B: 1.0}):
         with pytest.raises(ValueError, match="negative"):
-            BBA(TPFRAME, TPMODEL, masses)
+            BBA(TPMODEL, masses)
 
 
 def test_unnormalized_total_rejected():
     with pytest.raises(ValueError, match="sum"):
-        BBA(TPFRAME, TPMODEL, {P: 0.5, B: 0.4})
+        BBA(TPMODEL, {P: 0.5, B: 0.4})
 
 
 def test_mismatched_model_rejected():
     other = Frame(("x", "y"))
     with pytest.raises(ValueError):
-        BBA(TPFRAME, Model.free(other), {P: 1.0})
+        BBA(Model.free(other), {P: 1.0})
     with pytest.raises(ValueError):
-        BBA(TPFRAME, TPMODEL, {other.singleton("x"): 1.0})
+        BBA(TPMODEL, {other.singleton("x"): 1.0})
 
 
 def test_vacuous_assignment():
-    v = vacuous(TPFRAME, TPMODEL)
+    v = vacuous(TPMODEL)
     assert v.focals() == [total_ignorance(TPFRAME)]
     assert belief(v, P) == 0.0
     assert plausibility(v, P) == 1.0
@@ -112,7 +112,7 @@ def test_bel_pl_by_hand():
     frame = Frame(("a", "b", "c"))
     model = Model.shafer(frame)
     a, b, c = (frame.singleton(n) for n in frame.names)
-    m = BBA(frame, model, {a: 0.5, a | b: 0.3, c: 0.2})
+    m = BBA(model, {a: 0.5, a | b: 0.3, c: 0.2})
     assert belief(m, a) == 0.5
     assert belief(m, a | b) == EXACT(0.8, **TIGHT)
     assert belief(m, c) == 0.2
@@ -126,7 +126,7 @@ def test_bel_pl_by_hand():
 
 
 def test_queries_must_share_the_frame():
-    v = vacuous(TPFRAME, TPMODEL)
+    v = vacuous(TPMODEL)
     with pytest.raises(ValueError):
         belief(v, Frame(("x",)).singleton("x"))
     with pytest.raises(ValueError):
@@ -135,14 +135,14 @@ def test_queries_must_share_the_frame():
 
 @pytest.mark.parametrize("combine", [conjunctive_combine, dempster_combine, dsm_hybrid_combine])
 def test_combination_needs_agreeing_sources(combine):
-    v = vacuous(TPFRAME, TPMODEL)
+    v = vacuous(TPMODEL)
     other = Frame(("x", "y"))
     with pytest.raises(ValueError, match="at least one source"):
         combine([])
     with pytest.raises(ValueError, match="disagree"):
-        combine([v, vacuous(TPFRAME, Model.free(TPFRAME))])
+        combine([v, vacuous(Model.free(TPFRAME))])
     with pytest.raises(ValueError, match="disagree"):
-        combine([v, vacuous(other, Model.free(other))])
+        combine([v, vacuous(Model.free(other))])
 
 
 # ------------------------------------------------- two-source exclusive fusion
@@ -206,8 +206,8 @@ def test_dempster_small_normalisation_constant_stays_normalised():
     a, b, c = (frame.singleton(n) for n in frame.names)
     e1, e2, w = 3.367627442655785e-08, 1.5286572032923147e-08, 0.3610723711593433
     model = Model.shafer(frame)
-    m1 = BBA(frame, model, {a: 1 - e1, a | b: e1 * w, c: e1 * (1 - w)})
-    m2 = BBA(frame, model, {b: 1 - e2, a | c: e2})
+    m1 = BBA(model, {a: 1 - e1, a | b: e1 * w, c: e1 * (1 - w)})
+    m2 = BBA(model, {b: 1 - e2, a | c: e2})
     rep = dempster_combine([m1, m2])
     exact = {
         a: Fraction(1 - e1) * Fraction(e2) + Fraction(e1 * w) * Fraction(e2),
@@ -271,7 +271,7 @@ def test_hybrid_intervals_when_one_rule_is_sure():
 
 def test_hybrid_observation_collapses_unions():
     priors = dsm_hybrid_combine(rule_sources(0.1, 0.1, 0.1)).result
-    seen = BBA(TPFRAME, TPMODEL, {P & B: 1.0})
+    seen = BBA(TPMODEL, {P & B: 1.0})
     rep = dsm_hybrid_combine([priors, seen])
     assert rep.result.focals() == sorted(
         [P & B, P & B & F, P & B & NF], key=lambda p: p.sort_key
@@ -299,7 +299,7 @@ def test_hybrid_sure_rules_disagree():
     assert rep.conflict_mass == EXACT(1.0, **TIGHT)
     assert rep.result.mass(H2) == EXACT(0.9, **TIGHT)
     assert rep.result.mass(H1) == EXACT(0.1, **TIGHT)
-    seen = BBA(TPFRAME, TPMODEL, {P & B: 1.0})
+    seen = BBA(TPMODEL, {P & B: 1.0})
     after = dsm_hybrid_combine([rep.result, seen]).result
     assert after.focals() == [P & B]
     assert belief(after, F) == 0.0
@@ -311,8 +311,8 @@ def test_hybrid_routes_source_conflict_mass():
     model = Model.free(frame)
     a, b = frame.singleton("a"), frame.singleton("b")
     empty = Proposition.empty(frame)
-    s1 = BBA(frame, model, {empty: 0.4, a: 0.6})
-    s2 = BBA(frame, model, {empty: 0.5, b: 0.5})
+    s1 = BBA(model, {empty: 0.4, a: 0.6})
+    s2 = BBA(model, {empty: 0.5, b: 0.5})
     rep = dsm_hybrid_combine([s1, s2])
     assert rep.result.mass(a | b) == EXACT(0.2, **TIGHT)  # (∅,∅) → ignorance
     assert rep.result.mass(b) == EXACT(0.2, **TIGHT)  # (∅,b) → join
@@ -325,9 +325,9 @@ def test_hybrid_routes_source_conflict_mass():
 def test_free_model_hybrid_equals_conjunctive_exactly():
     frame = TPFRAME
     free = Model.free(frame)
-    s1 = BBA(frame, free, {P & NF: 0.9, P: 0.1})
-    s2 = BBA(frame, free, {B & F: 0.8, B | F: 0.2})
-    s3 = BBA(frame, free, {P & B: 0.7, P: 0.3})
+    s1 = BBA(free, {P & NF: 0.9, P: 0.1})
+    s2 = BBA(free, {B & F: 0.8, B | F: 0.2})
+    s3 = BBA(free, {P & B: 0.7, P: 0.3})
     hybrid = dsm_hybrid_combine([s1, s2, s3])
     conj = conjunctive_combine([s1, s2, s3])
     assert hybrid.result.masses == conj.result.masses
@@ -344,7 +344,7 @@ def test_twenty_sources_match_closed_forms():
     a, b = frame.singleton("a"), frame.singleton("b")
     weights = [0.03 + 0.002 * i for i in range(20)]
     sources = [
-        BBA(frame, model, {(a if i % 2 == 0 else b): w, a | b: 1 - w})
+        BBA(model, {(a if i % 2 == 0 else b): w, a | b: 1 - w})
         for i, w in enumerate(weights)
     ]
     big_a = prod(1 - w for w in weights[0::2])
@@ -517,8 +517,8 @@ def test_trusted_bba_equals_the_public_constructor(case):
         [(meet, m) for (meet, _), m in states.items()],
         [(meet or join or ignorance, m) for (meet, join), m in states.items()],
     ):
-        trusted = BBA._trusted(frame, model, _merged(pairs))
-        public = BBA(frame, model, {Proposition(frame, k): m for k, m in fsum_by_key(pairs).items()})
+        trusted = BBA._trusted(model, _merged(pairs))
+        public = BBA(model, {Proposition(frame, k): m for k, m in fsum_by_key(pairs).items()})
         assert [(p.masks, m.hex()) for p, m in trusted.items()] == [
             (p.masks, m.hex()) for p, m in public.items()
         ]

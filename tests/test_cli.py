@@ -490,10 +490,10 @@ _MAYBE = st.none() | _FLOAT
 _FLAGS = st.lists(_TEXT, max_size=2).map(tuple)
 
 
-def _unchecked_bba(frame, model, masses) -> BBA:
+def _unchecked_bba(model, masses) -> BBA:
     """A BBA holding ``masses`` as they are: the writer prints any float, not just normalised ones."""
     bba = object.__new__(BBA)
-    for field, value in (("frame", frame), ("model", model), ("masses", masses)):
+    for field, value in (("model", model), ("masses", masses)):
         object.__setattr__(bba, field, value)
     return bba
 
@@ -510,7 +510,7 @@ def _engine_results(draw, frame: Frame) -> EngineResult:
     if shape == "dsm":
         model = draw(models(frame))
         keys = draw(st.lists(propositions(frame), max_size=5, unique=True))
-        fused = _unchecked_bba(frame, model, {k: draw(_FLOAT) for k in keys})
+        fused = _unchecked_bba(model, {k: draw(_FLOAT) for k in keys})
     elif shape == "dst":
         axes = AtomFrame(
             tuple(
@@ -526,7 +526,6 @@ def _engine_results(draw, frame: Frame) -> EngineResult:
         engine=draw(st.sampled_from(["dsm", "dst", "bayes"])),
         status=draw(st.sampled_from(["ok", "inconsistent", "not_applicable"])),
         fused=fused,
-        conflict_mass=draw(_MAYBE),
         stage_conflicts=tuple(draw(st.lists(_FLOAT, max_size=3))),
         normalization_constant=draw(_MAYBE),
         queries=queries,
@@ -959,7 +958,7 @@ _ARGV_WORDS = (
     "-v", "-vv", "-vh", "--verb", "--verbose=1", "-h", "--help", "--he",
     "--engine", "--eng", "--engine=dst", "--format", "--form", "--f", "--format=json", "--form=csv",
     "--n", "--n=5", "--n=x", "--allow-large", "--allow", "--allow-large=1", "--bogus",
-    "--", "-", "table", "json", "csv", "dsm", "all", "magic", "5", "05", " 5", "-1", "x",
+    "--", "--=x", "-", "table", "json", "csv", "dsm", "all", "magic", "5", "05", " 5", "-1", "x",
 )
 
 

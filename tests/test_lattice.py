@@ -365,6 +365,11 @@ def test_free_model_reduce_is_identity():
     assert reduce_under_model(H2, Model.free(TPFRAME)) is H2
 
 
+def test_reduce_refuses_a_model_on_another_frame():
+    with pytest.raises(ValueError, match="^proposition and model belong to different frames$"):
+        reduce_under_model(H2, Model.free(Frame(("x", "y"))))
+
+
 def test_leq_examples():
     assert not leq(H1, H2, TPMODEL)
     assert leq(P & B & NF, H2, TPMODEL)

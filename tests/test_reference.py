@@ -7,8 +7,13 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbelief.cli import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, main
 
@@ -21,6 +26,7 @@ DST_AXES = {
 }
 
 
+@cache
 def _load_reference():
     spec = importlib.util.spec_from_file_location("perfbench_reference", ROOT / "perfbench" / "reference.py")
     module = importlib.util.module_from_spec(spec)
@@ -111,3 +117,92 @@ def test_generated_dst_scenarios_match_the_reference():
             wrong.append((i, problem))
     assert (codes.count(EXIT_OK), codes.count(EXIT_INCONSISTENT)) == (307, 1241)
     assert wrong == []
+
+
+def relabelled_triangles(seed: int = 11, count: int = 2000) -> list[tuple[dict, tuple[float, float, float]]]:
+    """Penguin triangles under other names, each with its (e1, e2, e3).
+
+    Four distinct names of NAMES play p, b, nf and f.  The rules p→nf, b→f
+    and p→b weigh 1 - e1, 1 - e2 and 1 - e3, each ε from U(0.001, 0.999), and
+    come in a shuffled order.  nf and f exclude each other, p∩b is observed,
+    and f then nf are queried.
+    """
+    rng = random.Random(seed)
+    triangles = []
+    for _ in range(count):
+        p, b, nf, f = rng.sample(NAMES, 4)
+        eps = tuple(rng.uniform(0.001, 0.999) for _ in range(3))
+        rules = [
+            {"if": [[p]], "then": [[nf]], "weight": 1 - eps[0]},
+            {"if": [[b]], "then": [[f]], "weight": 1 - eps[1]},
+            {"if": [[p]], "then": [[b]], "weight": 1 - eps[2]},
+        ]
+        rng.shuffle(rules)
+        scenario = {
+            "frame": list(NAMES),
+            "constraints": [[nf, f]],
+            "rules": rules,
+            "observations": [[[p, b]]],
+            "queries": [[[f]], [[nf]]],
+            "engines": ["bayes"],
+        }
+        triangles.append((scenario, eps))
+    return triangles
+
+
+def test_relabelled_triangles_match_the_bayes_reference():
+    # whatever the names and the rule order, bayes finds the triangle and gives
+    # the chain-rule estimates of its three weakenings
+    checker = _load_reference().Checker()
+    wrong = []
+    for i, (scenario, eps) in enumerate(relabelled_triangles()):
+        text = json.dumps(scenario)
+        code, out, err = fuse(text, "bayes")
+        problem = checker.check({"file": text, "expect": {"kind": "ok", "fmt": "json", "eps": eps}}, code, out, err)
+        if problem:
+            wrong.append((i, problem))
+    assert wrong == []
+
+
+def test_a_triangle_without_a_rule_or_its_observation_is_not_applicable():
+    for scenario, _ in relabelled_triangles(count=100):
+        cut = [{**scenario, "rules": scenario["rules"][:i] + scenario["rules"][i + 1 :]} for i in range(3)]
+        for broken in (*cut, {**scenario, "observations": []}):
+            code, out, err = fuse(json.dumps(broken), "bayes")
+            assert (code, err) == (EXIT_OK, "")
+            assert [result["status"] for result in json.loads(out)["results"]] == ["not_applicable"]
+
+
+_NAME = st.sampled_from(NAMES)
+_PAIR = st.lists(_NAME, min_size=2, max_size=2, unique=True)
+# a single, a two-way ∩ or a two-way ∪, as in generated()
+_PROPOSITION = _NAME.map(lambda x: [[x]]) | _PAIR.map(lambda xy: [xy]) | _PAIR.map(lambda xy: [[xy[0]], [xy[1]]])
+_RULE = st.fixed_dictionaries({"if": _PROPOSITION, "then": _PROPOSITION, "weight": st.floats(0.01, 0.99)})
+
+
+def drawn_scenarios(engine: str) -> st.SearchStrategy[dict]:
+    """The scenarios of generated() as a strategy, so that a failure shrinks to a small one."""
+    fields = {
+        "frame": st.just(list(NAMES)),
+        "constraints": st.just([["a", "d"], ["b", "c", "e"]]),
+        "rules": st.lists(_RULE, max_size=10),
+        "observations": st.lists(_PROPOSITION, max_size=2),
+        "queries": st.lists(_PROPOSITION, min_size=1, max_size=6),
+        "engines": st.just([engine]),
+    }
+    if engine == "dst":
+        fields["dst_axes"] = st.just(DST_AXES)
+    return st.fixed_dictionaries(fields)
+
+
+@pytest.mark.parametrize("engine", ["dsm", "dst"])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_drawn_scenarios_match_the_reference(engine, data):
+    text = json.dumps(data.draw(drawn_scenarios(engine)))
+    code, out, err = fuse(text, engine)
+    if code == EXIT_INPUT_ERROR:  # an impossible antecedent, or a rule the constraints contradict
+        assert err.startswith(("error: rules[", "error: observations[")), err
+        return
+    problem = _load_reference().Checker().check({"file": text, "expect": {"kind": "ok", "fmt": "json"}}, code, out, err)
+    assert problem is None

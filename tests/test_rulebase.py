@@ -59,7 +59,6 @@ def triangle_rules(e1, e2, e3):
 
 def tp2_scenario(e1, e2, e3, engines=("bayes", "dst", "dsm"), observations=(P & B,)):
     return Scenario(
-        frame=TPFRAME,
         model=TPMODEL,
         rules=triangle_rules(e1, e2, e3),
         observations=observations,
@@ -73,39 +72,39 @@ def tp2_scenario(e1, e2, e3, engines=("bayes", "dst", "dsm"), observations=(P & 
 
 
 def test_rule_encoding_splits_mass():
-    bba = rule_to_conditional_bba(WeightedRule(P, NF, 0.9), TPFRAME, TPMODEL)
+    bba = rule_to_conditional_bba(WeightedRule(P, NF, 0.9), TPMODEL)
     assert bba.mass(P & NF) == 0.9
     assert bba.mass(P) == pytest.approx(0.1, **APPROX)
     assert len(bba.focals()) == 2
 
 
 def test_certain_rule_has_single_focal():
-    bba = rule_to_conditional_bba(WeightedRule(P, NF, 1.0), TPFRAME, TPMODEL)
+    bba = rule_to_conditional_bba(WeightedRule(P, NF, 1.0), TPMODEL)
     assert bba.focals() == [P & NF]
 
 
 def test_worthless_rule_is_vacuous_given_antecedent():
-    bba = rule_to_conditional_bba(WeightedRule(P, NF, 0.0), TPFRAME, TPMODEL)
+    bba = rule_to_conditional_bba(WeightedRule(P, NF, 0.0), TPMODEL)
     assert bba.focals() == [P]
 
 
 def test_self_implied_consequent_merges_keys():
-    bba = rule_to_conditional_bba(WeightedRule(P, P | B, 0.7), TPFRAME, TPMODEL)
+    bba = rule_to_conditional_bba(WeightedRule(P, P | B, 0.7), TPMODEL)
     assert bba.focals() == [P]
     assert bba.mass(P) == 1.0
 
 
 def test_contradictory_rule_raises():
     with pytest.raises(ValueError, match="contradicts"):
-        rule_to_conditional_bba(WeightedRule(P, F & NF, 0.5), TPFRAME, TPMODEL)
+        rule_to_conditional_bba(WeightedRule(P, F & NF, 0.5), TPMODEL)
     # zero weight never commits to the contradiction, so it still encodes
-    bba = rule_to_conditional_bba(WeightedRule(P, F & NF, 0.0), TPFRAME, TPMODEL)
+    bba = rule_to_conditional_bba(WeightedRule(P, F & NF, 0.0), TPMODEL)
     assert bba.focals() == [P]
 
 
 def test_impossible_antecedent_raises():
     with pytest.raises(ValueError, match="antecedent"):
-        rule_to_conditional_bba(WeightedRule(F & NF, B, 0.0), TPFRAME, TPMODEL)
+        rule_to_conditional_bba(WeightedRule(F & NF, B, 0.0), TPMODEL)
 
 
 def test_rule_validation():
@@ -119,13 +118,11 @@ def test_rule_validation():
 
 
 def test_observation_encoding():
-    bba = observation_to_bba(P & B, TPFRAME, TPMODEL)
+    bba = observation_to_bba(P & B, TPMODEL)
     assert bba.focals() == [P & B]
-    assert observation_to_bba(total_ignorance(TPFRAME), TPFRAME, TPMODEL).masses == vacuous(
-        TPFRAME, TPMODEL
-    ).masses
+    assert observation_to_bba(total_ignorance(TPFRAME), TPMODEL).masses == vacuous(TPMODEL).masses
     with pytest.raises(ValueError, match="impossible"):
-        observation_to_bba(F & NF, TPFRAME, TPMODEL)
+        observation_to_bba(F & NF, TPMODEL)
 
 
 @given(framed_models(min_n=2, max_n=3), st.data())
@@ -141,7 +138,7 @@ def test_rule_belief_matches_weight(model, data):
     assume(not (both.is_empty and weight > 0))
     # when the antecedent already entails the consequent the two keys merge
     assume(not leq(antecedent, consequent, model))
-    bba = rule_to_conditional_bba(WeightedRule(antecedent, consequent, weight), frame, model)
+    bba = rule_to_conditional_bba(WeightedRule(antecedent, consequent, weight), model)
     assert belief(bba, consequent) == weight
 
 
@@ -150,20 +147,19 @@ def test_rule_belief_matches_weight(model, data):
 
 def test_scenario_requires_queries_and_engines():
     with pytest.raises(ValueError, match="query"):
-        Scenario(TPFRAME, TPMODEL, (), (), (), engines=("dsm",))
+        Scenario(TPMODEL, (), (), (), engines=("dsm",))
     with pytest.raises(ValueError, match="engine"):
-        Scenario(TPFRAME, TPMODEL, (), (), (F,), engines=())
+        Scenario(TPMODEL, (), (), (F,), engines=())
     with pytest.raises(ValueError, match=r"^engines\[1\]: unknown engine 'tbm'; choose from "):
-        Scenario(TPFRAME, TPMODEL, (), (), (F,), engines=("dsm", "tbm"))
+        Scenario(TPMODEL, (), (), (F,), engines=("dsm", "tbm"))
 
 
 def test_scenario_dst_requires_covering_axes():
     with pytest.raises(ValueError, match="^missing required field dst_axes, which the dst engine needs$"):
-        Scenario(TPFRAME, TPMODEL, (), (), (F,), engines=("dst",))
+        Scenario(TPMODEL, (), (), (F,), engines=("dst",))
     partial = DstAxes(TPAXES.axes, {k: v for k, v in TPAXES.literal_map.items() if k != "nf"})
     with pytest.raises(ValueError, match="nf"):
         Scenario(
-            TPFRAME,
             TPMODEL,
             triangle_rules(0.1, 0.1, 0.1),
             (P & B,),
@@ -183,9 +179,19 @@ def test_dst_axes_validates_coordinates():
 def test_scenario_props_must_live_on_frame():
     stranger = Frame(("x", "y")).singleton("x")
     with pytest.raises(ValueError):
-        Scenario(TPFRAME, TPMODEL, (), (stranger,), (F,))
+        Scenario(TPMODEL, (), (stranger,), (F,))
     with pytest.raises(ValueError):
-        Scenario(TPFRAME, TPMODEL, (), (), (stranger,))
+        Scenario(TPMODEL, (), (), (stranger,))
+    with pytest.raises(ValueError, match=r"^rule \[if x then x \(w=0.5\)\] does not live on the scenario frame$"):
+        Scenario(TPMODEL, (WeightedRule(stranger, stranger, 0.5),), (), (F,))
+
+
+def test_encodings_refuse_a_proposition_on_another_frame():
+    stranger = Frame(("x", "y")).singleton("x")
+    with pytest.raises(ValueError, match="^rule does not live on the model's frame$"):
+        rule_to_conditional_bba(WeightedRule(stranger, stranger, 0.5), TPMODEL)
+    with pytest.raises(ValueError, match="^observation does not live on the model's frame$"):
+        observation_to_bba(stranger, TPMODEL)
 
 
 def test_used_singletons():
@@ -244,18 +250,18 @@ def test_dsm_total_prior_conflict_is_reported_not_raised():
 
 def test_dsm_with_one_rule_fuses_to_that_rule():
     rule = WeightedRule(P, NF, 0.9)
-    alone = run_scenario(Scenario(TPFRAME, TPMODEL, (rule,), (), (F,))).engine("dsm")
-    want = rule_to_conditional_bba(rule, TPFRAME, TPMODEL)
+    alone = run_scenario(Scenario(TPMODEL, (rule,), (), (F,))).engine("dsm")
+    want = rule_to_conditional_bba(rule, TPMODEL)
     assert [(p.masks, m.hex()) for p, m in alone.fused.items()] == [
         (p.masks, m.hex()) for p, m in want.items()
     ]
     assert alone.stage_conflicts == (0.0,)
-    observed = run_scenario(Scenario(TPFRAME, TPMODEL, (rule,), (P & B,), (F,))).engine("dsm")
+    observed = run_scenario(Scenario(TPMODEL, (rule,), (P & B,), (F,))).engine("dsm")
     assert observed.stage_conflicts[0] == 0.0
 
 
 def test_dsm_without_rules_is_vacuous():
-    scenario = Scenario(TPFRAME, TPMODEL, (), (), (F,), engines=("dsm",))
+    scenario = Scenario(TPMODEL, (), (), (F,), engines=("dsm",))
     result = run_scenario(scenario).engine("dsm")
     assert result.fused.focals() == [total_ignorance(TPFRAME)]
     assert result.queries[0].bel == 0.0
@@ -280,7 +286,7 @@ def dsm_scenarios(draw):
         rules.append(WeightedRule(antecedent, consequent, weight))
     drawn = [draw(propositions(frame, allow_empty=False)) for _ in range(draw(st.integers(0, 2)))]
     observations = [o for o in drawn if not reduce_under_model(o, model).is_empty]
-    return Scenario(frame, model, tuple(rules), tuple(observations), (total_ignorance(frame),))
+    return Scenario(model, tuple(rules), tuple(observations), (total_ignorance(frame),))
 
 
 @given(dsm_scenarios())
@@ -289,11 +295,11 @@ def test_dsm_stages_match_the_public_chain_exactly(scenario):
     # orders and wraps a BBA between stages, and must reach the same bits
     frame, model = scenario.frame, scenario.model
     got = run_scenario(scenario).engine("dsm")
-    rules = [rule_to_conditional_bba(rule, frame, model) for rule in scenario.rules]
-    report = dsm_hybrid_combine(rules or [vacuous(frame, model)])
+    rules = [rule_to_conditional_bba(rule, model) for rule in scenario.rules]
+    report = dsm_hybrid_combine(rules or [vacuous(model)])
     fused, conflicts = report.result, [report.conflict_mass]
     for obs in scenario.observations:
-        report = dsm_hybrid_combine([fused, observation_to_bba(obs, frame, model)])
+        report = dsm_hybrid_combine([fused, observation_to_bba(obs, model)])
         fused = report.result
         conflicts.append(report.conflict_mass)
     assert [(p.masks, m.hex()) for p, m in got.fused.items()] == [
@@ -310,8 +316,8 @@ def test_tp2_dsm_staging_is_pinned():
     e1 = e2 = e3 = 0.1
     scenario = tp2_scenario(e1, e2, e3, engines=("dsm",))
     staged = run_scenario(scenario).engine("dsm").fused
-    sources = [rule_to_conditional_bba(r, TPFRAME, TPMODEL) for r in scenario.rules]
-    sources.append(observation_to_bba(P & B, TPFRAME, TPMODEL))
+    sources = [rule_to_conditional_bba(r, TPMODEL) for r in scenario.rules]
+    sources.append(observation_to_bba(P & B, TPMODEL))
     one_pass = dsm_hybrid_combine(sources).result
     want_staged = {P & B: 0.82, P & B & F: 0.09, P & B & NF: 0.09}
     want_one_pass = {
@@ -366,9 +372,9 @@ def test_dsm_stages_without_rerouting_equal_one_pass(scenario):
     frame, model = scenario.frame, scenario.model
     got = run_scenario(scenario).engine("dsm")
     assume(all(c == 0.0 for c in got.stage_conflicts))
-    sources = [rule_to_conditional_bba(rule, frame, model) for rule in scenario.rules]
-    sources = sources or [vacuous(frame, model)]
-    sources += [observation_to_bba(obs, frame, model) for obs in scenario.observations]
+    sources = [rule_to_conditional_bba(rule, model) for rule in scenario.rules]
+    sources = sources or [vacuous(model)]
+    sources += [observation_to_bba(obs, model) for obs in scenario.observations]
     one_pass = dsm_hybrid_combine(sources)
     assert one_pass.conflict_mass == 0.0
     assert set(got.fused.focals()) == set(one_pass.result.focals())
@@ -396,7 +402,6 @@ def test_dst_subclass_rule_plays_no_role():
     # dropping the p→b rule does not move the exclusive-frame intervals at all
     full = run_scenario(tp2_scenario(0.1, 0.2, 0.3, engines=("dst",))).engine("dst")
     reduced = Scenario(
-        TPFRAME,
         TPMODEL,
         triangle_rules(0.1, 0.2, 0.3)[:2],
         (P & B,),
@@ -447,7 +452,7 @@ def test_dst_report_keeps_no_zero_masses():
         {n: (i, 0) for i, n in enumerate(frame.names)},
     )
     rules = (WeightedRule(a, b, 1e-200), WeightedRule(c, d, 1e-200))
-    scenario = Scenario(frame, Model.free(frame), rules, (), (a,), engines=("dst",), dst_axes=axes)
+    scenario = Scenario(Model.free(frame), rules, (), (a,), engines=("dst",), dst_axes=axes)
     masses = run_scenario(scenario).engine("dst").fused.masses
     assert len(masses) == 3
     assert all(masses.values())
@@ -488,7 +493,6 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
 
     observations = (P & B, *extra_observations)
     scenario = Scenario(
-        TPFRAME,
         TPMODEL,
         triangle_rules(*eps),
         observations,
@@ -500,10 +504,10 @@ def test_dst_engine_matches_lattice_dempster(eps, extra_observations, extra_quer
     # Both paths divide their rounding error by K, so a small K puts them
     # further apart than 1e-12.
     assume(result.status == "inconsistent" or result.normalization_constant >= 1e-3)
-    sources = [rule_to_conditional_bba(r, TPFRAME, TPMODEL) for r in scenario.rules]
-    sources += [observation_to_bba(o, TPFRAME, TPMODEL) for o in observations]
+    sources = [rule_to_conditional_bba(r, TPMODEL) for r in scenario.rules]
+    sources += [observation_to_bba(o, TPMODEL) for o in observations]
     lifted_sources = [
-        BBA(atom_frame, shafer, {lifted(k): v for k, v in b.items()}) for b in sources
+        BBA(shafer, {lifted(k): v for k, v in b.items()}) for b in sources
     ]
     if result.status == "inconsistent":
         with pytest.raises(TotalConflictError):
@@ -554,7 +558,7 @@ def test_dst_answers_do_not_depend_on_source_order(
 
     def dst(rules, observations):
         scenario = Scenario(
-            TPFRAME, TPMODEL, rules, observations, queries, engines=("dst",), dst_axes=axes
+            TPMODEL, rules, observations, queries, engines=("dst",), dst_axes=axes
         )
         result = run_scenario(scenario).engine("dst")
         if result.status == "ok":
@@ -599,7 +603,6 @@ def test_bayes_matching_ignores_rule_order():
     rules = triangle_rules(0.1, 0.2, 0.3)
     for order in ((2, 0, 1), (1, 2, 0)):
         scenario = Scenario(
-            TPFRAME,
             TPMODEL,
             tuple(rules[i] for i in order),
             (P & B,),
@@ -616,7 +619,6 @@ def test_bayes_matching_ignores_rule_order():
 
 def test_bayes_unmatched_query_gets_a_note():
     scenario = Scenario(
-        TPFRAME,
         TPMODEL,
         triangle_rules(0.1, 0.2, 0.3),
         (P & B,),
@@ -631,7 +633,7 @@ def test_bayes_unmatched_query_gets_a_note():
 def test_bayes_requires_triangle_shape():
     # two rules only
     scenario = Scenario(
-        TPFRAME, TPMODEL, triangle_rules(0.1, 0.2, 0.3)[:2], (P & B,), (F,), engines=("bayes",)
+        TPMODEL, triangle_rules(0.1, 0.2, 0.3)[:2], (P & B,), (F,), engines=("bayes",)
     )
     assert run_scenario(scenario).engine("bayes").status == "not_applicable"
     # observation that is not the joint antecedent
@@ -639,7 +641,7 @@ def test_bayes_requires_triangle_shape():
     assert run_scenario(scenario).engine("bayes").status == "not_applicable"
     # consequents that are not exclusive under the model
     rules = (WeightedRule(P, F, 0.9), WeightedRule(B, F, 0.8), WeightedRule(P, B, 0.7))
-    scenario = Scenario(TPFRAME, TPMODEL, rules, (P & B,), (F,), engines=("bayes",))
+    scenario = Scenario(TPMODEL, rules, (P & B,), (F,), engines=("bayes",))
     assert run_scenario(scenario).engine("bayes").status == "not_applicable"
 
 

@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts, the README example and the benchmark tracer
 run against the package, and the committed benchmark runs read correct."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -58,6 +59,9 @@ def test_epsilon_sweep_prints_its_table():
     assert set(lines[1]) == {"-"}
     # six grid points and the two asymmetric inversions
     assert len(lines) == 2 + 8
+    # the whole table, byte for byte (Python 3.11.7)
+    table = ("\n".join(lines) + "\n").encode("utf-8")
+    assert hashlib.sha256(table).hexdigest() == "d006ee4ab312faad17d1a1d226ee80cc584ed764df682f90e673b03aacc87c48"
 
 
 def test_dedekind_growth_counts():
@@ -107,7 +111,7 @@ def test_benchmark_tracer_wraps_the_package(capsys):
         absorbed = canonicalize(Frame(("a", "b")), [{0, 1}, {0}])
         # the engines build BBAs through BBA._trusted; the public constructor is traced
         frame = Frame(("a", "b"))
-        BBA(frame, Model.free(frame), {frame.singleton("a"): 1.0})
+        BBA(Model.free(frame), {frame.singleton("a"): 1.0})
         # the dst engine refines through lattice._atom_mask; the public function is
         # traced, and the tracer swaps it in the package's module namespaces
         axes = AtomFrame((("a", "a'"), ("b", "b'")))

@@ -5,6 +5,7 @@ and the repr text."""
 import importlib
 import pkgutil
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -38,7 +39,7 @@ AC_EXCLUSIVE = Model.from_constraints(F, [(0, 2)])
 AXES = AtomFrame((("f", "nf"), ("b", "nb")))
 AXES2 = AtomFrame((("f", "nf"), ("p", "np")))
 MASSES = {A: 0.5, A | B: 0.5}
-BBA1 = BBA(F, FREE, MASSES)
+BBA1 = BBA(FREE, MASSES)
 RULE = WeightedRule(A, B, 0.9)
 DST = DstAxes(AXES, {"a": (0, 0)})
 ROW = QueryResult(B, 0.5, 1.0)
@@ -53,13 +54,13 @@ CASES = {
     "Proposition": (Proposition, ("frame", "masks"), (F, (1, 6)), (), [(F2, (1, 6)), (F, (2,))], True),
     "Model": (Model, ("frame", "masks"), (F, frozenset({3})), (), [(F2, frozenset({3})), (F, frozenset({5}))], True),
     "AtomFrame": (AtomFrame, ("axes",), ((("f", "nf"), ("b", "nb")),), (), [(AXES2.axes,)], True),
-    "BBA": (BBA, ("frame", "model", "masses"), (F, FREE, MASSES), (), [(F, AB_EXCLUSIVE, MASSES), (F, FREE, {A: 1.0})], False),
+    "BBA": (BBA, ("model", "masses"), (FREE, MASSES), (), [(AB_EXCLUSIVE, MASSES), (FREE, {A: 1.0})], False),
     "CombinationReport": (
         CombinationReport,
         ("result", "conflict_mass", "normalization_constant"),
         (BBA1, 0.25, 0.75),
         (),
-        [(BBA(F, FREE, {B: 1.0}), 0.25, 0.75), (BBA1, 0.5, 0.75), (BBA1, 0.25, None)],
+        [(BBA(FREE, {B: 1.0}), 0.25, 0.75), (BBA1, 0.5, 0.75), (BBA1, 0.25, None)],
         False,
     ),
     "WeightedRule": (
@@ -73,16 +74,16 @@ CASES = {
     "DstAxes": (DstAxes, ("axes", "literal_map"), (AXES, {"a": (0, 0)}), (), [(AXES2, {"a": (0, 0)}), (AXES, {"a": (1, 0)})], False),
     "Scenario": (
         Scenario,
-        ("frame", "model", "rules", "observations", "queries", "engines", "dst_axes"),
-        (F, FREE, (RULE,), (A,), (B,), ("dsm",), None),
+        ("model", "rules", "observations", "queries", "engines", "dst_axes"),
+        (FREE, (RULE,), (A,), (B,), ("dsm",), None),
         (("dsm",), None),
         [
-            (F, AC_EXCLUSIVE, (RULE,), (A,), (B,), ("dsm",), None),
-            (F, FREE, (), (A,), (B,), ("dsm",), None),
-            (F, FREE, (RULE,), (B,), (B,), ("dsm",), None),
-            (F, FREE, (RULE,), (A,), (A,), ("dsm",), None),
-            (F, FREE, (RULE,), (A,), (B,), ("bayes",), None),
-            (F, FREE, (RULE,), (A,), (B,), ("dsm",), DST),
+            (AC_EXCLUSIVE, (RULE,), (A,), (B,), ("dsm",), None),
+            (FREE, (), (A,), (B,), ("dsm",), None),
+            (FREE, (RULE,), (B,), (B,), ("dsm",), None),
+            (FREE, (RULE,), (A,), (A,), ("dsm",), None),
+            (FREE, (RULE,), (A,), (B,), ("bayes",), None),
+            (FREE, (RULE,), (A,), (B,), ("dsm",), DST),
         ],
         True,
     ),
@@ -104,19 +105,18 @@ CASES = {
     ),
     "EngineResult": (
         EngineResult,
-        ("engine", "status", "queries", "fused", "conflict_mass", "stage_conflicts", "normalization_constant", "flags", "estimates"),
-        ("dsm", "ok", (ROW,), None, 0.1, (0.1,), 0.9, ("x",), None),
-        (None, None, (), None, (), None),
+        ("engine", "status", "queries", "fused", "stage_conflicts", "normalization_constant", "flags", "estimates"),
+        ("dsm", "ok", (ROW,), None, (0.1,), 0.9, ("x",), None),
+        (None, (), None, (), None),
         [
-            ("dst", "ok", (ROW,), None, 0.1, (0.1,), 0.9, ("x",), None),
-            ("dsm", "inconsistent", (ROW,), None, 0.1, (0.1,), 0.9, ("x",), None),
-            ("dsm", "ok", (), None, 0.1, (0.1,), 0.9, ("x",), None),
-            ("dsm", "ok", (ROW,), BBA1, 0.1, (0.1,), 0.9, ("x",), None),
-            ("dsm", "ok", (ROW,), None, 0.2, (0.1,), 0.9, ("x",), None),
-            ("dsm", "ok", (ROW,), None, 0.1, (0.2,), 0.9, ("x",), None),
-            ("dsm", "ok", (ROW,), None, 0.1, (0.1,), 0.8, ("x",), None),
-            ("dsm", "ok", (ROW,), None, 0.1, (0.1,), 0.9, (), None),
-            ("dsm", "ok", (ROW,), None, 0.1, (0.1,), 0.9, ("x",), ESTIMATES),
+            ("dst", "ok", (ROW,), None, (0.1,), 0.9, ("x",), None),
+            ("dsm", "inconsistent", (ROW,), None, (0.1,), 0.9, ("x",), None),
+            ("dsm", "ok", (), None, (0.1,), 0.9, ("x",), None),
+            ("dsm", "ok", (ROW,), BBA1, (0.1,), 0.9, ("x",), None),
+            ("dsm", "ok", (ROW,), None, (0.2,), 0.9, ("x",), None),
+            ("dsm", "ok", (ROW,), None, (0.1,), 0.8, ("x",), None),
+            ("dsm", "ok", (ROW,), None, (0.1,), 0.9, (), None),
+            ("dsm", "ok", (ROW,), None, (0.1,), 0.9, ("x",), ESTIMATES),
         ],
         True,
     ),
@@ -201,25 +201,40 @@ def test_checks_run_under_keyword_construction():
     with pytest.raises(ValueError, match=r"^rule weight 2.0 outside \[0, 1\]$"):
         WeightedRule(antecedent=A, consequent=B, weight=2.0)
     with pytest.raises(ValueError, match="^queries: scenario needs at least one query$"):
-        Scenario(frame=F, model=FREE, rules=(RULE,), observations=(A,), queries=())
+        Scenario(model=FREE, rules=(RULE,), observations=(A,), queries=())
     with pytest.raises(ValueError, match="^term mask 8 is not a non-empty subset of the frame$"):
         Proposition(frame=F, masks=(8,))
     assert Proposition(masks=(3, 1), frame=F).masks == (1,)  # absorbed by the check hook
 
 
-def test_every_value_class_has_a_case():
-    # a class that declares its own fields has a row above; And, Or and
-    # Implies take theirs from _Connective, and Formula declares none
+def _value_classes() -> list[type]:
+    """Every Value subclass the package defines, after importing all its modules."""
     for module in pkgutil.iter_modules(hyperbelief.__path__):
         if module.name != "__main__":
             importlib.import_module(f"hyperbelief.{module.name}")
-    found, todo = set(), Value.__subclasses__()
+    found, todo = [], Value.__subclasses__()
     while todo:
         cls = todo.pop()
         todo.extend(cls.__subclasses__())
-        if cls.__module__.startswith("hyperbelief.") and "_fields" in vars(cls):
-            found.add(cls.__name__)
-    assert found == set(CASES)
+        if cls.__module__.startswith("hyperbelief."):
+            found.append(cls)
+    return found
+
+
+def test_every_value_class_has_a_case():
+    # a class that declares its own fields has a row above; And, Or and
+    # Implies take theirs from _Connective, and Formula declares none
+    assert {cls.__name__ for cls in _value_classes() if "_fields" in vars(cls)} == set(CASES)
+
+
+def test_no_value_class_stores_what_it_can_derive():
+    # only a class that stores a converted copy of its input keeps a constructor,
+    # and a fact read as a property is never also a field that a caller passes
+    own_init = {cls.__name__ for cls in _value_classes() if "__init__" in vars(cls)}
+    assert own_init == {"Frame", "AtomFrame", "DstAxes"}
+    for cls in _value_classes():
+        derived = [name for name in cls._fields if isinstance(getattr(cls, name, None), (property, cached_property))]
+        assert derived == [], cls.__name__
 
 
 def test_value_classes_never_equal_across_classes():
@@ -241,8 +256,8 @@ def test_values_on_two_equal_frames_are_equal():
     m1, m2 = Model(f1, frozenset({3})), Model(f2, frozenset({3}))
     assert m1 == m2 and not m1 != m2 and hash(m1) == hash(m2)
     masses = {(1,): 0.25, (1, 2): 0.75}
-    b1 = BBA(f1, m1, {Proposition(f1, k): m for k, m in masses.items()})
-    b2 = BBA(f2, m2, {Proposition(f2, k): m for k, m in masses.items()})
+    b1 = BBA(m1, {Proposition(f1, k): m for k, m in masses.items()})
+    b2 = BBA(m2, {Proposition(f2, k): m for k, m in masses.items()})
     assert b1 == b2 and not b1 != b2
     assert b1.mass(Proposition(f2, (1, 2))) == 0.75
     assert b2.mass(Proposition(f1, (1,))) == 0.25
@@ -263,11 +278,27 @@ def test_model_kind_is_computed_compared_and_read_only():
     assert model.kind == "shafer"
 
 
+def test_frame_and_conflict_are_read_not_passed():
+    scenario_args = (FREE, (RULE,), (A,), (B,))
+    assert BBA1.frame is F and Scenario(*scenario_args).frame is F
+    assert EngineResult("dsm", "ok", (ROW,), stage_conflicts=(0.25, 0.5, 0.0)).conflict_mass == 0.5
+    assert RESULT.conflict_mass is None
+    for cls, args, name, value in (
+        (BBA, (FREE, MASSES), "frame", F),
+        (Scenario, scenario_args, "frame", F),
+        (EngineResult, ("dsm", "ok", (ROW,)), "conflict_mass", 0.5),
+    ):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            cls(*args, **{name: value})
+        with pytest.raises(AttributeError):
+            setattr(cls(*args), name, value)
+
+
 def test_repr_text():
     frame = Frame(("a", "b"))
     assert repr(frame) == "Frame(names=('a', 'b'))"
-    assert repr(Model.shafer(frame)) == "Model(frame=Frame(names=('a', 'b')), masks=frozenset({3}), kind='shafer')"
-    assert repr(Model.free(frame)) == "Model(frame=Frame(names=('a', 'b')), masks=frozenset(), kind='free')"
+    assert repr(Model.shafer(frame)) == "Model(frame=Frame(names=('a', 'b')), masks=frozenset({3}))"
+    assert repr(Model.free(frame)) == "Model(frame=Frame(names=('a', 'b')), masks=frozenset())"
     a = frame.singleton("a")
     assert repr(a | frame.singleton("b")) == "<Proposition a ∪ b>"
     assert repr(QueryResult(a, 0.5, 1.0)) == "QueryResult(query=<Proposition a>, bel=0.5, pl=1.0, estimate=None, note='')"
