@@ -328,6 +328,11 @@ def _reduce_masks(masks: tuple[int, ...], constraints: frozenset[int]) -> tuple[
     return tuple(t for t in masks if not t & (t - 1) or all(t & c != c for c in constraints))
 
 
+def _meet(a: tuple[int, ...], b: tuple[int, ...], constraints: frozenset[int]) -> tuple[int, ...]:
+    """The term masks of a∧b: each pair of terms' union, absorbed, ascending and reduced."""
+    return _reduce_masks(_absorb(t | s for t in a for s in b), constraints)
+
+
 def reduce_under_model(a: Proposition, model: Model) -> Proposition:
     """Drop every term that contains a constraint.
 

@@ -16,8 +16,10 @@ three ways:
   report names each atom by :meth:`AtomFrame.atom_name`.  Total conflict is
   an inconsistency, not raised.
 * ``bayes`` — no fusion at all: if the scenario is a three-rule triangle
-  (x→c, y→c', x→y with observation x∧y and c, c' exclusive), the chain-rule
-  point estimates and their defects are reported.
+  (x→cx, y→cy, x→y with observation x∧y and cx, cy exclusive), the
+  chain-rule point estimates and their defects are reported.  The match runs
+  on term masks: each rule side, the observation and each query is reduced
+  under the constraints once, and the sides are compared and met as tuples.
 
 A scenario encodes each rule and each observation once, straight to a mask
 dict (see :mod:`~hyperbelief.belief`): reduced term-mask tuples mapped to
@@ -57,14 +59,12 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
-    _absorb,
     _atom_mask,
     _brief,
     _check_atom_limit,
+    _meet,
     _members,
     _reduce_masks,
-    conjoin,
-    reduce_under_model,
     total_ignorance,
 )
 
@@ -93,8 +93,7 @@ def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
     antecedent = _reduce_masks(rule.antecedent.masks, model.masks)
     if not antecedent:
         raise ValueError(f"antecedent of [{_brief(str(rule))}] is impossible under the model")
-    meets = (t | s for t in rule.antecedent.masks for s in rule.consequent.masks)
-    both = _reduce_masks(_absorb(meets), model.masks)
+    both = _meet(antecedent, rule.consequent.masks, model.masks)
     if not both and rule.weight > 0.0:
         raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
     return _merged([(both, rule.weight), (antecedent, 1.0 - rule.weight)])
@@ -365,53 +364,43 @@ def _run_dst(scenario: Scenario) -> EngineResult:
     )
 
 
-def _match_triangle(scenario: Scenario):
-    """Find (rule_x, rule_y, chain) with x→c, y→c', x→y, obs = x∧y, c∧c' = ∅."""
-    if len(scenario.rules) != 3 or len(scenario.observations) != 1:
-        return None
-    model = scenario.model
-    obs = reduce_under_model(scenario.observations[0], model)
-    for rx, ry, chain in permutations(scenario.rules):
-        if reduce_under_model(chain.antecedent, model) != reduce_under_model(
-            rx.antecedent, model
-        ):
-            continue
-        if reduce_under_model(chain.consequent, model) != reduce_under_model(
-            ry.antecedent, model
-        ):
-            continue
-        if not reduce_under_model(conjoin(rx.consequent, ry.consequent), model).is_empty:
-            continue
-        if reduce_under_model(conjoin(rx.antecedent, ry.antecedent), model) != obs:
-            continue
-        return rx, ry, chain
-    return None
-
-
 def _run_bayes(scenario: Scenario) -> EngineResult:
     def not_applicable(reason: str) -> EngineResult:
         return _unanswered(scenario, "bayes", "not_applicable", reason, reason)
 
-    match = _match_triangle(scenario)
+    constraints = scenario.model.masks
+
+    def reduced(prop: Proposition) -> Masks:
+        return _reduce_masks(prop.masks, constraints)
+
+    # the first permutation, in rule order, that is a triangle: the chain x→y, x∧y observed, cx∧cy = ∅
+    match = None
+    if len(scenario.rules) == 3 and len(scenario.observations) == 1:
+        obs = reduced(scenario.observations[0])
+        sides = [(rule, reduced(rule.antecedent), reduced(rule.consequent)) for rule in scenario.rules]
+        match = next(
+            (
+                (rx, ry, chain, cx, cy)
+                for (rx, x, cx), (ry, y, cy), (chain, a, b) in permutations(sides)
+                if a == x and b == y and not _meet(cx, cy, constraints) and _meet(x, y, constraints) == obs
+            ),
+            None,
+        )
     if match is None:
         return not_applicable(
             "not applicable: scenario is not a three-rule triangle with one observation"
         )
-    rx, ry, chain = match
+    rx, ry, chain, cx, cy = match
     eps1, eps2, eps3 = 1.0 - rx.weight, 1.0 - ry.weight, 1.0 - chain.weight
     if eps3 == 1.0:
         return not_applicable(
             "not applicable: the chain rule has weight 0, so the estimates' denominator vanishes"
         )
     estimates = indifference_estimates(eps1, eps2, eps3)
-    model = scenario.model
-    by_target = {
-        reduce_under_model(ry.consequent, model): float(estimates.p_fly),
-        reduce_under_model(rx.consequent, model): float(estimates.p_not_fly),
-    }
+    by_target = {cy: float(estimates.p_fly), cx: float(estimates.p_not_fly)}
     rows = []
     for q in scenario.queries:
-        value = by_target.get(reduce_under_model(q, model))
+        value = by_target.get(reduced(q))
         if value is None:
             rows.append(QueryResult(query=q, note="no closed-form estimate for this query"))
         else:

@@ -13,13 +13,24 @@ import argparse
 import json
 from collections import defaultdict
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from math import fsum
 
 from hyperbelief import Frame
+from hyperbelief.analysis import indifference_estimates
 from hyperbelief.cli import _DECODER, ScenarioError
-from hyperbelief.lattice import AtomFrame, Model, Proposition, _brief, _families, _term_order, proposition_from_names
-from hyperbelief.rulebase import ENGINES, DstAxes, Scenario, WeightedRule
+from hyperbelief.lattice import (
+    AtomFrame,
+    Model,
+    Proposition,
+    _brief,
+    _families,
+    _term_order,
+    conjoin,
+    proposition_from_names,
+    reduce_under_model,
+)
+from hyperbelief.rulebase import ENGINES, DstAxes, EngineResult, QueryResult, Scenario, WeightedRule, _unanswered
 
 
 def all_regions(n):
@@ -230,6 +241,74 @@ def filter_walk(n):
         return [lo_bits | lifted & lo_lacks for lo, lo_bits, lo_lacks in lows[: i + 1] if not lo & outside]
 
     return len(halves), block
+
+
+def match_triangle(scenario: Scenario):
+    """Find (rule_x, rule_y, chain) with x→c, y→c', x→y, obs = x∧y, c∧c' = ∅.
+
+    The reference for the bayes engine's match: every side is reduced again,
+    as a ``Proposition``, inside each permutation, and meets are ``conjoin``.
+    """
+    if len(scenario.rules) != 3 or len(scenario.observations) != 1:
+        return None
+    model = scenario.model
+    obs = reduce_under_model(scenario.observations[0], model)
+    for rx, ry, chain in permutations(scenario.rules):
+        if reduce_under_model(chain.antecedent, model) != reduce_under_model(
+            rx.antecedent, model
+        ):
+            continue
+        if reduce_under_model(chain.consequent, model) != reduce_under_model(
+            ry.antecedent, model
+        ):
+            continue
+        if not reduce_under_model(conjoin(rx.consequent, ry.consequent), model).is_empty:
+            continue
+        if reduce_under_model(conjoin(rx.antecedent, ry.antecedent), model) != obs:
+            continue
+        return rx, ry, chain
+    return None
+
+
+def run_bayes(scenario: Scenario) -> EngineResult:
+    """The bayes engine's result from :func:`match_triangle`, each query looked up as a ``Proposition``."""
+
+    def not_applicable(reason: str) -> EngineResult:
+        return _unanswered(scenario, "bayes", "not_applicable", reason, reason)
+
+    match = match_triangle(scenario)
+    if match is None:
+        return not_applicable(
+            "not applicable: scenario is not a three-rule triangle with one observation"
+        )
+    rx, ry, chain = match
+    eps1, eps2, eps3 = 1.0 - rx.weight, 1.0 - ry.weight, 1.0 - chain.weight
+    if eps3 == 1.0:
+        return not_applicable(
+            "not applicable: the chain rule has weight 0, so the estimates' denominator vanishes"
+        )
+    estimates = indifference_estimates(eps1, eps2, eps3)
+    model = scenario.model
+    by_target = {
+        reduce_under_model(ry.consequent, model): float(estimates.p_fly),
+        reduce_under_model(rx.consequent, model): float(estimates.p_not_fly),
+    }
+    rows = []
+    for q in scenario.queries:
+        value = by_target.get(reduce_under_model(q, model))
+        if value is None:
+            rows.append(QueryResult(query=q, note="no closed-form estimate for this query"))
+        else:
+            rows.append(
+                QueryResult(query=q, estimate=value, note="non-additive point estimate")
+            )
+    return EngineResult(
+        engine="bayes",
+        status="ok",
+        queries=tuple(rows),
+        flags=estimates.validity_flags,
+        estimates=estimates,
+    )
 
 
 def atoms_of(mask):

@@ -62,6 +62,12 @@ def test_operator_precedence():
     )
 
 
+@pytest.mark.parametrize("text", ["a | ~a  ", "a | ~a\t\n"])
+def test_trailing_whitespace_is_ignored(text):
+    # the tokenizer stops at whitespace that nothing follows
+    assert parse_formula(text) == parse_formula("a | ~a")
+
+
 @pytest.mark.parametrize("text", ["a &", "(a", "(a b", "a b", ")", "a + b", ""])
 def test_malformed_formulas_raise(text):
     with pytest.raises(ValueError):

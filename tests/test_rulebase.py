@@ -6,7 +6,7 @@ from math import prod
 
 import oracle
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperbelief import (
@@ -35,7 +35,7 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from hyperbelief.cli import parse_scenario
+from hyperbelief.cli import emit_report, parse_scenario
 from strategies import framed_models, propositions, wide_models
 from test_reference import generated
 
@@ -655,6 +655,79 @@ def test_bayes_surfaces_range_violations():
     result = run_scenario(tp2_scenario(0.9, 0.1, 0.95, engines=("bayes",))).engine("bayes")
     assert result.status == "ok"
     assert any("outside [0, 1]" in flag for flag in result.flags)
+
+
+TRIFRAME = Frame(("p", "b", "f", "nf", "u"))
+
+
+@st.composite
+def near_triangles(draw):
+    """Three rules and one observation around the triangle x→cx, y→cy, x→y with x∧y observed.
+
+    The five names are relabelled and the rules shuffled.  Each antecedent may
+    be padded with f∩nf, which leaves it equal only when f∩nf is a constraint,
+    and the model may leave that constraint out.  Near misses: a swapped or non-exclusive
+    consequent, a consequent f∩nf on a weight-0 rule, x = y, a chain to
+    another name, and an observation other than x∩y.
+    """
+    names = draw(st.permutations(TRIFRAME.names))
+    p, b, f, nf, u = (TRIFRAME.singleton(name) for name in names)
+    clash = f & nf
+
+    def side(prop):
+        return draw(st.sampled_from((prop, prop | clash)))
+
+    def weight(consequent):
+        if consequent == clash:  # a weight above 0 on a consequent reducing to ∅ is refused
+            return 0.0
+        return draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)) | st.floats(0.0, 1.0))
+
+    x = p
+    y = draw(st.sampled_from((b, b, b, p)))
+    cx = draw(st.sampled_from((nf, nf, nf, nf, f, clash, u)))
+    cy = draw(st.sampled_from((f, f, f, f, nf, clash, b)))
+    chain = draw(st.sampled_from((y, y, y, u)))
+    rules = [
+        WeightedRule(side(x), cx, weight(cx)),
+        WeightedRule(side(y), cy, weight(cy)),
+        WeightedRule(side(x), side(chain), weight(chain)),
+    ]
+    order = draw(st.permutations(range(3)))
+    obs = draw(st.sampled_from((x & y, x & y, x & y, (x & y) | clash, x, y, x & y & u)))
+    pool = (f, nf, f | clash, clash, cx, cy, x & y, u)
+    queries = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+    # by role: 0 p, 1 b, 2 f, 3 nf, 4 u
+    clashes = draw(st.sampled_from(([(2, 3)], [(2, 3)], [(2, 3)], [])))
+    extra = draw(st.lists(st.sampled_from([(2, 4), (3, 4), (1, 2, 4)]), max_size=2))
+    model = Model.from_constraints(
+        TRIFRAME, [[TRIFRAME.index(names[role]) for role in c] for c in clashes + extra]
+    )
+    return Scenario(model, tuple(rules[i] for i in order), (obs,), queries, engines=("bayes",))
+
+
+@settings(max_examples=400)
+@given(near_triangles())
+def test_bayes_match_agrees_with_the_reference(scenario):
+    # the mask match must pick the reference's permutation, estimates and query rows
+    assert run_scenario(scenario).engine("bayes") == oracle.run_bayes(scenario)
+
+
+@pytest.mark.parametrize(
+    "order, line",
+    [
+        ((0, 1, 2), "bayes estimates: p_fly=0.114285714286 p_not_fly=0.257142857143 additivity_deficit=0.628571428571 bound=0.142857142857"),
+        ((1, 0, 2), "bayes estimates: p_fly=0.257142857143 p_not_fly=0.114285714286 additivity_deficit=0.628571428571 bound=0.285714285714"),
+    ],
+    ids=["declared", "first-two-swapped"],
+)
+def test_bayes_match_with_x_equal_to_y_takes_the_first_permutation(order, line):
+    # p→nf, p→f and p→p with p observed: both consequent rules fit rule x and
+    # rule y, so the first fitting permutation, in rule order, decides
+    rules = (WeightedRule(P, NF, 0.9), WeightedRule(P, F, 0.8), WeightedRule(P, P, 0.7))
+    scenario = Scenario(TPMODEL, tuple(rules[i] for i in order), (P,), (F, NF), engines=("bayes",))
+    result = run_scenario(scenario).engine("bayes")
+    assert result == oracle.run_bayes(scenario)
+    assert line in emit_report(run_scenario(scenario)).splitlines()
 
 
 # -------------------------------------------------------------------- plumbing

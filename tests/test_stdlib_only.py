@@ -77,13 +77,30 @@ def test_pyproject_declares_no_dependencies():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
-    every CLI run is a fresh process, so none of them may load at start-up.
-    ``-S`` keeps site hooks from loading modules of their own."""
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
+    ``argparse`` is heavy too; every CLI run is a fresh process, so none of them
+    may load at start-up, nor lazily on any subcommand's path.  One ``-S``
+    process (no site hooks loading modules of their own) imports the CLI, then
+    runs one op of each subcommand, help and a usage error."""
+    tp2 = str(ROOT / "scenarios" / "tp2.json")
+    runs = [
+        ["fuse", tp2, "--format", "json"],
+        ["compare", tp2],
+        ["enumerate", "--n", "3"],
+        ["check-logic"],
+        ["--help"],
+        ["fuse"],
+    ]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, hyperbelief.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import io, sys, hyperbelief.cli as cli\n"
+        "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "sys.stdout = out\n"
+        "print(codes, sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0, 2] []"
