@@ -168,14 +168,16 @@ def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float
     the total mass on focals compatible with ``a``: some term of the focal,
     joined with some term of ``a``, contains no constraint.  A focal below
     ``a`` is compatible with it, since its terms contain no constraint.  Both
-    tests are settled once per distinct focal term and query, and each value
-    is one ``fsum`` over the focals in order.
+    tests are settled once per distinct focal term and query, whether a
+    union contains a constraint once per distinct union over all queries,
+    and each value is one ``fsum`` over the focals in order.
     """
     for a in queries:
         if a.frame != b.frame:
             raise ValueError("query belongs to a different frame")
     constraints = b.model.masks
     terms = {t for x in b.masses for t in x.masks}
+    allowed: dict[int, bool] = {}  # union mask -> it contains no constraint
     tests = []  # per query: (terms holding one of its terms, terms compatible with it, Bel, Pl)
     for a in queries:
         inside, compatible = set(), set()
@@ -184,8 +186,14 @@ def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float
             if t in unions:  # t holds a term of the query
                 inside.add(t)
                 compatible.add(t)
-            elif any(all(u & c != c for c in constraints) for u in unions):
-                compatible.add(t)
+                continue
+            for u in unions:
+                ok = allowed.get(u)
+                if ok is None:
+                    ok = allowed[u] = all(u & c != c for c in constraints)
+                if ok:
+                    compatible.add(t)
+                    break
         tests.append((inside, compatible, [], []))
     for x, m in b.masses.items():
         masks = x.masks
@@ -244,6 +252,17 @@ def _fold(
     distinct final join is decoded once: its lowest bit is a minimal term
     (a subset is a smaller int), and clearing that term's ``up`` removes it
     and every term above it.
+
+    A state whose meet is empty (the hybrid rule reroutes it) is keyed by
+    its join bits alone, an int, instead of ``((), join)``.  Its meet with
+    any later focal is empty again, so each later step only ORs in the
+    focal's join bits: no meet memo, no union test and no tuple key.  Live
+    and rerouted states share one step dict, so the keys keep their
+    first-seen order and every ``fsum`` group is the one that ``((), join)``
+    keys would give.  A stage with one single-focal source needs no fold:
+    ``rulebase._observe`` maps each focal F to F∩O, or to F∪O when that meet
+    is empty, and since F∩O and F∪O determine F (cancellation), each state
+    here would hold one focal and the floats are the same.
     """
     constraints = model.masks
     terms = sorted({t for source in sources for p in source for t in p})
@@ -262,10 +281,15 @@ def _fold(
             focals.append((p, bits, m, {}))
         coded.append(focals)
     allowed: dict[int, bool] = {}  # union mask -> it contains no constraint
-    states = {(p, bits): m for p, bits, m, _ in coded[0]}
+    states = {((p, bits) if p else bits): m for p, bits, m, _ in coded[0]}
     for focals in coded[1:]:
-        step: dict[tuple[Masks, int], list[float]] = {}
-        for (meet, join), mass in states.items():
+        step: dict[tuple[Masks, int] | int, list[float]] = {}
+        for key, mass in states.items():
+            if key.__class__ is int:  # an empty meet stays empty: only the join grows
+                for _, bits, m, _ in focals:
+                    step.setdefault(key | bits, []).append(mass * m)
+                continue
+            meet, join = key
             for p, bits, m, meets in focals:
                 reduced = meets.get(meet)
                 if reduced is None:
@@ -279,18 +303,23 @@ def _fold(
                             if ok:
                                 unions.append(u)
                     reduced = meets[meet] = _absorb(unions)
-                step.setdefault((reduced, join | bits), []).append(mass * m)
+                state = (reduced, join | bits) if reduced else join | bits
+                step.setdefault(state, []).append(mass * m)
         states = {k: fsum(v) for k, v in step.items()}
     decoded: dict[int, Masks] = {}
-    for _, join in states:
-        if join not in decoded:
+    folded = {}
+    for key, m in states.items():
+        meet, join = ((), key) if key.__class__ is int else key
+        kept = decoded.get(join)
+        if kept is None:
             kept, bits = [], join
             while bits:
                 t = terms[(bits & -bits).bit_length() - 1]
                 kept.append(t)
                 bits &= ~up[t]
-            decoded[join] = tuple(kept)
-    return {(meet, decoded[join]): m for (meet, join), m in states.items()}
+            kept = decoded[join] = tuple(kept)
+        folded[(meet, kept)] = m
+    return folded
 
 
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:

@@ -66,6 +66,9 @@ class _JsonWriter:
         return _object([("results", _array(results, 1))], 0)
 
     def _result(self, result: EngineResult) -> str:
+        queries = [row.query for row in result.queries]
+        props = self._props(queries[0].frame, queries, 5) if queries else []
+        rows = [self._query(row, prop) for row, prop in zip(result.queries, props)]
         return _object(
             [
                 ("engine", encode_basestring(result.engine)),
@@ -74,7 +77,7 @@ class _JsonWriter:
                 ("conflict_mass", _number(result.conflict_mass)),
                 ("stage_conflicts", _array(list(map(_number, result.stage_conflicts)), 3)),
                 ("normalization_constant", _number(result.normalization_constant)),
-                ("queries", _array(list(map(self._query, result.queries)), 3)),
+                ("queries", _array(rows, 3)),
                 ("flags", _array(list(map(encode_basestring, result.flags)), 3)),
                 ("estimates", "null" if result.estimates is None else _estimates(result.estimates)),
             ],
@@ -95,10 +98,11 @@ class _JsonWriter:
         ]
         return _object([("masses", _array(items, 4))], 3)
 
-    def _query(self, row: QueryResult) -> str:
+    def _query(self, row: QueryResult, query: str) -> str:
+        """A query row, given its proposition as rendered by :meth:`_props`."""
         return _object(
             [
-                ("query", self._props(row.query.frame, [row.query], 5)[0]),
+                ("query", query),
                 ("bel", _number(row.bel)),
                 ("pl", _number(row.pl)),
                 ("estimate", _number(row.estimate)),
@@ -111,7 +115,9 @@ class _JsonWriter:
         """Each proposition as an array at ``depth`` of its term arrays, in canonical order.
 
         A proposition's terms sort as their ranks among all the distinct
-        terms (:func:`_term_ranks`).
+        terms (:func:`_term_ranks`).  Ranks among more terms keep the same
+        relative order, so each proposition reads the same whatever list
+        it is rendered in.
         """
         blocks = self._terms.setdefault((frame.names, depth), {})
         rank = _term_ranks(t for p in props for t in p.masks)

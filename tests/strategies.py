@@ -146,3 +146,14 @@ def fold_cases(draw):
     masses[Proposition.empty(frame)] = on_empty
     sources[k] = BBA(model, masses)
     return model, sources
+
+
+@st.composite
+def emptying_cases(draw):
+    """A model on six singletons with one or two exclusive pairs and up to two
+    exclusive triples, and 6-12 two-focal rule-shaped sources: the meets of so
+    many sources mostly break a constraint within a few steps, so most of the
+    fold's states are rerouted ones."""
+    model = draw(wide_models(min_n=6))
+    two_focal = rule_bbas(model).filter(lambda b: len(b.masses) == 2)
+    return model, [draw(two_focal) for _ in range(draw(st.integers(6, 12)))]

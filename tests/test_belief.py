@@ -30,7 +30,15 @@ from hyperbelief import (
     vacuous,
 )
 from hyperbelief.belief import TOTAL_CONFLICT_EPS, _fold, _merged, belief_intervals, fsum_by_key
-from strategies import bbas, dsm_scale_sources, fold_cases, framed_models, propositions, wide_models
+from strategies import (
+    bbas,
+    dsm_scale_sources,
+    emptying_cases,
+    fold_cases,
+    framed_models,
+    propositions,
+    wide_models,
+)
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
 P, B, F, NF = (TPFRAME.singleton(n) for n in TPFRAME.names)
@@ -502,6 +510,17 @@ def test_fold_matches_the_absorb_reference_exactly(case):
     model, sources = case
     got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
     want = [(key, mass.hex()) for key, mass in oracle.absorb_fold(sources, model).items()]
+    assert got == want
+
+
+@pytest.mark.parametrize("cases", [fold_cases(), emptying_cases()], ids=["fold_cases", "emptying_cases"])
+@given(data=st.data())
+def test_fold_matches_the_pair_keyed_reference_exactly(cases, data):
+    # a rerouted state keyed by its join bits alone merges, orders and sums
+    # exactly as its (empty meet, join bits) key does in the reference
+    model, sources = data.draw(cases)
+    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
+    want = [(key, mass.hex()) for key, mass in oracle.pair_keyed_fold(mask_dicts(sources), model).items()]
     assert got == want
 
 
