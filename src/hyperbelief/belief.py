@@ -45,6 +45,7 @@ from .lattice import (
     Model,
     Proposition,
     _absorb,
+    _meet,
     _term_ranks,
     reduce_under_model,
     total_ignorance,
@@ -259,10 +260,7 @@ def _fold(
     focal's join bits: no meet memo, no union test and no tuple key.  Live
     and rerouted states share one step dict, so the keys keep their
     first-seen order and every ``fsum`` group is the one that ``((), join)``
-    keys would give.  A stage with one single-focal source needs no fold:
-    ``rulebase._observe`` maps each focal F to F∩O, or to F∪O when that meet
-    is empty, and since F∩O and F∪O determine F (cancellation), each state
-    here would hold one focal and the floats are the same.
+    keys would give.
     """
     constraints = model.masks
     terms = sorted({t for source in sources for p in source for t in p})
@@ -374,6 +372,29 @@ def _hybrid_step(
     rerouted = fsum(m for (meet, _), m in states.items() if not meet)
     targets = _merged((meet or join or ignorance, m) for (meet, join), m in states.items())
     return targets, rerouted
+
+
+def _observe(
+    fused: Mapping[Masks, float], obs: Masks, constraints: frozenset[int]
+) -> tuple[dict[Masks, float], float]:
+    """One observation stage: ``_hybrid_step([fused, {obs: 1.0}], model)`` as a map.
+
+    Each focal F goes to F∩O, or to F∪O when that meet is empty, and then
+    its mass counts as rerouted.  The two-source fold would key F by
+    (F∩O, F∪O), and in a distributive lattice these two determine F
+    (cancellation), so each of its states holds one focal and its one-term
+    ``fsum`` is F's mass.  The map therefore gives the same targets, in the
+    same order, with the same floats, and builds no term table, join bits
+    or decode.
+    """
+    targets, rerouted = [], []
+    for focal, m in fused.items():
+        target = _meet(focal, obs, constraints)
+        if not target:
+            target = _absorb(focal + obs)
+            rerouted.append(m)
+        targets.append((target, m))
+    return _merged(targets), fsum(rerouted)
 
 
 def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:

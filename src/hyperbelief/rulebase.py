@@ -49,7 +49,7 @@ from .belief import (
     TotalConflictError,
     _dempster_normalise,
     _hybrid_step,
-    _merged,
+    _observe,
     belief_intervals,
     fsum_by_key,
 )
@@ -59,7 +59,6 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
-    _absorb,
     _atom_mask,
     _brief,
     _check_atom_limit,
@@ -98,7 +97,7 @@ def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
     w = rule.weight
     if not both and w > 0.0:
         raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
-    # WeightedRule bounds w to [0, 1], so these masses sum to 1 without _merged's check
+    # WeightedRule bounds w to [0, 1], so the two masses sum to 1 and need no check
     if both == antecedent:  # the antecedent implies the consequent
         return {antecedent: fsum((w, 1.0 - w))}
     return {masks: m for masks, m in ((both, w), (antecedent, 1.0 - w)) if m > 0.0}
@@ -311,36 +310,11 @@ def _unanswered(
     )
 
 
-def _observe(
-    fused: Mapping[Masks, float], obs: Masks, constraints: frozenset[int]
-) -> tuple[dict[Masks, float], float]:
-    """One observation stage: ``_hybrid_step([fused, {obs: 1.0}], model)`` as a map.
-
-    Each focal F goes to F∩O, or to F∪O when that meet is empty, and then
-    its mass counts as rerouted.  The two-source fold would key F by
-    (F∩O, F∪O), and in a distributive lattice these two determine F, so each
-    of its states holds one focal and its one-term ``fsum`` is F's mass.  The
-    map therefore gives the same targets, in the same order, with the same
-    floats.
-    """
-    targets, rerouted = [], []
-    for focal, m in fused.items():
-        target = _meet(focal, obs, constraints)
-        if not target:
-            target = _absorb(focal + obs)
-            rerouted.append(m)
-        targets.append((target, m))
-    return _merged(targets), fsum(rerouted)
-
-
 def _run_dsm(scenario: Scenario) -> EngineResult:
     """The rules in one hybrid step, then each observation in file order.
 
-    The rule stage's fold keys each rerouted state by its join alone (see
-    :func:`~hyperbelief.belief._fold`).  An observation stage is a map
-    (:func:`_observe`): it sends each fused focal F to F∩O, or to F∪O when
-    that meet is empty.  By cancellation F∩O and F∪O determine F, so the
-    map gives the floats of the two-source hybrid step.
+    An observation stage is the map :func:`~hyperbelief.belief._observe`,
+    which gives the floats of the two-source hybrid step.
     """
     model = scenario.model
     rules, observations = scenario._sources

@@ -173,8 +173,6 @@ def pair_keyed_fold(
     ``_absorb`` is this module's, which returns what ``lattice._absorb``
     returns.
 
-    Fold mask-dict sources into merged (reduced meet, join) states with their masses.
-
     Each source maps reduced, absorbed, ascending term-mask tuples to
     masses, in focal order.  Each step pairs every state with every focal of
     the next source and merges equal states by ``fsum``, so the table stays

@@ -29,7 +29,16 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from hyperbelief.belief import TOTAL_CONFLICT_EPS, _fold, _merged, belief_intervals, fsum_by_key
+from hyperbelief.belief import (
+    TOTAL_CONFLICT_EPS,
+    _fold,
+    _hybrid_step,
+    _merged,
+    _observe,
+    belief_intervals,
+    fsum_by_key,
+)
+from hyperbelief.lattice import _reduce_masks
 from strategies import (
     bbas,
     dsm_scale_sources,
@@ -522,6 +531,33 @@ def test_fold_matches_the_pair_keyed_reference_exactly(cases, data):
     got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
     want = [(key, mass.hex()) for key, mass in oracle.pair_keyed_fold(mask_dicts(sources), model).items()]
     assert got == want
+
+
+@st.composite
+def observed_stages(draw):
+    """A model, a fused mask dict in any key order (distinct reduced keys,
+    masses summing to 1, ∅ allowed) and a non-empty reduced observation."""
+    model = draw(st.one_of(framed_models(min_n=2), wide_models()))
+    frame = model.frame
+    drawn = draw(st.lists(propositions(frame), min_size=1, max_size=8))
+    keys = list(dict.fromkeys(_reduce_masks(p.masks, model.masks) for p in drawn))
+    weights = [draw(st.floats(0.01, 1.0)) for _ in keys]
+    total = fsum(weights)
+    fused = dict(zip(draw(st.permutations(keys)), (w / total for w in weights)))
+    obs = _reduce_masks(draw(propositions(frame, allow_empty=False)).masks, model.masks)
+    assume(obs)
+    return model, fused, obs
+
+
+@given(observed_stages())
+def test_observation_map_equals_the_two_source_hybrid_step(case):
+    # F∩O and F∪O determine F, so each state of the two-source fold holds one
+    # focal: the map reaches the same targets, order and bits, and rerouted mass
+    model, fused, obs = case
+    got, got_rerouted = _observe(fused, obs, model.masks)
+    want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model)
+    assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
+    assert got_rerouted.hex() == want_rerouted.hex()
 
 
 @given(fold_cases())

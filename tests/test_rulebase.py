@@ -2,7 +2,7 @@
 
 import json
 from itertools import product
-from math import fsum, prod
+from math import prod
 
 import oracle
 import pytest
@@ -35,10 +35,10 @@ from hyperbelief import (
     total_ignorance,
     vacuous,
 )
-from hyperbelief.belief import _hybrid_step, _merged
+from hyperbelief.belief import _merged
 from hyperbelief.cli import emit_report, parse_scenario
 from hyperbelief.lattice import _meet, _reduce_masks
-from hyperbelief.rulebase import _observe, _rule_masses
+from hyperbelief.rulebase import _rule_masses
 from strategies import framed_models, propositions, wide_models
 from test_reference import generated
 
@@ -326,33 +326,6 @@ def test_dsm_stages_match_the_public_chain_exactly(scenario):
         (p.masks, m.hex()) for p, m in fused.items()
     ]
     assert [c.hex() for c in got.stage_conflicts] == [c.hex() for c in conflicts]
-
-
-@st.composite
-def observed_stages(draw):
-    """A model, a fused mask dict in any key order (distinct reduced keys,
-    masses summing to 1, ∅ allowed) and a non-empty reduced observation."""
-    model = draw(st.one_of(framed_models(min_n=2), wide_models()))
-    frame = model.frame
-    drawn = draw(st.lists(propositions(frame), min_size=1, max_size=8))
-    keys = list(dict.fromkeys(_reduce_masks(p.masks, model.masks) for p in drawn))
-    weights = [draw(st.floats(0.01, 1.0)) for _ in keys]
-    total = fsum(weights)
-    fused = dict(zip(draw(st.permutations(keys)), (w / total for w in weights)))
-    obs = _reduce_masks(draw(propositions(frame, allow_empty=False)).masks, model.masks)
-    assume(obs)
-    return model, fused, obs
-
-
-@given(observed_stages())
-def test_observation_map_equals_the_two_source_hybrid_step(case):
-    # F∩O and F∪O determine F, so each state of the two-source fold holds one
-    # focal: the map reaches the same targets, order and bits, and rerouted mass
-    model, fused, obs = case
-    got, got_rerouted = _observe(fused, obs, model.masks)
-    want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model)
-    assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
-    assert got_rerouted.hex() == want_rerouted.hex()
 
 
 def test_tp2_dsm_staging_is_pinned():
