@@ -6,8 +6,10 @@ Every op of seeds 1-3 of the tp2-sweep, dsm-rules and dst-atoms workloads
 runs in this process through ``hyperbelief.cli.main``, in order.  Each
 op's ``repr((exit code, stdout, stderr))`` feeds the digest.  The script
 prints the op count and the hex digest, so a change that moves any byte
-of any op shows.  JSON error texts differ between Python versions, so a
-pinned digest holds for one version only.
+of any op shows.  On stderr it prints one ``workload count sha256`` line per
+workload, over that workload's ops alone, so a moved digest names the
+workload whose bytes moved.  JSON error texts differ between Python
+versions, so a pinned digest holds for one version only.
 
     PYTHONPATH=src python scripts/output_digest.py
 """
@@ -35,6 +37,7 @@ def main() -> None:
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         for workload in TRAFFIC:
+            part, part_count = hashlib.sha256(), 0
             for seed in SEEDS:
                 ops = [op for r in WORKLOADS[workload](random.Random(seed)) for op in r]
                 for i, op in enumerate(ops):
@@ -46,8 +49,12 @@ def main() -> None:
                     out, err = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = cli.main(argv)
-                    digest.update(repr((code, out.getvalue(), err.getvalue())).encode("utf-8"))
-                    count += 1
+                    record = repr((code, out.getvalue(), err.getvalue())).encode("utf-8")
+                    digest.update(record)
+                    part.update(record)
+                    part_count += 1
+            print(workload, part_count, part.hexdigest(), file=sys.stderr)
+            count += part_count
     print(count, digest.hexdigest())
 
 

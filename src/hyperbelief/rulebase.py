@@ -10,11 +10,12 @@ three ways:
   BBAs (or the vacuous one) in one pass, then each observation in order.
 * ``dst``   — every proposition is refined to its atoms on an exclusive
   frame (``dst_axes``), as an int atom mask with bit i for atom i; Dempster's
-  rule is one fold over those masks from the vacuous assignment (every atom),
-  meeting with ``&`` and normalized as in ``dempster_combine``.  The result
-  keeps the masks as keys, ordered by their ascending atom lists, and the
-  report names each atom by :meth:`AtomFrame.atom_name`.  Total conflict is
-  an inconsistency, not raised.
+  rule is one fold over those masks from the vacuous assignment on the atoms
+  where no declared constraint holds, meeting with ``&`` and normalized as in
+  ``dempster_combine``.  The result keeps the masks as keys, ordered by their
+  ascending atom lists, and the report names each atom by
+  :meth:`AtomFrame.atom_name`.  Total conflict is an inconsistency, not
+  raised.
 * ``bayes`` — no fusion at all: if the scenario is a three-rule triangle
   (x→cx, y→cy, x→y with observation x∧y and cx, cy exclusive), the
   chain-rule point estimates and their defects are reported.  The match runs
@@ -47,10 +48,11 @@ from .belief import (
     BBA,
     Masks,
     TotalConflictError,
+    _Allowed,
+    _belief_intervals,
     _dempster_normalise,
     _hybrid_step,
     _observe,
-    belief_intervals,
     fsum_by_key,
 )
 from .json_report import render_json
@@ -290,10 +292,12 @@ class FusionReport(Value):
         return json.loads(render_json(self))
 
 
-def _intervals(fused: BBA, queries: Sequence[Proposition]) -> tuple[QueryResult, ...]:
+def _intervals(
+    fused: BBA, queries: Sequence[Proposition], allowed: _Allowed
+) -> tuple[QueryResult, ...]:
     return tuple(
         QueryResult(query=q, bel=bel, pl=pl)
-        for q, (bel, pl) in zip(queries, belief_intervals(fused, queries))
+        for q, (bel, pl) in zip(queries, _belief_intervals(fused, queries, allowed))
     )
 
 
@@ -314,15 +318,18 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
     """The rules in one hybrid step, then each observation in file order.
 
     An observation stage is the map :func:`~hyperbelief.belief._observe`,
-    which gives the floats of the two-source hybrid step.
+    which gives the floats of the two-source hybrid step.  Every stage and
+    the Bel/Pl queries read one ``allowed`` memo, so each union is tested
+    against the constraints once per run.
     """
     model = scenario.model
     rules, observations = scenario._sources
-    fused, conflict = _hybrid_step(rules or ({total_ignorance(model.frame).masks: 1.0},), model)
+    allowed = _Allowed(model.masks)
+    fused, conflict = _hybrid_step(rules or ({total_ignorance(model.frame).masks: 1.0},), model, allowed)
     stage_conflicts = [conflict]
     for observation in observations:
         (obs,) = observation  # one focal with mass 1
-        fused, conflict = _observe(fused, obs, model.masks)
+        fused, conflict = _observe(fused, obs, allowed)
         stage_conflicts.append(conflict)
     fused = BBA._trusted(model, fused)
     flags = ()
@@ -333,7 +340,7 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
         status="ok",
         fused=fused,
         stage_conflicts=tuple(stage_conflicts),
-        queries=_intervals(fused, scenario.queries),
+        queries=_intervals(fused, scenario.queries, allowed),
         flags=flags,
     )
 
@@ -346,9 +353,14 @@ def _run_dst(scenario: Scenario) -> EngineResult:
     def atoms(masks: Masks) -> int:
         return _atom_mask(names, masks, axes.axes, axes.literal_map)
 
+    forbidden = 0  # the atoms where some declared constraint holds
+    for c in scenario.model.masks:
+        # a constraint naming an unmapped singleton touches no focal: every used singleton is mapped
+        if all(names[i] in axes.literal_map for i in _members(c)):
+            forbidden |= atoms((c,))
     rules, observations = scenario._sources
     sources = [fsum_by_key((atoms(p), m) for p, m in b.items()) for b in (*rules, *observations)]
-    states = {(1 << axes.axes.atom_count) - 1: 1.0}
+    states = {((1 << axes.axes.atom_count) - 1) & ~forbidden: 1.0}
     for source in sources:
         states = fsum_by_key((s & f, ms * m) for s, ms in states.items() for f, m in source.items())
     try:

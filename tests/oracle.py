@@ -28,6 +28,7 @@ from hyperbelief.lattice import (
     _brief,
     _families,
     _term_order,
+    canonicalize,
     conjoin,
     proposition_from_names,
     reduce_under_model,
@@ -441,6 +442,55 @@ def refine_to_atoms(prop, atom_frame, literal_map):
             ]
             atoms.update(atom_index(atom_frame, values) for values in product(*choices))
     return frozenset(atoms)
+
+
+def naive_dst(scenario):
+    """The dst engine on atom sets: (fused masses keyed by frozensets of atoms,
+    conflict, K, [(Bel, Pl)] per query).
+
+    Each proposition is refined by :func:`refine_to_atoms` as written, and the
+    atoms where every member of a declared constraint holds are deleted, as
+    :func:`semantic` deletes the regions that contain one: with one binary
+    axis per singleton the atoms are exactly the Venn regions plus the one
+    where no singleton holds.  A constraint that names a singleton the map
+    omits is skipped.  A rule is {antecedent∧consequent: w, antecedent: 1−w}
+    and an observation {o: 1}; Dempster's rule folds them from every allowed
+    atom.  Raises ZeroDivisionError on total conflict.
+    """
+    axes, literal_map = scenario.dst_axes.axes, scenario.dst_axes.literal_map
+    frame = scenario.frame
+
+    def atoms(prop):
+        return refine_to_atoms(prop, axes, literal_map)
+
+    forbidden = frozenset()
+    for c in scenario.model.empty_intersections:
+        if all(frame.names[i] in literal_map for i in c):
+            forbidden |= atoms(canonicalize(frame, [c]))
+    states = {frozenset(range(axes.atom_count)) - forbidden: 1.0}
+    sources = [
+        [(atoms(r.antecedent & r.consequent), r.weight), (atoms(r.antecedent), 1.0 - r.weight)]
+        for r in scenario.rules
+    ]
+    sources += [[(atoms(o), 1.0)] for o in scenario.observations]
+    for source in sources:
+        step = defaultdict(list)
+        for state, m in states.items():
+            for focal, f in source:
+                step[state & focal].append(m * f)
+        states = {key: fsum(masses) for key, masses in step.items()}
+    conflict = states.pop(frozenset(), 0.0)
+    if 1.0 - conflict <= 1e-12:
+        raise ZeroDivisionError("total conflict")
+    total = fsum(states.values())
+    fused = {key: m / total for key, m in states.items() if m > 0.0}
+    intervals = []
+    for q in scenario.queries:
+        region = atoms(q)
+        intervals.append(
+            (fsum(m for f, m in fused.items() if f <= region), fsum(m for f, m in fused.items() if f & region))
+        )
+    return fused, conflict, 1.0 - conflict, intervals
 
 
 def fused_tree(fused):

@@ -1,7 +1,9 @@
 """Shared hypothesis strategies for frames, propositions, models and BBAs."""
 
 from itertools import combinations
+from math import fsum
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from hyperbelief import Frame, Model, Proposition, canonicalize, conjoin, reduce_under_model
@@ -157,3 +159,48 @@ def emptying_cases(draw):
     model = draw(wide_models(min_n=6))
     two_focal = rule_bbas(model).filter(lambda b: len(b.masses) == 2)
     return model, [draw(two_focal) for _ in range(draw(st.integers(6, 12)))]
+
+
+@st.composite
+def observation_cases(draw):
+    """A model, a fused mask dict as a dsm stage hands it on, and two different
+    reduced observations of one to three terms, to apply in turn as dsm-rules
+    does at odd R.
+
+    The fused keys come from one of three draws: reduced propositions (∅
+    allowed) on a small, wide or free model; antichains over a pool of four
+    to six terms, so that keys share terms, which the observations draw from
+    too; or the real rule-stage output, ``_hybrid_step`` over an
+    ``emptying_cases()`` draw, whose keys are mostly rerouted unions."""
+    from hyperbelief.belief import _Allowed, _hybrid_step
+    from hyperbelief.lattice import _absorb, _reduce_masks
+
+    kind = draw(st.sampled_from(("drawn", "pooled", "rule stage")))
+    if kind == "rule stage":
+        model, sources = draw(emptying_cases())
+        fused, _ = _hybrid_step(
+            [{p.masks: m for p, m in b.items()} for b in sources], model, _Allowed(model.masks)
+        )
+        used = sorted({t for key in fused for t in key})
+        terms = st.one_of(st.sampled_from(used), st.integers(1, (1 << len(model.frame)) - 1))
+    else:
+        free = wide_models().map(lambda m: Model.free(m.frame))
+        model = draw(st.one_of(framed_models(min_n=2), wide_models(), free))
+        full = (1 << len(model.frame)) - 1
+        if kind == "drawn":
+            keys = [p.masks for p in draw(st.lists(propositions(model.frame), min_size=1, max_size=8))]
+            terms = st.integers(1, full)
+        else:
+            pool = st.lists(st.integers(1, full), min_size=min(4, full), max_size=6, unique=True)
+            terms = st.sampled_from(draw(pool))
+            keys = [_absorb(draw(st.lists(terms, min_size=1, max_size=4))) for _ in range(draw(st.integers(1, 8)))]
+        keys = list(dict.fromkeys(_reduce_masks(k, model.masks) for k in keys))
+        weights = [draw(st.floats(0.01, 1.0)) for _ in keys]
+        total = fsum(weights)
+        fused = dict(zip(draw(st.permutations(keys)), (w / total for w in weights)))
+    first, second = (
+        _reduce_masks(_absorb(draw(st.lists(terms, min_size=1, max_size=3))), model.masks)
+        for _ in range(2)
+    )
+    assume(first and second and first != second)
+    return model, fused, (first, second)

@@ -31,6 +31,7 @@ from hyperbelief import (
 )
 from hyperbelief.belief import (
     TOTAL_CONFLICT_EPS,
+    _Allowed,
     _fold,
     _hybrid_step,
     _merged,
@@ -38,13 +39,13 @@ from hyperbelief.belief import (
     belief_intervals,
     fsum_by_key,
 )
-from hyperbelief.lattice import _reduce_masks
 from strategies import (
     bbas,
     dsm_scale_sources,
     emptying_cases,
     fold_cases,
     framed_models,
+    observation_cases,
     propositions,
     wide_models,
 )
@@ -517,7 +518,7 @@ def mask_dicts(sources):
 def test_fold_matches_the_absorb_reference_exactly(case):
     # same arithmetic in the same order, so keys, order and float bits agree
     model, sources = case
-    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
+    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), _Allowed(model.masks)).items()]
     want = [(key, mass.hex()) for key, mass in oracle.absorb_fold(sources, model).items()]
     assert got == want
 
@@ -528,36 +529,25 @@ def test_fold_matches_the_pair_keyed_reference_exactly(cases, data):
     # a rerouted state keyed by its join bits alone merges, orders and sums
     # exactly as its (empty meet, join bits) key does in the reference
     model, sources = data.draw(cases)
-    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
+    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), _Allowed(model.masks)).items()]
     want = [(key, mass.hex()) for key, mass in oracle.pair_keyed_fold(mask_dicts(sources), model).items()]
     assert got == want
 
 
-@st.composite
-def observed_stages(draw):
-    """A model, a fused mask dict in any key order (distinct reduced keys,
-    masses summing to 1, ∅ allowed) and a non-empty reduced observation."""
-    model = draw(st.one_of(framed_models(min_n=2), wide_models()))
-    frame = model.frame
-    drawn = draw(st.lists(propositions(frame), min_size=1, max_size=8))
-    keys = list(dict.fromkeys(_reduce_masks(p.masks, model.masks) for p in drawn))
-    weights = [draw(st.floats(0.01, 1.0)) for _ in keys]
-    total = fsum(weights)
-    fused = dict(zip(draw(st.permutations(keys)), (w / total for w in weights)))
-    obs = _reduce_masks(draw(propositions(frame, allow_empty=False)).masks, model.masks)
-    assume(obs)
-    return model, fused, obs
-
-
-@given(observed_stages())
+@given(observation_cases())
 def test_observation_map_equals_the_two_source_hybrid_step(case):
     # F∩O and F∪O determine F, so each state of the two-source fold holds one
-    # focal: the map reaches the same targets, order and bits, and rerouted mass
-    model, fused, obs = case
-    got, got_rerouted = _observe(fused, obs, model.masks)
-    want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model)
-    assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
-    assert got_rerouted.hex() == want_rerouted.hex()
+    # focal: the map reaches the same targets, order and bits, and rerouted
+    # mass.  Both stages share one union memo, as the stages of a dsm run do,
+    # while each meets its focal terms with its own observation.
+    model, fused, observations = case
+    allowed = _Allowed(model.masks)
+    for obs in observations:
+        got, got_rerouted = _observe(fused, obs, allowed)
+        want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model, _Allowed(model.masks))
+        assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
+        assert got_rerouted.hex() == want_rerouted.hex()
+        fused = want
 
 
 @given(fold_cases())
@@ -567,7 +557,7 @@ def test_trusted_bba_equals_the_public_constructor(case):
     model, sources = case
     frame = model.frame
     ignorance = tuple(1 << i for i in range(len(frame)))
-    states = _fold(mask_dicts(sources), model)
+    states = _fold(mask_dicts(sources), _Allowed(model.masks))
     for pairs in (
         [(meet, m) for (meet, _), m in states.items()],
         [(meet or join or ignorance, m) for (meet, join), m in states.items()],

@@ -605,6 +605,95 @@ def test_dst_answers_do_not_depend_on_source_order(
         assert got.pl == pytest.approx(want.pl, **APPROX)
 
 
+def free_axes(names):
+    """One binary axis per singleton: the atoms are the Venn regions (and the
+    one where no singleton holds), so no axis implies any constraint."""
+    return {"axes": [[n, f"{n}_"] for n in names], "map": {n: [i, 0] for i, n in enumerate(names)}}
+
+
+def assert_matches_naive_dst(scenario, result):
+    fused, conflict, k, intervals = oracle.naive_dst(scenario)
+    assert result.status == "ok"
+    got = {frozenset(oracle.atoms_of(focal)): m for focal, m in result.fused.masses.items()}
+    assert got.keys() == fused.keys()
+    for focal, m in fused.items():
+        assert got[focal] == pytest.approx(m, abs=1e-9)
+    assert result.conflict_mass == pytest.approx(conflict, abs=1e-9)
+    assert result.normalization_constant == pytest.approx(k, abs=1e-9)
+    for row, (bel, pl) in zip(result.queries, intervals, strict=True):
+        assert (row.bel, row.pl) == pytest.approx((bel, pl), abs=1e-9)
+
+
+def test_dst_honours_a_constraint_its_axes_do_not_imply():
+    # nothing in the atoms keeps a and b apart, but the model does: the rule
+    # c→a then leaves b plausible only where c fails, as dsm has it
+    scenario = parse_scenario(
+        json.dumps(
+            {
+                "frame": ["a", "b", "c"],
+                "constraints": [["a", "b"]],
+                "rules": [{"if": [["c"]], "then": [["a"]], "weight": 0.9}],
+                "observations": [],
+                "queries": [[["a", "b"]], [["b"]]],
+                "engines": ["dst", "dsm"],
+                "dst_axes": free_axes("abc"),
+            }
+        )
+    )
+    dst, dsm = run_scenario(scenario).results
+    want = [(0.0, 0.0), (0.0, pytest.approx(0.1, **APPROX))]
+    assert [(row.bel, row.pl) for row in dst.queries] == want
+    assert [(row.bel, row.pl) for row in dsm.queries] == want
+    assert_matches_naive_dst(scenario, dst)
+
+
+def test_dst_skips_a_constraint_on_a_singleton_it_does_not_map():
+    # every singleton a rule, observation or query uses is mapped, so c∩d,
+    # which names the unused d, touches no focal
+    draw = {
+        "frame": ["a", "b", "c", "d"],
+        "constraints": [["a", "b"]],
+        "rules": [{"if": [["c"]], "then": [["a"]], "weight": 0.9}],
+        "observations": [],
+        "queries": [[["a", "b"]], [["b"]]],
+        "engines": ["dst"],
+        "dst_axes": free_axes("abc"),
+    }
+    without = run_scenario(parse_scenario(json.dumps(draw))).engine("dst")
+    draw["constraints"].append(["c", "d"])
+    scenario = parse_scenario(json.dumps(draw))
+    result = run_scenario(scenario).engine("dst")
+    assert result == without
+    assert_matches_naive_dst(scenario, result)
+
+
+def test_dst_conflict_is_the_dsm_rule_stage_rerouted_mass():
+    # on the atoms of free_axes, which the constraints cut down to the model's
+    # regions, both engines find the same conflicting mass in the rules: dst
+    # is inconsistent iff it is all of the mass, and otherwise divides the
+    # rest by K, while dsm keeps the conflict on unions, so K·Bel_dst ≤ Bel_dsm
+    statuses = []
+    for draw in generated():
+        draw.update(observations=[], engines=["dst", "dsm"], dst_axes=free_axes(draw["frame"]))
+        try:
+            scenario = parse_scenario(json.dumps(draw))
+        except ValueError:  # an impossible antecedent, or a rule the constraints contradict
+            continue
+        dst, dsm = run_scenario(scenario).results
+        (conflict,) = dsm.stage_conflicts
+        statuses.append(dst.status)
+        assert (dst.status == "inconsistent") == (conflict == pytest.approx(1.0, abs=1e-9))
+        if dst.status == "inconsistent":
+            with pytest.raises(ZeroDivisionError):
+                oracle.naive_dst(scenario)
+            continue
+        assert_matches_naive_dst(scenario, dst)
+        assert dst.conflict_mass == pytest.approx(conflict, abs=1e-9)
+        for row, dsm_row in zip(dst.queries, dsm.queries):
+            assert row.bel * dst.normalization_constant <= dsm_row.bel + 1e-9
+    assert (statuses.count("ok"), statuses.count("inconsistent")) == (919, 661)
+
+
 # ---------------------------------------------------------------- bayes engine
 
 
