@@ -161,11 +161,7 @@ def vacuous(model: Model) -> BBA:
 
 
 class _Allowed(dict):
-    """Union mask -> it contains no constraint, each union tested on its first lookup.
-
-    The answer depends on the constraints alone, so one memo can serve every
-    stage of a dsm run and its Bel/Pl queries; it lives as long as the run.
-    """
+    """Union mask -> it contains no constraint, each union tested on its first lookup."""
 
     __slots__ = ("constraints",)
 
@@ -193,13 +189,7 @@ def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float
     for a in queries:
         if a.frame != b.frame:
             raise ValueError("query belongs to a different frame")
-    return _belief_intervals(b, queries, _Allowed(b.model.masks))
-
-
-def _belief_intervals(
-    b: BBA, queries: Sequence[Proposition], allowed: _Allowed
-) -> list[tuple[float, float]]:
-    """:func:`belief_intervals` on queries of ``b``'s frame, reading ``allowed`` for the model."""
+    allowed = _Allowed(b.model.masks)
     terms = {t for x in b.masses for t in x.masks}
     tests = []  # per query: (terms holding one of its terms, terms compatible with it, Bel, Pl)
     for a in queries:
@@ -247,7 +237,7 @@ def _common_context(bbas: Sequence[BBA]) -> tuple[Model, list[dict[Masks, float]
 
 
 def _fold(
-    sources: Sequence[Mapping[Masks, float]], allowed: _Allowed
+    sources: Sequence[Mapping[Masks, float]], model: Model
 ) -> dict[tuple[Masks, Masks], float]:
     """Fold mask-dict sources into merged (reduced meet, join) states with their masses.
 
@@ -259,8 +249,8 @@ def _fold(
 
     A meet is a term-mask tuple.  Its meet with a focal drops every term
     union that contains a constraint, and is computed once per (focal, meet);
-    whether a union contains a constraint is read from ``allowed``, which
-    tests each distinct union once.
+    whether a union contains a constraint is settled once per distinct
+    union in the fold.
 
     A join is a union of focals, so its terms are among the sources' own
     terms T, sorted ascending.  The fold holds a join as an int whose bit j
@@ -281,6 +271,7 @@ def _fold(
     first-seen order and every ``fsum`` group is the one that ``((), join)``
     keys would give.
     """
+    allowed = _Allowed(model.masks)
     terms = sorted({t for source in sources for p in source for t in p})
     up = dict.fromkeys(terms, 0)
     for j, u in enumerate(terms):
@@ -337,7 +328,7 @@ def _fold(
 def conjunctive_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Unnormalized conjunctive rule; conflicting mass is kept on ∅."""
     model, sources = _common_context(bbas)
-    merged = _merged((meet, m) for (meet, _), m in _fold(sources, _Allowed(model.masks)).items())
+    merged = _merged((meet, m) for (meet, _), m in _fold(sources, model).items())
     result = BBA._trusted(model, merged)
     return CombinationReport(result, result.mass_on_empty(), None)
 
@@ -362,13 +353,13 @@ def _dempster_normalise(merged: Mapping[Hashable, float]) -> tuple[float, float,
 def dempster_combine(bbas: Sequence[BBA]) -> CombinationReport:
     """Dempster's rule: the conjunctive meets normalized by :func:`_dempster_normalise`."""
     model, sources = _common_context(bbas)
-    merged = fsum_by_key((meet, m) for (meet, _), m in _fold(sources, _Allowed(model.masks)).items())
+    merged = fsum_by_key((meet, m) for (meet, _), m in _fold(sources, model).items())
     conflict, k, kept = _dempster_normalise(merged)
     return CombinationReport(BBA._trusted(model, _merged(kept.items())), conflict, k)
 
 
 def _hybrid_step(
-    sources: Sequence[Mapping[Masks, float]], model: Model, allowed: _Allowed
+    sources: Sequence[Mapping[Masks, float]], model: Model
 ) -> tuple[dict[Masks, float], float]:
     """The hybrid DSm rule on mask dicts: (merged targets, rerouted mass).
 
@@ -382,16 +373,16 @@ def _hybrid_step(
     targets pass :func:`_merged`, so they can be the next step's source.
     """
     ignorance = total_ignorance(model.frame).masks
-    states = _fold(sources, allowed)
+    states = _fold(sources, model)
     rerouted = fsum(m for (meet, _), m in states.items() if not meet)
     targets = _merged((meet or join or ignorance, m) for (meet, join), m in states.items())
     return targets, rerouted
 
 
 def _observe(
-    fused: Mapping[Masks, float], obs: Masks, allowed: _Allowed
+    fused: Mapping[Masks, float], obs: Masks, constraints: frozenset[int]
 ) -> tuple[dict[Masks, float], float]:
-    """One observation stage: ``_hybrid_step([fused, {obs: 1.0}], model, allowed)`` as a map.
+    """One observation stage: ``_hybrid_step([fused, {obs: 1.0}], model)`` as a map.
 
     Each focal F goes to F∩O, or to F∪O when that meet is empty, and then
     its mass counts as rerouted.  The two-source fold would key F by
@@ -401,22 +392,15 @@ def _observe(
     same order, with the same floats, and builds no term table, join bits
     or decode.
 
-    Fused focals share most of their terms, so each distinct term t is met
-    with O once per stage: its unions t | s that ``allowed`` keeps.  F∩O is
-    the antichain of its terms' kept unions.  Dropping a union that holds a
-    constraint before absorbing, rather than after, keeps the same antichain,
+    F∩O is the antichain of the unions t | s of F's and O's terms that hold
+    no constraint, each distinct union tested once per stage.  Dropping such
+    a union before absorbing, rather than after, keeps the same antichain,
     since any union above it holds that constraint too.
     """
-    meets: dict[int, list[int]] = {}  # focal term -> its kept unions with O's terms
+    allowed = _Allowed(constraints)
     targets, rerouted = [], []
     for focal, m in fused.items():
-        unions = []
-        for t in focal:
-            kept = meets.get(t)
-            if kept is None:
-                kept = meets[t] = [t | s for s in obs if allowed[t | s]]
-            unions += kept
-        target = _absorb(unions)
+        target = _absorb([u for t in focal for s in obs if allowed[u := t | s]])
         if not target:
             target = _absorb(focal + obs)
             rerouted.append(m)
@@ -430,5 +414,5 @@ def dsm_hybrid_combine(bbas: Sequence[BBA]) -> CombinationReport:
     See :func:`_hybrid_step`; ``conflict_mass`` reports the rerouted mass.
     """
     model, sources = _common_context(bbas)
-    targets, rerouted = _hybrid_step(sources, model, _Allowed(model.masks))
+    targets, rerouted = _hybrid_step(sources, model)
     return CombinationReport(BBA._trusted(model, targets), rerouted, None)

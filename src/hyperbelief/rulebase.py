@@ -48,11 +48,10 @@ from .belief import (
     BBA,
     Masks,
     TotalConflictError,
-    _Allowed,
-    _belief_intervals,
     _dempster_normalise,
     _hybrid_step,
     _observe,
+    belief_intervals,
     fsum_by_key,
 )
 from .json_report import render_json
@@ -292,12 +291,10 @@ class FusionReport(Value):
         return json.loads(render_json(self))
 
 
-def _intervals(
-    fused: BBA, queries: Sequence[Proposition], allowed: _Allowed
-) -> tuple[QueryResult, ...]:
+def _intervals(fused: BBA, queries: Sequence[Proposition]) -> tuple[QueryResult, ...]:
     return tuple(
         QueryResult(query=q, bel=bel, pl=pl)
-        for q, (bel, pl) in zip(queries, _belief_intervals(fused, queries, allowed))
+        for q, (bel, pl) in zip(queries, belief_intervals(fused, queries))
     )
 
 
@@ -318,18 +315,15 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
     """The rules in one hybrid step, then each observation in file order.
 
     An observation stage is the map :func:`~hyperbelief.belief._observe`,
-    which gives the floats of the two-source hybrid step.  Every stage and
-    the Bel/Pl queries read one ``allowed`` memo, so each union is tested
-    against the constraints once per run.
+    which gives the floats of the two-source hybrid step.
     """
     model = scenario.model
     rules, observations = scenario._sources
-    allowed = _Allowed(model.masks)
-    fused, conflict = _hybrid_step(rules or ({total_ignorance(model.frame).masks: 1.0},), model, allowed)
+    fused, conflict = _hybrid_step(rules or ({total_ignorance(model.frame).masks: 1.0},), model)
     stage_conflicts = [conflict]
     for observation in observations:
         (obs,) = observation  # one focal with mass 1
-        fused, conflict = _observe(fused, obs, allowed)
+        fused, conflict = _observe(fused, obs, model.masks)
         stage_conflicts.append(conflict)
     fused = BBA._trusted(model, fused)
     flags = ()
@@ -340,7 +334,7 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
         status="ok",
         fused=fused,
         stage_conflicts=tuple(stage_conflicts),
-        queries=_intervals(fused, scenario.queries, allowed),
+        queries=_intervals(fused, scenario.queries),
         flags=flags,
     )
 

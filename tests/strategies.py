@@ -172,15 +172,13 @@ def observation_cases(draw):
     to six terms, so that keys share terms, which the observations draw from
     too; or the real rule-stage output, ``_hybrid_step`` over an
     ``emptying_cases()`` draw, whose keys are mostly rerouted unions."""
-    from hyperbelief.belief import _Allowed, _hybrid_step
+    from hyperbelief.belief import _hybrid_step
     from hyperbelief.lattice import _absorb, _reduce_masks
 
     kind = draw(st.sampled_from(("drawn", "pooled", "rule stage")))
     if kind == "rule stage":
         model, sources = draw(emptying_cases())
-        fused, _ = _hybrid_step(
-            [{p.masks: m for p, m in b.items()} for b in sources], model, _Allowed(model.masks)
-        )
+        fused, _ = _hybrid_step([{p.masks: m for p, m in b.items()} for b in sources], model)
         used = sorted({t for key in fused for t in key})
         terms = st.one_of(st.sampled_from(used), st.integers(1, (1 << len(model.frame)) - 1))
     else:

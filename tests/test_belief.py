@@ -31,7 +31,6 @@ from hyperbelief import (
 )
 from hyperbelief.belief import (
     TOTAL_CONFLICT_EPS,
-    _Allowed,
     _fold,
     _hybrid_step,
     _merged,
@@ -518,7 +517,7 @@ def mask_dicts(sources):
 def test_fold_matches_the_absorb_reference_exactly(case):
     # same arithmetic in the same order, so keys, order and float bits agree
     model, sources = case
-    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), _Allowed(model.masks)).items()]
+    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
     want = [(key, mass.hex()) for key, mass in oracle.absorb_fold(sources, model).items()]
     assert got == want
 
@@ -529,7 +528,7 @@ def test_fold_matches_the_pair_keyed_reference_exactly(cases, data):
     # a rerouted state keyed by its join bits alone merges, orders and sums
     # exactly as its (empty meet, join bits) key does in the reference
     model, sources = data.draw(cases)
-    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), _Allowed(model.masks)).items()]
+    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
     want = [(key, mass.hex()) for key, mass in oracle.pair_keyed_fold(mask_dicts(sources), model).items()]
     assert got == want
 
@@ -538,13 +537,11 @@ def test_fold_matches_the_pair_keyed_reference_exactly(cases, data):
 def test_observation_map_equals_the_two_source_hybrid_step(case):
     # F∩O and F∪O determine F, so each state of the two-source fold holds one
     # focal: the map reaches the same targets, order and bits, and rerouted
-    # mass.  Both stages share one union memo, as the stages of a dsm run do,
-    # while each meets its focal terms with its own observation.
+    # mass; two different observations in turn, as a dsm run applies them
     model, fused, observations = case
-    allowed = _Allowed(model.masks)
     for obs in observations:
-        got, got_rerouted = _observe(fused, obs, allowed)
-        want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model, _Allowed(model.masks))
+        got, got_rerouted = _observe(fused, obs, model.masks)
+        want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model)
         assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
         assert got_rerouted.hex() == want_rerouted.hex()
         fused = want
@@ -557,7 +554,7 @@ def test_trusted_bba_equals_the_public_constructor(case):
     model, sources = case
     frame = model.frame
     ignorance = tuple(1 << i for i in range(len(frame)))
-    states = _fold(mask_dicts(sources), _Allowed(model.masks))
+    states = _fold(mask_dicts(sources), model)
     for pairs in (
         [(meet, m) for (meet, _), m in states.items()],
         [(meet or join or ignorance, m) for (meet, join), m in states.items()],
