@@ -44,7 +44,6 @@ from .lattice import (
     reduce_under_model,
     refine_to_atoms,
     total_ignorance,
-    u_of,
 )
 from .rulebase import (
     ENGINES,

@@ -17,7 +17,7 @@ All three rules read one fold over the sources, which merges the focal
 tuples into (meet, join) states as it goes.  A source is a mask dict: each
 focal is the ascending tuple of int term masks a :class:`Proposition`
 stores, mapped to its mass.  A meet is such a tuple reduced against the
-model's constraint masks (a term t breaks constraint c iff ``t & c == c``).
+model's constraint masks, as :func:`~hyperbelief.lattice._meet` builds it.
 A join is a union of focals, so its terms are among the sources' own terms;
 the fold holds it as an int bit set over those terms, so that a join step
 is one ``|``, and decodes each distinct join to term masks once, at the end.
@@ -45,6 +45,8 @@ from .lattice import (
     Model,
     Proposition,
     _absorb,
+    _Allowed,
+    _meet,
     _term_ranks,
     reduce_under_model,
     total_ignorance,
@@ -160,20 +162,6 @@ def vacuous(model: Model) -> BBA:
     return BBA._trusted(model, {total_ignorance(model.frame).masks: 1.0})
 
 
-class _Allowed(dict):
-    """Union mask -> it contains no constraint, each union tested on its first lookup."""
-
-    __slots__ = ("constraints",)
-
-    def __init__(self, constraints: frozenset[int]) -> None:
-        super().__init__()
-        self.constraints = constraints
-
-    def __missing__(self, union: int) -> bool:
-        ok = self[union] = all(union & c != c for c in self.constraints)
-        return ok
-
-
 def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float, float]]:
     """[Bel(a), Pl(a)] for each query ``a``, from one pass over the focals.
 
@@ -247,8 +235,8 @@ def _fold(
     as small as the distinct states allow instead of growing with the
     product of the sources.
 
-    A meet is a term-mask tuple.  Its meet with a focal drops every term
-    union that contains a constraint, and is computed once per (focal, meet);
+    A meet is a term-mask tuple.  Its meet with a focal is
+    :func:`~hyperbelief.lattice._meet`, computed once per (focal, meet);
     whether a union contains a constraint is settled once per distinct
     union in the fold.
 
@@ -299,13 +287,7 @@ def _fold(
             for p, bits, m, meets in focals:
                 reduced = meets.get(meet)
                 if reduced is None:
-                    unions = []
-                    for t in meet:
-                        for s in p:
-                            u = t | s
-                            if allowed[u]:
-                                unions.append(u)
-                    reduced = meets[meet] = _absorb(unions)
+                    reduced = meets[meet] = _meet(meet, p, allowed)
                 state = (reduced, join | bits) if reduced else join | bits
                 step.setdefault(state, []).append(mass * m)
         states = {k: fsum(v) for k, v in step.items()}
@@ -392,15 +374,13 @@ def _observe(
     same order, with the same floats, and builds no term table, join bits
     or decode.
 
-    F∩O is the antichain of the unions t | s of F's and O's terms that hold
-    no constraint, each distinct union tested once per stage.  Dropping such
-    a union before absorbing, rather than after, keeps the same antichain,
-    since any union above it holds that constraint too.
+    F∩O is :func:`~hyperbelief.lattice._meet`, each distinct union of F's
+    and O's terms tested once per stage.
     """
     allowed = _Allowed(constraints)
     targets, rerouted = [], []
     for focal, m in fused.items():
-        target = _absorb([u for t in focal for s in obs if allowed[u := t | s]])
+        target = _meet(focal, obs, allowed)
         if not target:
             target = _absorb(focal + obs)
             rerouted.append(m)

@@ -21,7 +21,7 @@ proposition in the constrained lattice.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, starmap
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -188,10 +188,6 @@ class Proposition(Value):
         """A total order on same-frame propositions; the empty one sorts first."""
         return tuple(sorted(map(_term_key, self.masks)))
 
-    def singleton_indices(self) -> frozenset[int]:
-        """All singleton indices mentioned by any term."""
-        return frozenset(_members(reduce(or_, self.masks, 0)))
-
     def __and__(self, other: "Proposition") -> "Proposition":
         return conjoin(self, other)
 
@@ -320,17 +316,33 @@ class Model(Value):
         return cls(frame, frozenset(_index_mask(len(frame), c) for c in constraints))
 
 
-def _reduce_masks(masks: tuple[int, ...], constraints: frozenset[int]) -> tuple[int, ...]:
+class _Allowed(dict):
+    """Term mask -> it contains no constraint: the one constraint test, run on a term's first lookup."""
+
+    __slots__ = ("constraints",)
+
+    def __init__(self, constraints: frozenset[int]) -> None:
+        self.constraints = constraints
+
+    def __missing__(self, term: int) -> bool:
+        ok = self[term] = all(map((~term).__and__, self.constraints))  # each has a member outside the term
+        return ok
+
+
+def _reduce_masks(masks: tuple[int, ...], allowed: _Allowed) -> tuple[int, ...]:
     """The terms of ``masks`` that contain no constraint, in their order."""
-    if not constraints:
-        return masks
-    # a constraint has two or more members, so no single-member term contains one
-    return tuple(t for t in masks if not t & (t - 1) or all(t & c != c for c in constraints))
+    return tuple(t for t in masks if allowed[t])
 
 
-def _meet(a: tuple[int, ...], b: tuple[int, ...], constraints: frozenset[int]) -> tuple[int, ...]:
-    """The term masks of a∧b: each pair of terms' union, absorbed, ascending and reduced."""
-    return _reduce_masks(_absorb(t | s for t in a for s in b), constraints)
+def _meet(a: tuple[int, ...], b: tuple[int, ...], allowed: _Allowed) -> tuple[int, ...]:
+    """The term masks of a∧b, reduced: the antichain of the term unions t | s
+    that contain no constraint, ascending.
+
+    Dropping a union before absorbing, rather than after, keeps the same
+    antichain: any union above a dropped one contains the same constraint,
+    so it is dropped either way.
+    """
+    return _absorb([u for t in a for s in b if allowed[u := t | s]])
 
 
 def reduce_under_model(a: Proposition, model: Model) -> Proposition:
@@ -342,7 +354,7 @@ def reduce_under_model(a: Proposition, model: Model) -> Proposition:
     """
     if a.frame != model.frame:
         raise ValueError("proposition and model belong to different frames")
-    kept = _reduce_masks(a.masks, model.masks)
+    kept = _reduce_masks(a.masks, _Allowed(model.masks))
     if len(kept) == len(a.masks):
         return a
     return Proposition._trusted(a.frame, kept)  # a subset of an ascending antichain is one
@@ -351,11 +363,6 @@ def reduce_under_model(a: Proposition, model: Model) -> Proposition:
 def leq(a: Proposition, b: Proposition, model: Model) -> bool:
     """Lattice order under the model: a ≤ b iff a∧b ≡ a."""
     return reduce_under_model(conjoin(a, b), model) == reduce_under_model(a, model)
-
-
-def u_of(a: Proposition) -> Proposition:
-    """The union of all singletons mentioned by ``a``; u(∅) = ∅."""
-    return Proposition(a.frame, tuple(1 << i for i in a.singleton_indices()))
 
 
 def total_ignorance(frame: Frame) -> Proposition:
@@ -568,16 +575,13 @@ class AtomFrame(Value):
             masks.append(tuple((run << v * stride) * repeat for v in range(len(axis))))
         return tuple(masks)
 
-    def atom_values(self, index: int) -> tuple[int, ...]:
+    def atom_name(self, index: int) -> str:
+        """Atom ``index``'s values joined by ∩, first axis first."""
         values = []
         for axis in reversed(self.axes):
             index, v = divmod(index, len(axis))
-            values.append(v)
-        return tuple(reversed(values))
-
-    def atom_name(self, index: int) -> str:
-        values = self.atom_values(index)
-        return "∩".join(axis[v] for axis, v in zip(self.axes, values))
+            values.append(axis[v])
+        return "∩".join(reversed(values))
 
 
 def _check_atom_limit(atom_frame: AtomFrame) -> None:
@@ -589,32 +593,21 @@ def _check_atom_limit(atom_frame: AtomFrame) -> None:
         )
 
 
-def _atom_mask(
-    names: Sequence[str],
-    masks: Iterable[int],
-    atom_frame: AtomFrame,
-    literal_map: Mapping[str, tuple[int, int]],
-) -> int:
-    """The atoms of :func:`refine_to_atoms` as a mask, bit i for atom i.
-
-    ``masks`` are term masks over the singletons ``names``.  A term's atoms
-    are the AND of its literals' value masks (every atom when it pins no
-    axis, none when it pins one axis to two values), and the proposition's
-    atoms are the OR over its terms.
-    """
+def _literal_atoms(names: Sequence[str], atom_frame: AtomFrame, literal_map: Mapping[str, tuple[int, int]]) -> list[int]:
+    """Per singleton of ``names``, the atoms of its in-range literal as a mask,
+    or 0 if ``literal_map`` omits it; a frame past ATOM_LIMIT is refused first."""
     value_masks = atom_frame._value_masks
-    every = (1 << atom_frame.atom_count) - 1
+    return [value_masks[c[0]][c[1]] if (c := literal_map.get(name)) else 0 for name in names]
+
+
+def _atom_mask(masks: Iterable[int], table: Sequence[int]) -> int:
+    """The atoms of the terms ``masks``, bit i for atom i: the OR over the terms
+    of the AND of their members' :func:`_literal_atoms` entries in ``table``."""
     atoms = 0
     for term in masks:
-        meet = every
+        meet = -1  # every atom: a term has a member, so the ANDs bound it
         for i in _members(term):
-            name = names[i]
-            if name not in literal_map:
-                raise ValueError(f"singleton {_brief(repr(name))} has no axis mapping")
-            axis, value = literal_map[name]
-            if not 0 <= axis < len(value_masks) or not 0 <= value < len(value_masks[axis]):
-                raise ValueError(f"axis mapping for {_brief(repr(name))} is out of range")
-            meet &= value_masks[axis][value]
+            meet &= table[i]
         atoms |= meet
     return atoms
 
@@ -629,6 +622,17 @@ def refine_to_atoms(
     ``literal_map`` sends a singleton name to an (axis, value) pair.  A term
     pins each mapped axis to one value and leaves the other axes free; a term
     that pins one axis to two different values contributes no atoms.  Every
-    singleton used by ``a`` must be mapped.
+    singleton used by ``a`` must be mapped in range; other entries are not read.
     """
-    return frozenset(_members(_atom_mask(a.frame.names, a.masks, atom_frame, literal_map)))
+    names, axes = a.frame.names, atom_frame.axes
+    _check_atom_limit(atom_frame)  # before any literal is checked
+    used = {}
+    for term in a.masks:
+        for i in _members(term):
+            name = names[i]
+            if name not in literal_map:
+                raise ValueError(f"singleton {_brief(repr(name))} has no axis mapping")
+            axis, value = used[name] = literal_map[name]
+            if not 0 <= axis < len(axes) or not 0 <= value < len(axes[axis]):
+                raise ValueError(f"axis mapping for {_brief(repr(name))} is out of range")
+    return frozenset(_members(_atom_mask(a.masks, _literal_atoms(names, atom_frame, used))))

@@ -9,9 +9,11 @@ three ways:
 * ``dsm``   — hybrid DSm fusion directly on the constrained lattice: all rule
   BBAs (or the vacuous one) in one pass, then each observation in order.
 * ``dst``   — every proposition is refined to its atoms on an exclusive
-  frame (``dst_axes``), as an int atom mask with bit i for atom i; Dempster's
-  rule is one fold over those masks from the vacuous assignment on the atoms
-  where no declared constraint holds, meeting with ``&`` and normalized as in
+  frame (``dst_axes``), as an int atom mask with bit i for atom i, by AND/OR
+  over one per-run atom table of the singletons' literals, in which an
+  unmapped singleton holds no atom and so forbids none; Dempster's rule is
+  one fold over those masks from the vacuous assignment on the atoms where
+  no declared constraint holds, meeting with ``&`` and normalized as in
   ``dempster_combine``.  The result keeps the masks as keys, ordered by their
   ascending atom lists, and the report names each atom by
   :meth:`AtomFrame.atom_name`.  Total conflict is an inconsistency, not
@@ -60,9 +62,10 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
+    _Allowed,
     _atom_mask,
     _brief,
-    _check_atom_limit,
+    _literal_atoms,
     _meet,
     _members,
     _reduce_masks,
@@ -91,10 +94,11 @@ class WeightedRule(Value):
 
 def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
     """The mask dict of :func:`rule_to_conditional_bba`."""
-    antecedent = _reduce_masks(rule.antecedent.masks, model.masks)
+    allowed = _Allowed(model.masks)
+    antecedent = _reduce_masks(rule.antecedent.masks, allowed)
     if not antecedent:
         raise ValueError(f"antecedent of [{_brief(str(rule))}] is impossible under the model")
-    both = _meet(antecedent, rule.consequent.masks, model.masks)
+    both = _meet(antecedent, rule.consequent.masks, allowed)
     w = rule.weight
     if not both and w > 0.0:
         raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
@@ -106,7 +110,7 @@ def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
 
 def _observation_masses(obs: Proposition, model: Model) -> dict[Masks, float]:
     """The mask dict of :func:`observation_to_bba`."""
-    reduced = _reduce_masks(obs.masks, model.masks)
+    reduced = _reduce_masks(obs.masks, _Allowed(model.masks))
     if not reduced:
         raise ValueError(f"observation {_brief(str(obs))} is impossible under the model")
     return {reduced: 1.0}
@@ -341,17 +345,12 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
 
 def _run_dst(scenario: Scenario) -> EngineResult:
     axes = scenario.dst_axes
-    names = scenario.frame.names
-    _check_atom_limit(axes.axes)  # the vacuous state below is a mask of every atom
+    table = _literal_atoms(scenario.frame.names, axes.axes, axes.literal_map)  # checks ATOM_LIMIT first
 
     def atoms(masks: Masks) -> int:
-        return _atom_mask(names, masks, axes.axes, axes.literal_map)
+        return _atom_mask(masks, table)
 
-    forbidden = 0  # the atoms where some declared constraint holds
-    for c in scenario.model.masks:
-        # a constraint naming an unmapped singleton touches no focal: every used singleton is mapped
-        if all(names[i] in axes.literal_map for i in _members(c)):
-            forbidden |= atoms((c,))
+    forbidden = atoms(scenario.model.masks)  # the atoms where some declared constraint holds
     rules, observations = scenario._sources
     sources = [fsum_by_key((atoms(p), m) for p, m in b.items()) for b in (*rules, *observations)]
     states = {((1 << axes.axes.atom_count) - 1) & ~forbidden: 1.0}
@@ -384,10 +383,10 @@ def _run_bayes(scenario: Scenario) -> EngineResult:
     def not_applicable(reason: str) -> EngineResult:
         return _unanswered(scenario, "bayes", "not_applicable", reason, reason)
 
-    constraints = scenario.model.masks
+    allowed = _Allowed(scenario.model.masks)
 
     def reduced(prop: Proposition) -> Masks:
-        return _reduce_masks(prop.masks, constraints)
+        return _reduce_masks(prop.masks, allowed)
 
     # the first permutation, in rule order, that is a triangle: the chain x→y, x∧y observed, cx∧cy = ∅
     match = None
@@ -398,7 +397,7 @@ def _run_bayes(scenario: Scenario) -> EngineResult:
             (
                 (rx, ry, chain, cx, cy)
                 for (rx, x, cx), (ry, y, cy), (chain, a, b) in permutations(sides)
-                if a == x and b == y and not _meet(cx, cy, constraints) and _meet(x, y, constraints) == obs
+                if a == x and b == y and not _meet(cx, cy, allowed) and _meet(x, y, allowed) == obs
             ),
             None,
         )

@@ -59,13 +59,6 @@ def modeled_props(draw, k=2, min_n=1, max_n=4):
 
 
 @st.composite
-def single_term_props(draw, frame):
-    n = len(frame)
-    term = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n))
-    return canonicalize(frame, (term,))
-
-
-@st.composite
 def bbas(draw, model, max_focals=4, allow_conflict_mass=False):
     """A normalized mass function whose keys are model-reduced and non-empty
     (unless ``allow_conflict_mass`` lets a slice of mass sit on ∅)."""
@@ -173,7 +166,7 @@ def observation_cases(draw):
     too; or the real rule-stage output, ``_hybrid_step`` over an
     ``emptying_cases()`` draw, whose keys are mostly rerouted unions."""
     from hyperbelief.belief import _hybrid_step
-    from hyperbelief.lattice import _absorb, _reduce_masks
+    from hyperbelief.lattice import _absorb, _Allowed, _reduce_masks
 
     kind = draw(st.sampled_from(("drawn", "pooled", "rule stage")))
     if kind == "rule stage":
@@ -192,13 +185,45 @@ def observation_cases(draw):
             pool = st.lists(st.integers(1, full), min_size=min(4, full), max_size=6, unique=True)
             terms = st.sampled_from(draw(pool))
             keys = [_absorb(draw(st.lists(terms, min_size=1, max_size=4))) for _ in range(draw(st.integers(1, 8)))]
-        keys = list(dict.fromkeys(_reduce_masks(k, model.masks) for k in keys))
+        keys = list(dict.fromkeys(_reduce_masks(k, _Allowed(model.masks)) for k in keys))
         weights = [draw(st.floats(0.01, 1.0)) for _ in keys]
         total = fsum(weights)
         fused = dict(zip(draw(st.permutations(keys)), (w / total for w in weights)))
     first, second = (
-        _reduce_masks(_absorb(draw(st.lists(terms, min_size=1, max_size=3))), model.masks)
+        _reduce_masks(_absorb(draw(st.lists(terms, min_size=1, max_size=3))), _Allowed(model.masks))
         for _ in range(2)
     )
     assume(first and second and first != second)
     return model, fused, (first, second)
+
+
+@st.composite
+def dst_identity_scenarios(draw):
+    """A dst and dsm scenario with no observation on a wide model of three to
+    five singletons, one to six valid rules of weight 0.01-0.99 and one to
+    three queries, refined on one binary axis per singleton: the atoms are the
+    Venn regions (and the one where no singleton holds), so no axis implies a
+    constraint and the run must forbid the constrained atoms itself."""
+    from hyperbelief import AtomFrame, DstAxes, Scenario, WeightedRule, rule_to_conditional_bba
+
+    model = draw(wide_models(min_n=3, max_n=5))
+    frame = model.frame
+    props = propositions(frame, allow_empty=False)
+
+    def valid(rule):  # the antecedent is possible, and the consequent does not contradict it
+        try:
+            rule_to_conditional_bba(rule, model)
+        except ValueError:
+            return False
+        return True
+
+    rule = st.builds(WeightedRule, props, props, st.floats(0.01, 0.99)).filter(valid)
+    axes = DstAxes(AtomFrame((n, f"{n}_") for n in frame.names), {n: (i, 0) for i, n in enumerate(frame.names)})
+    return Scenario(
+        model,
+        tuple(draw(rule) for _ in range(draw(st.integers(1, 6)))),
+        (),
+        tuple(draw(st.lists(props, min_size=1, max_size=3))),
+        engines=("dst", "dsm"),
+        dst_axes=axes,
+    )

@@ -659,8 +659,8 @@ def test_powerset_duality_on_exclusive_frames(data):
     result = dsm_hybrid_combine(sources).result
     for prop in enumerate_hyper_power_set(frame):
         reduced = reduce_under_model(prop, model)
-        missing = frozenset(range(len(frame))) - reduced.singleton_indices()
-        complement = canonicalize(frame, tuple(frozenset((i,)) for i in sorted(missing)))
+        missing = [i for i in range(len(frame)) if not any(t >> i & 1 for t in reduced.masks)]
+        complement = canonicalize(frame, tuple(frozenset((i,)) for i in missing))
         assert plausibility(result, reduced) == pytest.approx(
             1.0 - belief(result, complement), abs=1e-9
         )

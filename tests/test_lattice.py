@@ -23,12 +23,11 @@ from hyperbelief import (
     reduce_under_model,
     refine_to_atoms,
     total_ignorance,
-    u_of,
 )
 from hyperbelief.lattice import ATOM_LIMIT, _antichains, _check_atom_limit, _rank_tables, _term_order
 
 import oracle
-from strategies import frames, modeled_props, propositions, single_term_props
+from strategies import frames, modeled_props, propositions
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
 P, B, F, NF = (TPFRAME.singleton(n) for n in ("p", "b", "f", "nf"))
@@ -414,24 +413,11 @@ def test_reduce_preserves_order(case):
         assert leq(reduce_under_model(a, model), reduce_under_model(b, model), model)
 
 
-# --- u_of / total ignorance -------------------------------------------------
-
-
-def test_u_of_collects_mentioned_singletons():
-    assert u_of(P & B) == P | B
-    assert u_of(H2) == P | B | F | NF
-    assert u_of(Proposition.empty(TPFRAME)).is_empty
+# --- total ignorance ---------------------------------------------------------
 
 
 def test_total_ignorance_unions_every_singleton():
     assert total_ignorance(TPFRAME) == P | B | F | NF
-
-
-@given(frames(min_n=2, max_n=4), st.data())
-def test_u_of_conjoin_of_single_terms_unions_inputs(frame, data):
-    a = data.draw(single_term_props(frame))
-    b = data.draw(single_term_props(frame))
-    assert u_of(a & b) == u_of(a) | u_of(b)
 
 
 # --- algebraic laws ----------------------------------------------------------

@@ -37,9 +37,9 @@ from hyperbelief import (
 )
 from hyperbelief.belief import _merged
 from hyperbelief.cli import emit_report, parse_scenario
-from hyperbelief.lattice import _meet, _reduce_masks
+from hyperbelief.lattice import _Allowed, _meet, _reduce_masks
 from hyperbelief.rulebase import _rule_masses
-from strategies import framed_models, propositions, wide_models
+from strategies import dst_identity_scenarios, framed_models, propositions, wide_models
 from test_reference import generated
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
@@ -149,13 +149,13 @@ def test_rule_belief_matches_weight(model, data):
 def test_rule_masses_equal_the_merged_pairs(model, data):
     # the rule's two focals built directly: the same keys, order and bits as
     # merging (x∧y, w) and (x, 1 − w) and dropping a zero mass
-    frame, constraints = model.frame, model.masks
+    frame, allowed = model.frame, _Allowed(model.masks)
     antecedent = data.draw(propositions(frame, allow_empty=False))
     consequent = data.draw(propositions(frame))
     weight = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
-    x = _reduce_masks(antecedent.masks, constraints)
+    x = _reduce_masks(antecedent.masks, allowed)
     assume(x)
-    both = _meet(x, consequent.masks, constraints)
+    both = _meet(x, consequent.masks, allowed)
     assume(both or weight == 0.0)
     got = _rule_masses(WeightedRule(antecedent, consequent, weight), model)
     want = _merged([(both, weight), (x, 1.0 - weight)])
@@ -680,18 +680,32 @@ def test_dst_conflict_is_the_dsm_rule_stage_rerouted_mass():
         except ValueError:  # an impossible antecedent, or a rule the constraints contradict
             continue
         dst, dsm = run_scenario(scenario).results
-        (conflict,) = dsm.stage_conflicts
         statuses.append(dst.status)
-        assert (dst.status == "inconsistent") == (conflict == pytest.approx(1.0, abs=1e-9))
-        if dst.status == "inconsistent":
-            with pytest.raises(ZeroDivisionError):
-                oracle.naive_dst(scenario)
-            continue
-        assert_matches_naive_dst(scenario, dst)
-        assert dst.conflict_mass == pytest.approx(conflict, abs=1e-9)
-        for row, dsm_row in zip(dst.queries, dsm.queries):
-            assert row.bel * dst.normalization_constant <= dsm_row.bel + 1e-9
+        assert_dst_is_the_dsm_rule_stage(scenario, dst, dsm)
     assert (statuses.count("ok"), statuses.count("inconsistent")) == (919, 661)
+
+
+def assert_dst_is_the_dsm_rule_stage(scenario, dst, dsm):
+    """dst is inconsistent iff the dsm rule stage reroutes all of the mass;
+    otherwise dst's conflict is that rerouted mass, K·Bel_dst ≤ Bel_dsm for
+    every query, and dst matches the atom-set reference."""
+    (conflict,) = dsm.stage_conflicts
+    assert (dst.status == "inconsistent") == (conflict == pytest.approx(1.0, abs=1e-9))
+    if dst.status == "inconsistent":
+        with pytest.raises(ZeroDivisionError):
+            oracle.naive_dst(scenario)
+        return
+    assert_matches_naive_dst(scenario, dst)
+    assert dst.conflict_mass == pytest.approx(conflict, abs=1e-9)
+    for row, dsm_row in zip(dst.queries, dsm.queries, strict=True):
+        assert row.bel * dst.normalization_constant <= dsm_row.bel + 1e-9
+
+
+@settings(max_examples=200)
+@given(dst_identity_scenarios())
+def test_dst_conflict_is_the_dsm_rule_stage_rerouted_mass_on_random_models(scenario):
+    # the property above on random pair and triple constraints and random rules
+    assert_dst_is_the_dsm_rule_stage(scenario, *run_scenario(scenario).results)
 
 
 # ---------------------------------------------------------------- bayes engine
