@@ -9,9 +9,13 @@ triangle do not add up to one, and plugging unknown priors into the
 Modus Tollens direction can leave [0, 1] entirely.  Out-of-range values are
 therefore returned with flags, never clamped.
 
-All arithmetic is exact rational arithmetic (``fractions.Fraction``; float
-arguments convert losslessly), so the defining identities — for example
-p_fly · (1−ε₃) = ε₁·(1−ε₂) — hold exactly, not just to rounding error.
+All arithmetic is exact: each argument is read once as its integer ratio
+(float arguments convert losslessly), each estimate is computed in plain
+ints over one common denominator, and each returned value is one
+``fractions.Fraction`` built once from its numerator and denominator.  So the
+defining identities — for example p_fly · (1−ε₃) = ε₁·(1−ε₂) — hold exactly,
+not just to rounding error, and a flag's text prints the ratio as the float
+nearest to it, which is what ``float()`` of that ``Fraction`` gives.
 """
 
 from __future__ import annotations
@@ -209,11 +213,13 @@ CLASSICAL_PRINCIPLES: dict[str, str] = {
 # ------------------------------------------------------------ point estimates
 
 
-def _unit(name: str, value) -> Fraction:
-    x = Fraction(value)
-    if not 0 <= x <= 1:
+def _unit(name: str, value) -> tuple[int, int]:
+    """``value`` as its lowest-terms ratio (n, d), d > 0, checked to lie in [0, 1]."""
+    # a float gives its ratio directly, as Fraction(value) would read it
+    n, d = (value if isinstance(value, float) else Fraction(value)).as_integer_ratio()
+    if not 0 <= n <= d:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return x
+    return n, d
 
 
 class BayesEstimates(Value):
@@ -235,23 +241,19 @@ def pearl_flying_bound(eps1, eps3) -> Fraction:
     The bound does not involve ε₂ at all: no matter how reliable the second
     rule is, the estimate can never rise above it.
     """
-    e1 = _unit("eps1", eps1)
-    e3 = _unit("eps3", eps3)
-    if e3 == 1:
+    a1, d1 = _unit("eps1", eps1)
+    a3, d3 = _unit("eps3", eps3)
+    if a3 == d3:
         raise ValueError("eps3 = 1 makes the bound's denominator vanish")
-    return _flying_bound(e1, e3)
+    return Fraction(a1 * d3, d1 * (d3 - a3))
 
 
-def _flying_bound(e1: Fraction, e3: Fraction) -> Fraction:
-    """ε₁/(1−ε₃) on values already checked, with ε₃ < 1."""
-    return e1 / (1 - e3)
-
-
-def _range_flags(**named: Fraction) -> tuple[str, ...]:
+def _range_flags(**named: tuple[int, int]) -> tuple[str, ...]:
+    """A flag for each (numerator, positive denominator) ratio outside [0, 1]."""
     return tuple(
-        f"{name} = {float(value):g} outside [0, 1]"
-        for name, value in named.items()
-        if not 0 <= value <= 1
+        f"{name} = {num / den:g} outside [0, 1]"
+        for name, (num, den) in named.items()
+        if not 0 <= num <= den
     )
 
 
@@ -262,23 +264,25 @@ def indifference_estimates(eps1, eps2, eps3) -> BayesEstimates:
     falls strictly short of one whenever 0 < ε₁, ε₂ < 1: the deficit is what
     this analysis cannot assign to either conclusion.
     """
-    e1 = _unit("eps1", eps1)
-    e2 = _unit("eps2", eps2)
-    e3 = _unit("eps3", eps3)
-    if e3 == 1:
+    a1, d1 = _unit("eps1", eps1)
+    a2, d2 = _unit("eps2", eps2)
+    a3, d3 = _unit("eps3", eps3)
+    if a3 == d3:
         raise ValueError("eps3 = 1 makes the estimates' denominator vanish")
-    p_fly = e1 * (1 - e2) / (1 - e3)
-    p_not_fly = (1 - e1) * e2 / (1 - e3)
-    deficit = 1 - (p_fly + p_not_fly)
+    # with εᵢ = aᵢ/dᵢ, the three estimates over one common denominator
+    den = d1 * d2 * (d3 - a3)
+    fly = a1 * (d2 - a2) * d3
+    not_fly = (d1 - a1) * a2 * d3
+    deficit = den - fly - not_fly
     return BayesEstimates(
-        p_fly=p_fly,
-        p_not_fly=p_not_fly,
-        additivity_deficit=deficit,
-        bound=_flying_bound(e1, e3),
+        p_fly=Fraction(fly, den),
+        p_not_fly=Fraction(not_fly, den),
+        additivity_deficit=Fraction(deficit, den),
+        bound=Fraction(a1 * d3, d1 * (d3 - a3)),
         # a negative deficit means the two "probabilities" exceed one
         # together, so it is a range violation just like an estimate > 1
         validity_flags=_range_flags(
-            p_fly=p_fly, p_not_fly=p_not_fly, additivity_deficit=deficit
+            p_fly=(fly, den), p_not_fly=(not_fly, den), additivity_deficit=(deficit, den)
         ),
     )
 
@@ -305,17 +309,20 @@ def modus_tollens_posteriors(w, pa, pb) -> ModusTollensPosteriors:
     other priors can push the values out of [0, 1], in which case they are
     flagged rather than clamped.
     """
-    weight = _unit("w", w)
-    prior_a = _unit("pa", pa)
-    prior_b = _unit("pb", pb)
-    if prior_b in (0, 1):
+    aw, dw = _unit("w", w)
+    ap, dp = _unit("pa", pa)
+    ab, db = _unit("pb", pb)
+    if ab in (0, db):
         raise ValueError("pb must lie strictly inside (0, 1)")
-    given_not_b = 1 - (1 - weight) * prior_a / (1 - prior_b)
-    given_b = 1 - weight * prior_a / prior_b
+    # 1 − (1−w)·pa/(1−pb) and 1 − w·pa/pb, each over its own denominator
+    den_not_b = dw * dp * (db - ab)
+    not_b = den_not_b - (dw - aw) * ap * db
+    den_b = dw * dp * ab
+    b = den_b - aw * ap * db
     return ModusTollensPosteriors(
-        not_a_given_not_b=given_not_b,
-        not_a_given_b=given_b,
+        not_a_given_not_b=Fraction(not_b, den_not_b),
+        not_a_given_b=Fraction(b, den_b),
         validity_flags=_range_flags(
-            not_a_given_not_b=given_not_b, not_a_given_b=given_b
+            not_a_given_not_b=(not_b, den_not_b), not_a_given_b=(b, den_b)
         ),
     )

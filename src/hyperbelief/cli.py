@@ -257,13 +257,17 @@ def _fmt(value: float | None) -> str:
 
 def _rows(report: FusionReport) -> list[tuple[str, str, str, str, str]]:
     rows = []
+    texts: dict[Proposition, str] = {}  # the engines share the scenario's queries
     for result in report.results:
         for row in result.queries:
             if row.estimate is not None:
                 bel = pl = _fmt(row.estimate)
             else:
                 bel, pl = _fmt(row.bel), _fmt(row.pl)
-            rows.append((result.engine, str(row.query), bel, pl, row.note))
+            text = texts.get(row.query)
+            if text is None:
+                text = texts[row.query] = str(row.query)
+            rows.append((result.engine, text, bel, pl, row.note))
     return rows
 
 

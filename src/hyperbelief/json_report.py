@@ -7,22 +7,28 @@ dict tree, plus a newline, but no tree is built: with ``indent`` set,
 ``json.dumps`` runs CPython's pure-Python encoder over every key, list and
 float of a report whose name blocks mostly repeat.  The strings go through
 the encoder's own ``encode_basestring`` and the floats through
-``float.__repr__``, as ``json.dumps`` does.  The result types are
-annotations only, so ``rulebase`` imports this module without a cycle.
+``float.__repr__``, as ``json.dumps`` does.
+
+Each object of the schema (the report, a result, a query row, a fused item
+and its ``masses`` wrapper, the estimates) is one ``%`` template, built once
+at import from its keys and indent depth, so rendering one fills in its
+values and nothing more.  The engines of a report ask the same queries, so
+one report renders each query tuple's propositions once.  The result types
+are annotations only, so ``rulebase`` imports this module without a cycle.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring
 from math import isfinite
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .analysis import BayesEstimates
 from .belief import BBA
 from .lattice import AtomFrame, Frame, Proposition, _members, _term_ranks
 
 if TYPE_CHECKING:
-    from .rulebase import AtomMasses, EngineResult, FusionReport, QueryResult
+    from .rulebase import AtomMasses, EngineResult, FusionReport
 
 _BREAK = tuple("\n" + "  " * depth for depth in range(10))  # a new line at each indent depth
 
@@ -44,11 +50,32 @@ def _array(items: list[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + _BREAK[depth] + "]"
 
 
-def _object(fields: list[tuple[str, str]], depth: int) -> str:
-    """A JSON object at ``depth`` of (ASCII key, value rendered one level deeper) fields."""
+def _template(keys: tuple[str, ...], depth: int) -> str:
+    """A ``%`` template of a JSON object at ``depth`` with these ASCII keys,
+    whose values come rendered one level deeper."""
     inner = _BREAK[depth + 1]
-    body = ("," + inner).join(f'"{key}": {value}' for key, value in fields)
-    return "{" + inner + body + _BREAK[depth] + "}"
+    return "{" + inner + ("," + inner).join(f'"{key}": %s' for key in keys) + _BREAK[depth] + "}"
+
+
+_REPORT = _template(("results",), 0)
+_RESULT = _template(
+    (
+        "engine",
+        "status",
+        "fused",
+        "conflict_mass",
+        "stage_conflicts",
+        "normalization_constant",
+        "queries",
+        "flags",
+        "estimates",
+    ),
+    2,
+)
+_MASSES = _template(("masses",), 3)
+_FUSED_ITEM = _template(("prop", "mass"), 5)
+_QUERY = _template(("query", "bel", "pl", "estimate", "note"), 4)
+_ESTIMATES = _template(("p_fly", "p_not_fly", "additivity_deficit", "bound", "validity_flags"), 3)
 
 
 class _JsonWriter:
@@ -60,28 +87,39 @@ class _JsonWriter:
         # (frame names, depth) -> term mask -> block; axes -> atom index -> block
         self._terms: dict[tuple[tuple[str, ...], int], dict[int, str]] = {}
         self._atoms: dict[tuple[tuple[str, ...], ...], dict[int, str]] = {}
+        # query propositions -> their rendered arrays; the engines share one query tuple
+        self._queries: dict[tuple[Proposition, ...], list[str]] = {}
 
     def report(self, report: FusionReport) -> str:
-        results = [self._result(result) for result in report.results]
-        return _object([("results", _array(results, 1))], 0)
+        return _REPORT % _array([self._result(result) for result in report.results], 1)
 
     def _result(self, result: EngineResult) -> str:
-        queries = [row.query for row in result.queries]
-        props = self._props(queries[0].frame, queries, 5) if queries else []
-        rows = [self._query(row, prop) for row, prop in zip(result.queries, props)]
-        return _object(
-            [
-                ("engine", encode_basestring(result.engine)),
-                ("status", encode_basestring(result.status)),
-                ("fused", "null" if result.fused is None else self._fused(result.fused)),
-                ("conflict_mass", _number(result.conflict_mass)),
-                ("stage_conflicts", _array(list(map(_number, result.stage_conflicts)), 3)),
-                ("normalization_constant", _number(result.normalization_constant)),
-                ("queries", _array(rows, 3)),
-                ("flags", _array(list(map(encode_basestring, result.flags)), 3)),
-                ("estimates", "null" if result.estimates is None else _estimates(result.estimates)),
-            ],
-            2,
+        queries = tuple([row.query for row in result.queries])
+        props = self._queries.get(queries)
+        if props is None:
+            props = self._props(queries[0].frame, queries, 5) if queries else []
+            self._queries[queries] = props
+        rows = [
+            _QUERY
+            % (
+                prop,
+                _number(row.bel),
+                _number(row.pl),
+                _number(row.estimate),
+                encode_basestring(row.note),
+            )
+            for row, prop in zip(result.queries, props)
+        ]
+        return _RESULT % (
+            encode_basestring(result.engine),
+            encode_basestring(result.status),
+            "null" if result.fused is None else self._fused(result.fused),
+            _number(result.conflict_mass),
+            _array(list(map(_number, result.stage_conflicts)), 3),
+            _number(result.normalization_constant),
+            _array(rows, 3),
+            _array(list(map(encode_basestring, result.flags)), 3),
+            "null" if result.estimates is None else _estimates(result.estimates),
         )
 
     def _fused(self, fused: BBA | AtomMasses) -> str:
@@ -89,29 +127,12 @@ class _JsonWriter:
             props = self._props(fused.frame, list(fused.masses), 6)
         else:
             props = [self._atom_set(fused.axes, focal) for focal in fused.masses]
-        # each item is _object([("prop", prop), ("mass", mass)], 5), spelled out
-        head, middle = "{" + _BREAK[6] + '"prop": ', "," + _BREAK[6] + '"mass": '
-        tail = _BREAK[5] + "}"
         items = [
-            head + prop + middle + _number(mass) + tail
-            for prop, mass in zip(props, fused.masses.values())
+            _FUSED_ITEM % (prop, _number(mass)) for prop, mass in zip(props, fused.masses.values())
         ]
-        return _object([("masses", _array(items, 4))], 3)
+        return _MASSES % _array(items, 4)
 
-    def _query(self, row: QueryResult, query: str) -> str:
-        """A query row, given its proposition as rendered by :meth:`_props`."""
-        return _object(
-            [
-                ("query", query),
-                ("bel", _number(row.bel)),
-                ("pl", _number(row.pl)),
-                ("estimate", _number(row.estimate)),
-                ("note", encode_basestring(row.note)),
-            ],
-            4,
-        )
-
-    def _props(self, frame: Frame, props: list[Proposition], depth: int) -> list[str]:
+    def _props(self, frame: Frame, props: Sequence[Proposition], depth: int) -> list[str]:
         """Each proposition as an array at ``depth`` of its term arrays, in canonical order.
 
         A proposition's terms sort as their ranks among all the distinct
@@ -145,16 +166,12 @@ class _JsonWriter:
 
 
 def _estimates(estimates: BayesEstimates) -> str:
-    flags = list(map(encode_basestring, estimates.validity_flags))
-    return _object(
-        [
-            ("p_fly", _number(float(estimates.p_fly))),
-            ("p_not_fly", _number(float(estimates.p_not_fly))),
-            ("additivity_deficit", _number(float(estimates.additivity_deficit))),
-            ("bound", _number(float(estimates.bound))),
-            ("validity_flags", _array(flags, 4)),
-        ],
-        3,
+    return _ESTIMATES % (
+        _number(float(estimates.p_fly)),
+        _number(float(estimates.p_not_fly)),
+        _number(float(estimates.additivity_deficit)),
+        _number(float(estimates.bound)),
+        _array(list(map(encode_basestring, estimates.validity_flags)), 4),
     )
 
 

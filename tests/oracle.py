@@ -12,13 +12,14 @@ regions, so region sets double as comparison keys for fused outputs.
 import argparse
 import json
 from collections import defaultdict
+from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import fsum
 from typing import Mapping, Sequence
 
 from hyperbelief import Frame
-from hyperbelief.analysis import indifference_estimates
+from hyperbelief.analysis import BayesEstimates, ModusTollensPosteriors
 from hyperbelief.belief import Masks
 from hyperbelief.cli import _DECODER, ScenarioError
 from hyperbelief.lattice import (
@@ -327,6 +328,73 @@ def filter_walk(n):
     return len(halves), block
 
 
+# -------------------------------------------------------- Fraction estimates
+#
+# The point estimates as plain ``Fraction`` arithmetic, one operation per
+# step of each formula: the reference for ``analysis``, which reads each
+# argument as an integer ratio and builds each value once.
+
+
+def fraction_unit(name: str, value) -> Fraction:
+    x = Fraction(value)
+    if not 0 <= x <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return x
+
+
+def fraction_pearl_flying_bound(eps1, eps3) -> Fraction:
+    e1 = fraction_unit("eps1", eps1)
+    e3 = fraction_unit("eps3", eps3)
+    if e3 == 1:
+        raise ValueError("eps3 = 1 makes the bound's denominator vanish")
+    return e1 / (1 - e3)
+
+
+def fraction_range_flags(**named: Fraction) -> tuple[str, ...]:
+    return tuple(
+        f"{name} = {float(value):g} outside [0, 1]"
+        for name, value in named.items()
+        if not 0 <= value <= 1
+    )
+
+
+def fraction_indifference_estimates(eps1, eps2, eps3) -> BayesEstimates:
+    e1 = fraction_unit("eps1", eps1)
+    e2 = fraction_unit("eps2", eps2)
+    e3 = fraction_unit("eps3", eps3)
+    if e3 == 1:
+        raise ValueError("eps3 = 1 makes the estimates' denominator vanish")
+    p_fly = e1 * (1 - e2) / (1 - e3)
+    p_not_fly = (1 - e1) * e2 / (1 - e3)
+    deficit = 1 - (p_fly + p_not_fly)
+    return BayesEstimates(
+        p_fly=p_fly,
+        p_not_fly=p_not_fly,
+        additivity_deficit=deficit,
+        bound=e1 / (1 - e3),
+        validity_flags=fraction_range_flags(
+            p_fly=p_fly, p_not_fly=p_not_fly, additivity_deficit=deficit
+        ),
+    )
+
+
+def fraction_modus_tollens_posteriors(w, pa, pb) -> ModusTollensPosteriors:
+    weight = fraction_unit("w", w)
+    prior_a = fraction_unit("pa", pa)
+    prior_b = fraction_unit("pb", pb)
+    if prior_b in (0, 1):
+        raise ValueError("pb must lie strictly inside (0, 1)")
+    given_not_b = 1 - (1 - weight) * prior_a / (1 - prior_b)
+    given_b = 1 - weight * prior_a / prior_b
+    return ModusTollensPosteriors(
+        not_a_given_not_b=given_not_b,
+        not_a_given_b=given_b,
+        validity_flags=fraction_range_flags(
+            not_a_given_not_b=given_not_b, not_a_given_b=given_b
+        ),
+    )
+
+
 def match_triangle(scenario: Scenario):
     """Find (rule_x, rule_y, chain) with x→c, y→c', x→y, obs = x∧y, c∧c' = ∅.
 
@@ -371,7 +439,7 @@ def run_bayes(scenario: Scenario) -> EngineResult:
         return not_applicable(
             "not applicable: the chain rule has weight 0, so the estimates' denominator vanishes"
         )
-    estimates = indifference_estimates(eps1, eps2, eps3)
+    estimates = fraction_indifference_estimates(eps1, eps2, eps3)
     model = scenario.model
     by_target = {
         reduce_under_model(ry.consequent, model): float(estimates.p_fly),
@@ -541,6 +609,20 @@ def report_tree(report):
         }
 
     return {"results": [result(r) for r in report.results]}
+
+
+def report_rows(report):
+    """A ``FusionReport``'s table and csv rows, with ``str`` called on each row's query."""
+
+    def cell(value):
+        return "" if value is None else f"{value:.12g}"
+
+    rows = []
+    for r in report.results:
+        for q in r.queries:
+            bel, pl = (q.bel, q.pl) if q.estimate is None else (q.estimate, q.estimate)
+            rows.append((r.engine, str(q.query), cell(bel), cell(pl), q.note))
+    return rows
 
 
 @cache  # one parser per process: parse_args leaves it unchanged

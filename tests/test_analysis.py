@@ -1,11 +1,14 @@
 """Tests for the logic toolkit and the naive chain-rule estimates."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from hyperbelief._value import Value
 from hyperbelief.analysis import (
     CLASSICAL_PRINCIPLES,
     And,
@@ -243,3 +246,58 @@ def test_flags_exactly_track_range_violations(w, pa, pb):
     post = modus_tollens_posteriors(w, pa, pb)
     expected = sum(1 for value in post.pair if not 0 <= value <= 1)
     assert len(post.validity_flags) == expected
+
+
+# ------------------------------------------------- against the Fraction formulas
+
+# the unit interval's ends and the floats next to them, any float in it, and
+# ints, Fractions and Decimals in it; then values of each kind out of it,
+# NaN and ±inf among them
+in_unit = st.one_of(
+    st.sampled_from((0.0, 5e-324, 0.5, 1 - 2**-53, 1.0)),
+    st.floats(0, 1),
+    st.integers(0, 1),
+    st.fractions(0, 1),
+    st.decimals(0, 1),
+)
+anything = st.one_of(
+    in_unit,
+    st.floats(),
+    st.integers(-2, 3),
+    st.fractions(-1, 2),
+    st.decimals(-1, 2),
+    st.sampled_from((Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"))),
+)
+
+
+def _outcome(function, *args):
+    """A call's values with their types, or the type and message of what it raised."""
+    try:
+        result = function(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    values = result._values() if isinstance(result, Value) else (result,)
+    return [(type(value), value) for value in values]
+
+
+def assert_estimators_match_the_fraction_formulas(x, y, z):
+    """The three public estimators equal the reference: values, flags and refusals."""
+    pairs = [
+        (indifference_estimates, oracle.fraction_indifference_estimates, (x, y, z)),
+        (pearl_flying_bound, oracle.fraction_pearl_flying_bound, (x, z)),
+        (modus_tollens_posteriors, oracle.fraction_modus_tollens_posteriors, (x, y, z)),
+    ]
+    for function, reference, args in pairs:
+        assert _outcome(function, *args) == _outcome(reference, *args)
+
+
+@settings(max_examples=300)
+@given(in_unit, in_unit, in_unit)
+def test_estimates_equal_the_fraction_formulas(x, y, z):
+    assert_estimators_match_the_fraction_formulas(x, y, z)
+
+
+@settings(max_examples=300)
+@given(anything, anything, anything)
+def test_refusals_equal_the_fraction_formulas(x, y, z):
+    assert_estimators_match_the_fraction_formulas(x, y, z)

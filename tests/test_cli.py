@@ -31,6 +31,7 @@ from hyperbelief.cli import (
     _Stop,
     _enumeration_lines,
     _read_argv,
+    _rows,
     emit_report,
     main,
     parse_scenario,
@@ -499,11 +500,16 @@ def _unchecked_bba(model, masses) -> BBA:
 
 
 @st.composite
-def _engine_results(draw, frame: Frame) -> EngineResult:
-    """One engine's result of any shape the report has: dsm, dst (consistent or not) or bayes."""
+def _engine_results(draw, frame: Frame, shared: list[Proposition]) -> EngineResult:
+    """One engine's result of any shape the report has: dsm, dst (consistent or not) or bayes.
+
+    Its query rows ask either the ``shared`` propositions, as every engine of
+    a real report does, or at least as many propositions of its own.
+    """
+    own = st.lists(propositions(frame), min_size=len(shared), max_size=3)
+    asked = shared if draw(st.booleans()) else draw(own)
     queries = tuple(
-        QueryResult(draw(propositions(frame)), draw(_MAYBE), draw(_MAYBE), draw(_MAYBE), draw(_TEXT))
-        for _ in range(draw(st.integers(0, 3)))
+        QueryResult(query, draw(_MAYBE), draw(_MAYBE), draw(_MAYBE), draw(_TEXT)) for query in asked
     )
     shape = draw(st.sampled_from(["dsm", "dst", "inconsistent", "bayes"]))
     fused = estimates = None
@@ -538,12 +544,14 @@ def _engine_results(draw, frame: Frame) -> EngineResult:
 @given(st.data())
 def test_json_writer_matches_json_dumps(data):
     frame = Frame(tuple(data.draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))))
-    results = tuple(data.draw(st.lists(_engine_results(frame), max_size=3)))
+    shared = data.draw(st.lists(propositions(frame), max_size=3))
+    results = tuple(data.draw(st.lists(_engine_results(frame, shared), max_size=3)))
     report = FusionReport(results)
     tree = oracle.report_tree(report)
     assert emit_report(report, "json") == json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
     # as text, because NaN != NaN
     assert json.dumps(report.to_json()) == json.dumps(tree)
+    assert _rows(report) == oracle.report_rows(report)
 
 
 def test_csv_has_one_row_per_engine_query():

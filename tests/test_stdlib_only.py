@@ -81,7 +81,8 @@ def test_cli_import_skips_dataclasses_and_inspect():
     ``argparse`` is heavy too; every CLI run is a fresh process, so none of them
     may load at start-up, nor lazily on any subcommand's path.  One ``-S``
     process (no site hooks loading modules of their own) imports the CLI, then
-    runs one op of each subcommand, help and a usage error."""
+    runs one op of each subcommand, help and a usage error.  Those runs import
+    no module at all: a lazy import would move its compile time into a run."""
     tp2 = str(ROOT / "scenarios" / "tp2.json")
     runs = [
         ["fuse", tp2, "--format", "json"],
@@ -94,13 +95,15 @@ def test_cli_import_skips_dataclasses_and_inspect():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = (
         "import io, sys, hyperbelief.cli as cli\n"
+        "loaded = set(sys.modules)\n"
         "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
         f"codes = [cli.main(argv) for argv in {runs!r}]\n"
         "sys.stdout = out\n"
-        "print(codes, sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(codes, sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)),"
+        " sorted(set(sys.modules) - loaded))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[0, 0, 0, 0, 0, 2] []"
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0, 2] [] []"
