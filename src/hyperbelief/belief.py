@@ -171,13 +171,13 @@ def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float
     joined with some term of ``a``, contains no constraint.  A focal below
     ``a`` is compatible with it, since its terms contain no constraint.  Both
     tests are settled once per distinct focal term and query, whether a
-    union contains a constraint once per distinct union over all queries,
-    and each value is one ``fsum`` over the focals in order.
+    union contains a constraint once per model (its ``_allowed`` memo), and
+    each value is one ``fsum`` over the focals in order.
     """
     for a in queries:
         if a.frame != b.frame:
             raise ValueError("query belongs to a different frame")
-    allowed = _Allowed(b.model.masks)
+    allowed = b.model._allowed
     terms = {t for x in b.masses for t in x.masks}
     tests = []  # per query: (terms holding one of its terms, terms compatible with it, Bel, Pl)
     for a in queries:
@@ -237,8 +237,8 @@ def _fold(
 
     A meet is a term-mask tuple.  Its meet with a focal is
     :func:`~hyperbelief.lattice._meet`, computed once per (focal, meet);
-    whether a union contains a constraint is settled once per distinct
-    union in the fold.
+    whether a union contains a constraint is settled once per model, by
+    its ``_allowed`` memo.
 
     A join is a union of focals, so its terms are among the sources' own
     terms T, sorted ascending.  The fold holds a join as an int whose bit j
@@ -259,7 +259,7 @@ def _fold(
     first-seen order and every ``fsum`` group is the one that ``((), join)``
     keys would give.
     """
-    allowed = _Allowed(model.masks)
+    allowed = model._allowed
     terms = sorted({t for source in sources for p in source for t in p})
     up = dict.fromkeys(terms, 0)
     for j, u in enumerate(terms):
@@ -362,7 +362,7 @@ def _hybrid_step(
 
 
 def _observe(
-    fused: Mapping[Masks, float], obs: Masks, constraints: frozenset[int]
+    fused: Mapping[Masks, float], obs: Masks, allowed: _Allowed
 ) -> tuple[dict[Masks, float], float]:
     """One observation stage: ``_hybrid_step([fused, {obs: 1.0}], model)`` as a map.
 
@@ -375,9 +375,8 @@ def _observe(
     or decode.
 
     F∩O is :func:`~hyperbelief.lattice._meet`, each distinct union of F's
-    and O's terms tested once per stage.
+    and O's terms tested through ``allowed``, the model's constraint memo.
     """
-    allowed = _Allowed(constraints)
     targets, rerouted = [], []
     for focal, m in fused.items():
         target = _meet(focal, obs, allowed)

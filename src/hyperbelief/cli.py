@@ -103,6 +103,8 @@ def _typed(value, kind: type, where: str, *at):
 
 def _name(value, where: str, *at) -> str:
     """A string the reports print: it must encode as UTF-8, so no lone surrogate."""
+    if type(value) is str and value.isascii():  # a lone surrogate is never ASCII
+        return value
     name = _typed(value, str, where, *at)
     try:
         name.encode("utf-8")
@@ -335,10 +337,23 @@ def emit_report(report: FusionReport, fmt: str = "table") -> str:
 
 
 def _read_input(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``-``.
+
+    A file is read once, as bytes, and decoded as strict UTF-8, which a
+    refused byte turns into a ScenarioError.  Its line ends then read as text
+    mode reads them: ``\\r\\n`` and a lone ``\\r`` become ``\\n``.
+    """
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not valid UTF-8: {exc.reason} (byte {exc.start})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _report(scenario: Scenario, fmt: str) -> int:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .analysis import BayesEstimates
 from .belief import BBA
-from .lattice import AtomFrame, Frame, Proposition, _members, _term_ranks
+from .lattice import Frame, Proposition, _members, _term_ranks
 
 if TYPE_CHECKING:
     from .rulebase import AtomMasses, EngineResult, FusionReport
@@ -126,7 +126,7 @@ class _JsonWriter:
         if isinstance(fused, BBA):
             props = self._props(fused.frame, list(fused.masses), 6)
         else:
-            props = [self._atom_set(fused.axes, focal) for focal in fused.masses]
+            props = self._atom_sets(fused)
         items = [
             _FUSED_ITEM % (prop, _number(mass)) for prop, mass in zip(props, fused.masses.values())
         ]
@@ -153,16 +153,20 @@ class _JsonWriter:
             _array([texts[r] for r in sorted(map(rank.__getitem__, p.masks))], depth) for p in props
         ]
 
-    def _atom_set(self, axes: AtomFrame, focal: int) -> str:
-        """An atom mask as one single-name term array per atom, atoms ascending."""
+    def _atom_sets(self, fused: AtomMasses) -> list[str]:
+        """Each focal atom mask as one single-name term array per atom, atoms ascending."""
+        axes = fused.axes
         blocks = self._atoms.setdefault(axes.axes, {})
-        terms = []
-        for i in _members(focal):
-            block = blocks.get(i)
-            if block is None:
-                block = blocks[i] = _array([encode_basestring(axes.atom_name(i))], 7)
-            terms.append(block)
-        return _array(terms, 6)
+        sets = []
+        for focal in fused.masses:
+            terms = []
+            for i in _members(focal):
+                block = blocks.get(i)
+                if block is None:
+                    block = blocks[i] = _array([encode_basestring(axes.atom_name(i))], 7)
+                terms.append(block)
+            sets.append(_array(terms, 6))
+        return sets
 
 
 def _estimates(estimates: BayesEstimates) -> str:

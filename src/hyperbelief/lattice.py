@@ -272,7 +272,9 @@ class Model(Value):
     Each constraint has two or more members, and the set is kept minimal: a
     constraint that contains another is redundant.  The model is the one
     owner of the frame: a BBA and a scenario read theirs from it.  ``kind``
-    is read from the constraints, never stored or passed.
+    is read from the constraints, never stored or passed.  ``_allowed`` is
+    the model's one constraint memo (:class:`_Allowed`), which every reader
+    of the model shares for the model's lifetime.
     """
 
     _fields = ("frame", "masks")
@@ -289,6 +291,7 @@ class Model(Value):
         wide = [c for c in masks if c.bit_count() > 2]
         minimal = masks.difference(c for c in wide if any(o != c and o & c == o for o in masks))
         _set(self, "masks", minimal)
+        _set(self, "_allowed", _Allowed(minimal))
 
     @property
     def kind(self) -> str:
@@ -354,7 +357,7 @@ def reduce_under_model(a: Proposition, model: Model) -> Proposition:
     """
     if a.frame != model.frame:
         raise ValueError("proposition and model belong to different frames")
-    kept = _reduce_masks(a.masks, _Allowed(model.masks))
+    kept = _reduce_masks(a.masks, model._allowed)
     if len(kept) == len(a.masks):
         return a
     return Proposition._trusted(a.frame, kept)  # a subset of an ascending antichain is one

@@ -62,7 +62,6 @@ from .lattice import (
     Frame,
     Model,
     Proposition,
-    _Allowed,
     _atom_mask,
     _brief,
     _literal_atoms,
@@ -94,7 +93,7 @@ class WeightedRule(Value):
 
 def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
     """The mask dict of :func:`rule_to_conditional_bba`."""
-    allowed = _Allowed(model.masks)
+    allowed = model._allowed
     antecedent = _reduce_masks(rule.antecedent.masks, allowed)
     if not antecedent:
         raise ValueError(f"antecedent of [{_brief(str(rule))}] is impossible under the model")
@@ -110,7 +109,7 @@ def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
 
 def _observation_masses(obs: Proposition, model: Model) -> dict[Masks, float]:
     """The mask dict of :func:`observation_to_bba`."""
-    reduced = _reduce_masks(obs.masks, _Allowed(model.masks))
+    reduced = _reduce_masks(obs.masks, model._allowed)
     if not reduced:
         raise ValueError(f"observation {_brief(str(obs))} is impossible under the model")
     return {reduced: 1.0}
@@ -297,8 +296,7 @@ class FusionReport(Value):
 
 def _intervals(fused: BBA, queries: Sequence[Proposition]) -> tuple[QueryResult, ...]:
     return tuple(
-        QueryResult(query=q, bel=bel, pl=pl)
-        for q, (bel, pl) in zip(queries, belief_intervals(fused, queries))
+        QueryResult(q, bel, pl, None, "") for q, (bel, pl) in zip(queries, belief_intervals(fused, queries))
     )
 
 
@@ -327,7 +325,7 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
     stage_conflicts = [conflict]
     for observation in observations:
         (obs,) = observation  # one focal with mass 1
-        fused, conflict = _observe(fused, obs, model.masks)
+        fused, conflict = _observe(fused, obs, model._allowed)
         stage_conflicts.append(conflict)
     fused = BBA._trusted(model, fused)
     flags = ()
@@ -344,18 +342,39 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
 
 
 def _run_dst(scenario: Scenario) -> EngineResult:
+    """Dempster's rule as one fold over atom masks.
+
+    Each distinct term-mask tuple is refined once per run, since rules,
+    observations and queries share propositions and a refinement on a wide
+    frame ANDs and ORs long ints.  A source whose atom masks are distinct
+    keeps its masses as they are, since the ``fsum`` of one mass is that
+    mass.
+    """
     axes = scenario.dst_axes
     table = _literal_atoms(scenario.frame.names, axes.axes, axes.literal_map)  # checks ATOM_LIMIT first
+    refined: dict[Masks, int] = {}
 
     def atoms(masks: Masks) -> int:
-        return _atom_mask(masks, table)
+        mask = refined.get(masks)
+        if mask is None:
+            mask = refined[masks] = _atom_mask(masks, table)
+        return mask
 
-    forbidden = atoms(scenario.model.masks)  # the atoms where some declared constraint holds
+    forbidden = _atom_mask(scenario.model.masks, table)  # the atoms where some declared constraint holds
     rules, observations = scenario._sources
-    sources = [fsum_by_key((atoms(p), m) for p, m in b.items()) for b in (*rules, *observations)]
+    sources = []
+    for b in (*rules, *observations):
+        source = {atoms(p): m for p, m in b.items()}
+        if len(source) < len(b):  # two focals refine to one atom set
+            source = fsum_by_key((atoms(p), m) for p, m in b.items())
+        sources.append(source)
     states = {((1 << axes.axes.atom_count) - 1) & ~forbidden: 1.0}
     for source in sources:
-        states = fsum_by_key((s & f, ms * m) for s, ms in states.items() for f, m in source.items())
+        step: dict[int, list[float]] = {}
+        for s, ms in states.items():
+            for f, m in source.items():
+                step.setdefault(s & f, []).append(ms * m)
+        states = {key: fsum(masses) for key, masses in step.items()}
     try:
         conflict, k, kept = _dempster_normalise(states)
     except TotalConflictError:
@@ -366,9 +385,9 @@ def _run_dst(scenario: Scenario) -> EngineResult:
     rows = []
     for q in scenario.queries:
         target = atoms(q.masks)
-        bel = fsum(m for focal, m in fused.items() if not focal & ~target)
-        pl = fsum(m for focal, m in fused.items() if focal & target)
-        rows.append(QueryResult(query=q, bel=bel, pl=pl))
+        bel = fsum([m for focal, m in fused.items() if not focal & ~target])
+        pl = fsum([m for focal, m in fused.items() if focal & target])
+        rows.append(QueryResult(q, bel, pl, None, ""))
     return EngineResult(
         engine="dst",
         status="ok",
@@ -383,7 +402,7 @@ def _run_bayes(scenario: Scenario) -> EngineResult:
     def not_applicable(reason: str) -> EngineResult:
         return _unanswered(scenario, "bayes", "not_applicable", reason, reason)
 
-    allowed = _Allowed(scenario.model.masks)
+    allowed = scenario.model._allowed
 
     def reduced(prop: Proposition) -> Masks:
         return _reduce_masks(prop.masks, allowed)

@@ -11,6 +11,7 @@ regions, so region sets double as comparison keys for fused outputs.
 
 import argparse
 import json
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 from hyperbelief import Frame
 from hyperbelief.analysis import BayesEstimates, ModusTollensPosteriors
 from hyperbelief.belief import Masks
-from hyperbelief.cli import _DECODER, ScenarioError
+from hyperbelief.cli import _DECODER, ScenarioError, _path, _typed
 from hyperbelief.lattice import (
     AtomFrame,
     Model,
@@ -803,3 +804,29 @@ def parse_scenario(text: str) -> Scenario:
     return _checked(
         "", Scenario, model, tuple(rules), observations, queries, tuple(engines), dst_axes
     )
+
+
+# -------------------------------------------------------------- input reading
+#
+# The text-mode file reader and the name check that ``cli._read_input`` and
+# ``cli._name`` replaced, kept as their references.  The reader decodes as
+# it reads and translates every line end to "\n"; a file that is not UTF-8
+# escapes it as UnicodeDecodeError.  The name check encodes every string.
+
+
+def read_input(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``-``, read in text mode."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def checked_name(value, where: str, *at) -> str:
+    """A string the reports print: it must encode as UTF-8, so no lone surrogate."""
+    name = _typed(value, str, where, *at)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # JSON can escape half of a surrogate pair, "\ud800"
+        raise ScenarioError(f"{_path(where, at)} holds a lone surrogate, got {_brief(repr(name))}") from None
+    return name

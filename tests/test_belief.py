@@ -540,7 +540,7 @@ def test_observation_map_equals_the_two_source_hybrid_step(case):
     # mass; two different observations in turn, as a dsm run applies them
     model, fused, observations = case
     for obs in observations:
-        got, got_rerouted = _observe(fused, obs, model.masks)
+        got, got_rerouted = _observe(fused, obs, model._allowed)
         want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model)
         assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
         assert got_rerouted.hex() == want_rerouted.hex()

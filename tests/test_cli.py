@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -30,13 +31,14 @@ from hyperbelief.cli import (
     ScenarioError,
     _Stop,
     _enumeration_lines,
+    _name,
     _read_argv,
     _rows,
     emit_report,
     main,
     parse_scenario,
 )
-from hyperbelief import rulebase
+from hyperbelief import cli, rulebase
 from hyperbelief.lattice import _absorb, _term_order
 from hyperbelief.rulebase import AtomMasses, EngineResult, FusionReport, QueryResult, run_scenario
 from strategies import models, propositions
@@ -696,6 +698,110 @@ def test_input_error_exit_codes(capsys, monkeypatch, tmp_path):
     assert main(["fuse", str(tmp_path / "missing.json")]) == EXIT_INPUT_ERROR
     assert main(["nonsense"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+# ------------------------------------------------------------------- reading
+
+
+def test_a_file_that_is_not_utf8_exits_two(tmp_path):
+    # the file is decoded once, as a whole, so the message names the decoder's
+    # reason and the offset of the refused byte in the file
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(TP2_TEXT.replace('"p"', '"p\u00e9"').encode("latin-1"))
+    at = latin1.read_bytes().index(b"\xe9")
+    assert run_main(["fuse", str(latin1)], "") == (
+        EXIT_INPUT_ERROR, "", f"error: not valid UTF-8: invalid continuation byte (byte {at})\n"
+    )
+    data = TP2_TEXT.replace('"p"', '"鳥"').encode("utf-8")
+    at = data.index("鳥".encode("utf-8"))
+    cut = tmp_path / "cut.json"
+    cut.write_bytes(data[: at + 1])  # the first of the character's three bytes
+    assert run_main(["compare", str(cut)], "") == (
+        EXIT_INPUT_ERROR, "", f"error: not valid UTF-8: unexpected end of data (byte {at})\n"
+    )
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_a_file_reads_its_line_ends_as_text_mode_does(tmp_path, end):
+    path = tmp_path / "tp2.json"
+    path.write_bytes(TP2_TEXT.replace("\n", end).encode("utf-8"))
+    assert end.encode() in path.read_bytes()
+    for fmt in ("table", "json"):
+        assert run_main(["fuse", str(path), "--format", fmt], "") == run_main(["fuse", str(TP2_PATH), "--format", fmt], "")
+
+
+_RENAMES = ("p", "b", "pé", "ñ", "鳥", "Ω", "x y")
+
+
+@st.composite
+def scenario_bytes(draw) -> bytes:
+    """The bundled scenario as a file's bytes: its names renamed (to
+    non-ASCII ones, or among themselves), written with or without indent and
+    ASCII escapes, its line ends LF, CRLF or a lone CR each, more line ends
+    scattered anywhere (inside strings too), then a BOM, a cut that can split
+    a character, or a byte that is never UTF-8."""
+    names = dict(zip(("p", "b", "f", "nf"), draw(st.lists(st.sampled_from(_RENAMES), min_size=4, max_size=4, unique=True))))
+    blob = json.loads(re.sub('"(p|b|f|nf)"', lambda m: json.dumps(names[m[1]]), TP2_TEXT))
+    text = json.dumps(blob, indent=draw(st.sampled_from((None, 1, 2))), ensure_ascii=draw(st.booleans()))
+    lines = text.split("\n")
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(("\r", "\n", "\r\n", "\n\r"))) + text[at:]
+    data = b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode("utf-8")
+    change = draw(st.sampled_from(("none", "cut", "bad byte")))
+    if change == "cut":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif change == "bad byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xe9", b"\xed\xa0\x80"))) + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=scenario_bytes(), command=st.sampled_from(("fuse", "compare")), fmt=st.sampled_from(("table", "json", "csv")))
+def test_file_reader_matches_the_text_mode_reference(tmp_path_factory, data, command, fmt):
+    # the bytes read once and decoded once give what text mode gave, in exit
+    # code, stdout and stderr; a file that is not UTF-8 escaped text mode as a
+    # UnicodeDecodeError, and is now an input error naming the same byte
+    path = tmp_path_factory.mktemp("read") / "scenario.json"
+    path.write_bytes(data)
+    argv = [command, str(path), "--format", fmt]
+    try:
+        with mock.patch.object(cli, "_read_input", oracle.read_input):
+            want = run_main(argv, "")
+    except UnicodeDecodeError as exc:
+        want = (EXIT_INPUT_ERROR, "", f"error: not valid UTF-8: {exc.reason} (byte {exc.start})\n")
+    assert run_main(argv, "") == want
+
+
+_NAME_VALUES = st.one_of(
+    st.text(st.characters(max_codepoint=127)),
+    st.lists(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)), max_size=6).map("".join),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@given(value=_NAME_VALUES, where=st.sampled_from(("frame[{}]", "dst_axes.axes[{}][{}]", "dst_axes.map key")))
+def test_name_check_matches_the_reference(value, where):
+    # an ASCII string returns at once, since a lone surrogate is never ASCII;
+    # anything else gives the reference's value, or its error type and message
+    at = (2, 1)[: where.count("{}")]
+
+    def outcome(check):
+        try:
+            name = check(value, where, *at)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return type(name), name
+
+    assert outcome(_name) == outcome(oracle.checked_name)
 
 
 def test_enumerate_prints_all_propositions(capsys):

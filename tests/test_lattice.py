@@ -24,10 +24,10 @@ from hyperbelief import (
     refine_to_atoms,
     total_ignorance,
 )
-from hyperbelief.lattice import ATOM_LIMIT, _antichains, _check_atom_limit, _rank_tables, _term_order
+from hyperbelief.lattice import ATOM_LIMIT, _Allowed, _antichains, _check_atom_limit, _rank_tables, _term_order
 
 import oracle
-from strategies import frames, modeled_props, propositions
+from strategies import frames, framed_models, modeled_props, propositions, wide_models
 
 TPFRAME = Frame(("p", "b", "f", "nf"))
 P, B, F, NF = (TPFRAME.singleton(n) for n in ("p", "b", "f", "nf"))
@@ -411,6 +411,22 @@ def test_reduce_preserves_order(case):
     model, (a, b) = case
     if leq(a, b, model):
         assert leq(reduce_under_model(a, model), reduce_under_model(b, model), model)
+
+
+@given(st.one_of(framed_models(), wide_models()), st.data())
+def test_the_model_memo_equals_a_fresh_one_in_any_lookup_order(model, data):
+    # every reader of a model shares its one memo, so what earlier lookups
+    # (and the drawn propositions' reductions) filled in must not matter
+    full = (1 << len(model.frame)) - 1
+    for prop in data.draw(st.lists(propositions(model.frame), max_size=3)):
+        reduce_under_model(prop, model)
+    terms = data.draw(st.lists(st.integers(1, full), min_size=1, max_size=12))
+    shared = [(t, model._allowed[t]) for t in terms]
+    fresh = _Allowed(model.masks)
+    for t in data.draw(st.permutations(terms)):
+        fresh[t]
+    assert shared == [(t, fresh[t]) for t in terms]
+    assert shared == [(t, all(t & c != c for c in model.masks)) for t in terms]
 
 
 # --- total ignorance ---------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Smoke tests: the example scripts, the README example and the benchmark tracer
-run against the package, and the committed benchmark runs read correct."""
+"""Smoke tests: the example scripts, the side-by-side timer, the README example
+and the benchmark tracer run against the package, and the committed benchmark
+runs read correct."""
 
 import hashlib
 import importlib.util
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,35 @@ def test_dedekind_growth_counts():
         (3, 19),
         (4, 167),
     ]
+
+
+def test_side_by_side_timing_reads_one_on_an_a_a_run():
+    # the same tree under two module names: the same bytes on every op, and a
+    # median op-time ratio near 1 (a loose bound, as the host is shared)
+    lines = run_script(
+        "ab_inprocess.py", str(ROOT), str(ROOT), "--workload", "tp2-sweep",
+        "--seeds", "1", "--ops", "60", "--passes", "5",
+    )
+    summary = json.loads(lines[-1])
+    assert (summary["ops"], summary["passes"], summary["differ"]) == (60, 5, 0)
+    assert summary["q1"] <= summary["median"] <= summary["q3"]
+    assert 0.8 < summary["median"] < 1.25
+    assert 0 <= summary["wins"] <= 5
+
+
+def test_side_by_side_timing_refuses_trees_that_print_other_bytes(tmp_path):
+    # a copy of the tree that prints table cells to 11 digits, not 12
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli_path = tmp_path / "src" / "hyperbelief" / "cli.py"
+    text = cli_path.read_text(encoding="utf-8")
+    assert text.count(":.12g}") == 1
+    cli_path.write_text(text.replace(":.12g}", ":.11g}"), encoding="utf-8")
+    done = run_python(
+        str(ROOT / "scripts" / "ab_inprocess.py"), str(ROOT), str(tmp_path), "--workload", "tp2-sweep",
+        "--seeds", "1", "--ops", "20", "--passes", "1",
+    )
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["differ"] > 0
 
 
 def test_readme_library_example_prints_its_comments(capsys):
