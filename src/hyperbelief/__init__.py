@@ -26,7 +26,6 @@ from .belief import (
     dempster_combine,
     dsm_hybrid_combine,
     plausibility,
-    vacuous,
 )
 from .lattice import (
     AtomFrame,

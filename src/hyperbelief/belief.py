@@ -47,6 +47,7 @@ from .lattice import (
     _absorb,
     _Allowed,
     _meet,
+    _reduce_masks,
     _term_ranks,
     reduce_under_model,
     total_ignorance,
@@ -116,9 +117,8 @@ class BBA(Value):
                 raise ValueError("mass keyed by a proposition from another frame")
             if not (isfinite(mass) and mass >= 0.0):
                 raise ValueError(f"mass {mass} on {prop} is not a finite non-negative number")
-        merged = _merged(
-            (reduce_under_model(p, self.model).masks, m) for p, m in self.masses.items()
-        )
+        allowed = self.model._allowed
+        merged = _merged((_reduce_masks(p.masks, allowed), m) for p, m in self.masses.items())
         _set(self, "masses", _canonical(self.frame, merged))
 
     @classmethod
@@ -155,11 +155,6 @@ class CombinationReport(Value):
     """
 
     _fields = ("result", "conflict_mass", "normalization_constant")
-
-
-def vacuous(model: Model) -> BBA:
-    """The all-ignorance assignment m(Θ₁∪...∪Θₙ) = 1."""
-    return BBA._trusted(model, {total_ignorance(model.frame).masks: 1.0})
 
 
 def belief_intervals(b: BBA, queries: Sequence[Proposition]) -> list[tuple[float, float]]:

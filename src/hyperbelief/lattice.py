@@ -54,8 +54,8 @@ class Frame(Value):
 
     _fields = ("names",)
 
-    def __init__(self, names: Iterable[str]) -> None:
-        names = tuple(names)
+    def __post_init__(self) -> None:
+        names = tuple(self.names)
         if not names:
             raise ValueError("frame needs at least one singleton")
         if any(not isinstance(n, str) or not n for n in names):  # before hashing them
@@ -540,8 +540,8 @@ class AtomFrame(Value):
 
     _fields = ("axes",)
 
-    def __init__(self, axes: Iterable[Iterable[str]]) -> None:
-        axes = tuple(tuple(axis) for axis in axes)
+    def __post_init__(self) -> None:
+        axes = tuple(tuple(axis) for axis in self.axes)
         if not axes:
             raise ValueError("atom frame needs at least one axis")
         for axis in axes:
@@ -566,9 +566,11 @@ class AtomFrame(Value):
 
         In mixed-radix order an axis's value holds one run of ``stride``
         atoms in every ``period`` atoms, so each mask is one run repeated.
+        A frame above ATOM_LIMIT atoms is refused here, before any mask is built.
         """
-        _check_atom_limit(self)
         count = self.atom_count
+        if count > ATOM_LIMIT:
+            raise EnumerationLimitError(f"dst_axes: the axes span {count} atoms, more than the limit of {ATOM_LIMIT}")
         masks = []
         stride = count
         for axis in self.axes:
@@ -585,15 +587,6 @@ class AtomFrame(Value):
             index, v = divmod(index, len(axis))
             values.append(axis[v])
         return "∩".join(reversed(values))
-
-
-def _check_atom_limit(atom_frame: AtomFrame) -> None:
-    """Refuse an atom frame above ATOM_LIMIT atoms, before any atom mask is built."""
-    count = atom_frame.atom_count
-    if count > ATOM_LIMIT:
-        raise EnumerationLimitError(
-            f"dst_axes: the axes span {count} atoms, more than the limit of {ATOM_LIMIT}"
-        )
 
 
 def _literal_atoms(names: Sequence[str], atom_frame: AtomFrame, literal_map: Mapping[str, tuple[int, int]]) -> list[int]:
@@ -628,7 +621,7 @@ def refine_to_atoms(
     singleton used by ``a`` must be mapped in range; other entries are not read.
     """
     names, axes = a.frame.names, atom_frame.axes
-    _check_atom_limit(atom_frame)  # before any literal is checked
+    atom_frame._value_masks  # a frame past ATOM_LIMIT is refused before any literal is checked
     used = {}
     for term in a.masks:
         for i in _members(term):

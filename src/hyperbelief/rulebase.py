@@ -37,12 +37,11 @@ result reads its ``conflict_mass`` from its ``stage_conflicts``.
 from __future__ import annotations
 
 import json
-from copy import copy
 from functools import cached_property, reduce
 from itertools import permutations
 from math import fsum
 from operator import or_
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ._value import Value, _set
 from .analysis import indifference_estimates
@@ -58,7 +57,6 @@ from .belief import (
 )
 from .json_report import render_json
 from .lattice import (
-    AtomFrame,
     Frame,
     Model,
     Proposition,
@@ -144,9 +142,9 @@ class DstAxes(Value):
 
     _fields = ("axes", "literal_map")
 
-    def __init__(self, axes: AtomFrame, literal_map: Mapping[str, tuple[int, int]]) -> None:
-        checked = {}
-        for name, coordinate in literal_map.items():
+    def __post_init__(self) -> None:
+        axes, checked = self.axes, {}
+        for name, coordinate in self.literal_map.items():
             axis, value = coordinate
             if not 0 <= axis < len(axes.axes):
                 raise ValueError(
@@ -157,7 +155,6 @@ class DstAxes(Value):
                     f"literal {_brief(repr(name))} names value {value} outside axis {axis}"
                 )
             checked[name] = (axis, value)
-        _set(self, "axes", axes)
         _set(self, "literal_map", checked)
 
 
@@ -185,8 +182,8 @@ class Scenario(Value):
 
     def with_engines(self, engines: tuple[str, ...]) -> Scenario:
         """This scenario run by ``engines``: checked again, but not encoded again."""
-        other = copy(self)  # the copy keeps the cached _sources
-        _set(other, "engines", engines)
+        other = object.__new__(self.__class__)
+        _set(other, "__dict__", {**self.__dict__, "engines": engines})  # with the cached _sources
         other._check_engines()
         return other
 

@@ -23,11 +23,11 @@ from hyperbelief import (
     dempster_combine,
     dsm_hybrid_combine,
     enumerate_hyper_power_set,
+    observation_to_bba,
     plausibility,
     reduce_under_model,
     refine_to_atoms,
     total_ignorance,
-    vacuous,
 )
 from hyperbelief.belief import (
     TOTAL_CONFLICT_EPS,
@@ -117,14 +117,6 @@ def test_mismatched_model_rejected():
         BBA(TPMODEL, {other.singleton("x"): 1.0})
 
 
-def test_vacuous_assignment():
-    v = vacuous(TPMODEL)
-    assert v.focals() == [total_ignorance(TPFRAME)]
-    assert belief(v, P) == 0.0
-    assert plausibility(v, P) == 1.0
-    assert belief(v, total_ignorance(TPFRAME)) == 1.0
-
-
 def test_bel_pl_by_hand():
     frame = Frame(("a", "b", "c"))
     model = Model.shafer(frame)
@@ -143,7 +135,7 @@ def test_bel_pl_by_hand():
 
 
 def test_queries_must_share_the_frame():
-    v = vacuous(TPMODEL)
+    v = observation_to_bba(total_ignorance(TPFRAME), TPMODEL)
     with pytest.raises(ValueError):
         belief(v, Frame(("x",)).singleton("x"))
     with pytest.raises(ValueError):
@@ -152,14 +144,14 @@ def test_queries_must_share_the_frame():
 
 @pytest.mark.parametrize("combine", [conjunctive_combine, dempster_combine, dsm_hybrid_combine])
 def test_combination_needs_agreeing_sources(combine):
-    v = vacuous(TPMODEL)
+    v = observation_to_bba(total_ignorance(TPFRAME), TPMODEL)
     other = Frame(("x", "y"))
     with pytest.raises(ValueError, match="at least one source"):
         combine([])
     with pytest.raises(ValueError, match="disagree"):
-        combine([v, vacuous(Model.free(TPFRAME))])
+        combine([v, observation_to_bba(total_ignorance(TPFRAME), Model.free(TPFRAME))])
     with pytest.raises(ValueError, match="disagree"):
-        combine([v, vacuous(Model.free(other))])
+        combine([v, observation_to_bba(total_ignorance(other), Model.free(other))])
 
 
 # ------------------------------------------------- two-source exclusive fusion

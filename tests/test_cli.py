@@ -165,7 +165,7 @@ def cut(text: str) -> str:
 @pytest.mark.parametrize(
     ("text", "needle"),
     [
-        pytest.param("[" * 5000 + "]" * 5000, "not valid JSON", id="nesting-past-the-recursion-limit"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="nesting-past-the-recursion-limit"),
         pytest.param('{"frame": ' + "1" * 5000 + "}", "not valid JSON", id="integer-literal-of-5000-digits"),
         pytest.param(
             '{"frame": ' + "1" * 5000 + "}",
@@ -698,6 +698,91 @@ def test_input_error_exit_codes(capsys, monkeypatch, tmp_path):
     assert main(["fuse", str(tmp_path / "missing.json")]) == EXIT_INPUT_ERROR
     assert main(["nonsense"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+# ----------------------------------------------------- what a rule asserts
+#
+# ``if a then c`` puts all its mass inside a, so every rule asserts its
+# antecedent.  These pin what follows from that encoding today.
+
+TP2_EVIDENTIAL_ROWS = [
+    "dst,f,0.473684210526,0.526315789474,",
+    "dst,nf,0.473684210526,0.526315789474,",
+    "dsm,f,0.09,0.91,",
+    "dsm,nf,0.09,0.91,",
+]
+
+
+@pytest.mark.parametrize(
+    "observations",
+    [[[["p", "b"]]], [], [[["p"]]], [[["b"]]]],
+    ids=["p-and-b", "none", "p-only", "b-only"],
+)
+def test_tp2_rules_assert_p_and_b_without_the_observation(observations):
+    # the rules about p put all their mass inside p, and p→b puts it inside p∩b
+    code, out, err = run_main(["fuse", "-", "--format", "csv"], tp2_with(("observations",), observations))
+    lines = out.splitlines()
+    assert (code, err) == (EXIT_OK, "")
+    assert lines[3:] == TP2_EVIDENTIAL_ROWS
+    if observations == [[["p", "b"]]]:
+        assert lines[1:3] == ["bayes,f,0.1,0.1,non-additive point estimate", "bayes,nf,0.1,0.1,non-additive point estimate"]
+    else:
+        note = "not applicable: scenario is not a three-rule triangle with one observation"
+        assert lines[1:3] == [f"bayes,f,,,{note}", f"bayes,nf,,,{note}"]
+
+
+def test_rules_with_exclusive_antecedents_conflict_totally():
+    # as conditionals a→x and d→y are compatible, but each asserts its antecedent and a∩d = ∅
+    scenario = {
+        "frame": ["a", "d", "x", "y"],
+        "constraints": [["a", "d"]],
+        "rules": [
+            {"if": [["a"]], "then": [["x"]], "weight": 0.9},
+            {"if": [["d"]], "then": [["y"]], "weight": 0.9},
+        ],
+        "queries": [[["x"]], [["y"]]],
+        "engines": ["dst", "dsm"],
+        "dst_axes": {
+            "axes": [["a", "a_"], ["d", "d_"], ["x", "x_"], ["y", "y_"]],
+            "map": {"a": [0, 0], "d": [1, 0], "x": [2, 0], "y": [3, 0]},
+        },
+    }
+    assert run_main(["fuse", "-"], json.dumps(scenario)) == (
+        EXIT_INCONSISTENT,
+        "engine  status        conflict  K  flags\n"
+        "dst     inconsistent  1            inconsistent (total conflict): the rules admit no common world\n"
+        "dsm     ok            1            all prior mass conflicts; the intervals below are uninformative\n"
+        "\n"
+        "engine  query  bel  pl  note\n"
+        "dst     x               inconsistent (total conflict)\n"
+        "dst     y               inconsistent (total conflict)\n"
+        "dsm     x      0    1\n"
+        "dsm     y      0    1\n",
+        "",
+    )
+
+
+def test_the_nixon_diamond_prints_the_penguin_triangle_numbers():
+    # q→pa and r→npa with q∩r observed: tp2's two clashing rules, with their meet observed and no third rule
+    scenario = {
+        "frame": ["q", "r", "pa", "npa"],
+        "constraints": [["pa", "npa"]],
+        "rules": [
+            {"if": [["q"]], "then": [["pa"]], "weight": 0.9},
+            {"if": [["r"]], "then": [["npa"]], "weight": 0.9},
+        ],
+        "observations": [[["q", "r"]]],
+        "queries": [[["pa"]], [["npa"]]],
+        "engines": ["dst", "dsm"],
+        "dst_axes": {
+            "axes": [["pa", "npa"], ["q", "q_"], ["r", "r_"]],
+            "map": {"pa": [0, 0], "npa": [0, 1], "q": [1, 0], "r": [2, 0]},
+        },
+    }
+    code, out, err = run_main(["fuse", "-", "--format", "csv"], json.dumps(scenario))
+    assert (code, err) == (EXIT_OK, "")
+    renamed = [row.replace(",nf,", ",npa,").replace(",f,", ",pa,") for row in TP2_EVIDENTIAL_ROWS]
+    assert out.splitlines()[1:] == renamed
 
 
 # ------------------------------------------------------------------- reading

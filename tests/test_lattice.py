@@ -24,7 +24,7 @@ from hyperbelief import (
     refine_to_atoms,
     total_ignorance,
 )
-from hyperbelief.lattice import ATOM_LIMIT, _Allowed, _antichains, _check_atom_limit, _rank_tables, _term_order
+from hyperbelief.lattice import ATOM_LIMIT, _Allowed, _antichains, _rank_tables, _term_order
 
 import oracle
 from strategies import frames, framed_models, modeled_props, propositions, wide_models
@@ -322,16 +322,19 @@ def test_atom_frame_limit_is_checked_without_fusing():
     def binary(k):
         return AtomFrame(tuple((f"x{i}", f"y{i}") for i in range(k)))
 
-    assert binary(19).atom_count == ATOM_LIMIT == 1 << 19
-    _check_atom_limit(binary(19))
+    at_limit = binary(19)
+    assert at_limit.atom_count == ATOM_LIMIT == 1 << 19
+    assert len(at_limit._value_masks) == 19  # a frame at the limit is refined
     wide = binary(20)
     message = r"^dst_axes: the axes span 1048576 atoms, more than the limit of 524288$"
     with pytest.raises(EnumerationLimitError, match=message):
-        _check_atom_limit(wide)
-    with pytest.raises(EnumerationLimitError):
         wide._value_masks  # no mask is built for a frame past the limit
-    with pytest.raises(EnumerationLimitError):
-        refine_to_atoms(Frame(("x0",)).singleton("x0"), wide, {"x0": (0, 0)})
+    # refused before any literal is checked: an unmapped or out-of-range one
+    # would raise a plain ValueError, of which the limit error is a subclass
+    z = Frame(("x0", "z")).singleton("z")
+    for literal_map in ({"z": (0, 0)}, {}, {"z": (20, 0)}, {"z": (0, 2)}):
+        with pytest.raises(EnumerationLimitError, match=message):
+            refine_to_atoms(z, wide, literal_map)
 
 
 # --- model reduction and order ----------------------------------------------

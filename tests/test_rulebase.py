@@ -33,7 +33,6 @@ from hyperbelief import (
     rule_to_conditional_bba,
     run_scenario,
     total_ignorance,
-    vacuous,
 )
 from hyperbelief.belief import _merged
 from hyperbelief.cli import emit_report, parse_scenario
@@ -123,7 +122,7 @@ def test_rule_validation():
 def test_observation_encoding():
     bba = observation_to_bba(P & B, TPMODEL)
     assert bba.focals() == [P & B]
-    assert observation_to_bba(total_ignorance(TPFRAME), TPMODEL).masses == vacuous(TPMODEL).masses
+    assert observation_to_bba(total_ignorance(TPFRAME), TPMODEL).masses == {total_ignorance(TPFRAME): 1.0}
     with pytest.raises(ValueError, match="impossible"):
         observation_to_bba(F & NF, TPMODEL)
 
@@ -172,6 +171,23 @@ def test_scenario_requires_queries_and_engines():
         Scenario(TPMODEL, (), (), (F,), engines=())
     with pytest.raises(ValueError, match=r"^engines\[1\]: unknown engine 'tbm'; choose from "):
         Scenario(TPMODEL, (), (), (F,), engines=("dsm", "tbm"))
+
+
+def test_with_engines_keeps_the_encoded_sources_and_checks_the_engines():
+    scenario = tp2_scenario(0.1, 0.1, 0.1)
+    other = scenario.with_engines(("dsm", "dst"))
+    assert other._sources is scenario._sources  # not encoded again
+    assert other == Scenario(TPMODEL, scenario.rules, scenario.observations, (F, NF), ("dsm", "dst"), TPAXES)
+    assert scenario.engines == ("bayes", "dst", "dsm")
+    with pytest.raises(AttributeError):
+        other.engines = ("dsm",)
+    with pytest.raises(ValueError, match="^engines: 'dsm' is given twice$"):
+        scenario.with_engines(("dsm", "dsm"))
+    with pytest.raises(ValueError, match="^engines: scenario selects no engine$"):
+        scenario.with_engines(())
+    without_axes = tp2_scenario(0.1, 0.1, 0.1, engines=("dsm",))
+    with pytest.raises(ValueError, match="^missing required field dst_axes, which the dst engine needs$"):
+        without_axes.with_engines(("dst",))
 
 
 def test_scenario_dst_requires_covering_axes():
@@ -316,7 +332,7 @@ def test_dsm_stages_match_the_public_chain_exactly(scenario):
     frame, model = scenario.frame, scenario.model
     got = run_scenario(scenario).engine("dsm")
     rules = [rule_to_conditional_bba(rule, model) for rule in scenario.rules]
-    report = dsm_hybrid_combine(rules or [vacuous(model)])
+    report = dsm_hybrid_combine(rules or [observation_to_bba(total_ignorance(frame), model)])
     fused, conflicts = report.result, [report.conflict_mass]
     for obs in scenario.observations:
         report = dsm_hybrid_combine([fused, observation_to_bba(obs, model)])
@@ -357,6 +373,23 @@ def test_tp2_dsm_staging_is_pinned():
             assert plausibility(fused, query) == pytest.approx(0.91, **APPROX)
 
 
+@pytest.mark.parametrize("weight", [0.0, 0.37, 1.0])
+def test_a_vacuous_rule_is_not_neutral_once_mass_is_rerouted(weight):
+    # `if Θ then Θ` puts mass 1 on Θ at any weight.  Without the observation
+    # tp2's rule stage reroutes 0.81 to unions inside p ∪ b; with Θ among the
+    # sources every rerouted join is Θ, so Bel(p ∪ b) falls from 1 to 0.19
+    theta = total_ignorance(TPFRAME)
+    queries = (P | B, F, NF)
+    rules = triangle_rules(0.1, 0.1, 0.1)
+    answers = []
+    for extra in ((), (WeightedRule(theta, theta, weight),)):
+        result = run_scenario(Scenario(TPMODEL, rules + extra, (), queries)).engine("dsm")
+        assert result.stage_conflicts == pytest.approx((0.81,), **APPROX)
+        answers.append([(q.bel, q.pl) for q in result.queries])
+    assert answers[0] == [pytest.approx(bel_pl, **APPROX) for bel_pl in ((1.0, 1.0), (0.09, 0.91), (0.09, 0.91))]
+    assert answers[1] == [pytest.approx(bel_pl, **APPROX) for bel_pl in ((0.19, 1.0), (0.09, 0.91), (0.09, 0.91))]
+
+
 def test_dsm_observation_order_is_pinned():
     # scenario 148 of the seed-7 generator: two rules, then observations b∩d
     # and c∩f.  Each observation is its own two-source stage, so swapping
@@ -393,7 +426,7 @@ def test_dsm_stages_without_rerouting_equal_one_pass(scenario):
     got = run_scenario(scenario).engine("dsm")
     assume(all(c == 0.0 for c in got.stage_conflicts))
     sources = [rule_to_conditional_bba(rule, model) for rule in scenario.rules]
-    sources = sources or [vacuous(model)]
+    sources = sources or [observation_to_bba(total_ignorance(frame), model)]
     sources += [observation_to_bba(obs, model) for obs in scenario.observations]
     one_pass = dsm_hybrid_combine(sources)
     assert one_pass.conflict_mass == 0.0

@@ -77,9 +77,10 @@ def test_pyproject_declares_no_dependencies():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-    ``argparse`` is heavy too; every CLI run is a fresh process, so none of them
-    may load at start-up, nor lazily on any subcommand's path.  One ``-S``
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    ``argparse`` is heavy too, and ``copy`` brings ``weakref``, which the package
+    never needs; every CLI run is a fresh process, so none of them may load at
+    start-up, nor lazily on any subcommand's path.  One ``-S``
     process (no site hooks loading modules of their own) imports the CLI, then
     runs one op of each subcommand, help and a usage error.  Those runs import
     no module at all: a lazy import would move its compile time into a run."""
@@ -99,7 +100,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
         "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
         f"codes = [cli.main(argv) for argv in {runs!r}]\n"
         "sys.stdout = out\n"
-        "print(codes, sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)),"
+        "print(codes, sorted({'argparse', 'copy', 'dataclasses', 'inspect', 'weakref'} & set(sys.modules)),"
         " sorted(set(sys.modules) - loaded))"
     )
     run = subprocess.run(

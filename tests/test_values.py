@@ -228,10 +228,10 @@ def test_every_value_class_has_a_case():
 
 
 def test_no_value_class_stores_what_it_can_derive():
-    # only a class that stores a converted copy of its input keeps a constructor,
-    # and a fact read as a property is never also a field that a caller passes
+    # every class shares Value's one constructor, and a fact read as a property
+    # is never also a field that a caller passes
     own_init = {cls.__name__ for cls in _value_classes() if "__init__" in vars(cls)}
-    assert own_init == {"Frame", "AtomFrame", "DstAxes"}
+    assert own_init == set()
     for cls in _value_classes():
         derived = [name for name in cls._fields if isinstance(getattr(cls, name, None), (property, cached_property))]
         assert derived == [], cls.__name__
