@@ -7,10 +7,11 @@ Subcommands:
 * ``enumerate --n k``  — print the canonical propositions over k singletons.
 * ``check-logic``      — re-verify the classical principles by truth table.
 
-Exit codes: 0 success, 2 input error, 3 inconsistent system (total conflict),
-4 size limit exceeded: an enumeration above its cap, or a dst frame of more
-atoms than ``lattice.ATOM_LIMIT``.  Inconsistency is a finding, not a fault,
-so it gets its own code instead of a generic failure.
+Exit codes: 0 success, 1 the report could not be written (or ``check-logic``
+found a principle falsifiable), 2 input error, 3 inconsistent system (total
+conflict), 4 size limit exceeded: an enumeration above its cap, or a dst
+frame of more atoms than ``lattice.ATOM_LIMIT``.  Inconsistency is a
+finding, not a fault, so it gets its own code instead of a generic failure.
 
 The argv is read by one table, ``_PARSERS``: an entry per subcommand with
 its handler, its positional argument and its long options (dest, choices or
@@ -27,6 +28,7 @@ import csv
 import gc
 import io
 import json
+import os
 import re
 import sys
 from typing import Callable, Iterable, Sequence
@@ -53,6 +55,7 @@ from .lattice import (
 from .rulebase import ENGINES, DstAxes, FusionReport, Scenario, WeightedRule, run_scenario
 
 EXIT_OK = 0
+EXIT_WRITE_ERROR = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INCONSISTENT = 3
 EXIT_LIMIT = 4
@@ -339,18 +342,22 @@ def emit_report(report: FusionReport, fmt: str = "table") -> str:
 def _read_input(path: str) -> str:
     """The text of the file at ``path``, or of stdin for ``-``.
 
-    A file is read once, as bytes, and decoded as strict UTF-8, which a
-    refused byte turns into a ScenarioError.  Its line ends then read as text
-    mode reads them: ``\\r\\n`` and a lone ``\\r`` become ``\\n``.
+    Either is read once, as bytes, and decoded as strict UTF-8.  A refused
+    byte, and a file that cannot be opened or read, turn into a
+    ScenarioError.  The line ends then read as text mode reads them:
+    ``\\r\\n`` and a lone ``\\r`` become ``\\n``.
     """
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "rb", buffering=0) as handle:
-        data = handle.read()
     try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb", buffering=0) as handle:
+                data = handle.read()
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"not valid UTF-8: {exc.reason} (byte {exc.start})") from None
+    except OSError as exc:
+        raise ScenarioError(str(exc)) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -677,18 +684,26 @@ def _read_argv(argv: list[str]) -> tuple[str, dict]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        command, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
-    except _Stop as stop:
-        (sys.stdout if stop.code == EXIT_OK else sys.stderr).write(stop.text)
-        return stop.code
-    try:
-        return _PARSERS[command][0](args)
-    except (ScenarioError, OSError) as exc:
+        try:
+            command, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        except _Stop as stop:
+            (sys.stdout if stop.code == EXIT_OK else sys.stderr).write(stop.text)
+            code = stop.code
+        else:
+            code = _PARSERS[command][0](args)
+        sys.stdout.flush()  # a block-buffered report fails here, not at exit
+        return code
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except OSError as exc:  # the report could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # so exit's flush of the rest cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_WRITE_ERROR
 
 
 # park the imports' objects outside the collector, so no op pays to rescan them

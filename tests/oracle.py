@@ -10,6 +10,7 @@ regions, so region sets double as comparison keys for fused outputs.
 """
 
 import argparse
+import io
 import json
 import sys
 from collections import defaultdict
@@ -815,9 +816,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def read_input(path: str) -> str:
-    """The text of the file at ``path``, or of stdin for ``-``, read in text mode."""
+    """The text of the file at ``path``, or of stdin's bytes for ``-``, read in strict text mode."""
     if path == "-":
-        return sys.stdin.read()
+        return io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8").read()
     with open(path, encoding="utf-8") as handle:
         return handle.read()
 

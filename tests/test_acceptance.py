@@ -5,7 +5,6 @@ reports every failing clause at once instead of stopping at the first.  The
 terminal summary (see conftest) echoes one PASS/FAIL line per criterion.
 """
 
-import io
 import json
 import random
 import time
@@ -16,6 +15,7 @@ from pathlib import Path
 import oracle
 import test_belief
 import test_lattice
+from test_cli import run_main
 
 from hyperbelief import (
     AtomFrame,
@@ -407,14 +407,12 @@ def test_criterion_8_logic_suite(capsys):
 # --------------------------------------------------------------------- 9
 
 
-def test_criterion_9_consistency_signaling(capsys, monkeypatch):
+def test_criterion_9_consistency_signaling():
     cl = Checklist(9, "degenerate certainty is signaled, not hidden")
     blob = json.loads(TP2_TEXT)
     blob["rules"][0]["weight"] = 1.0
     blob["rules"][1]["weight"] = 1.0
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
-    code = main(["fuse", "-", "--engine", "dst"])
-    out = capsys.readouterr().out
+    code, out, _ = run_main(["fuse", "-", "--engine", "dst"], json.dumps(blob))
     cl.check(f"dst exits 3 on the all-certain triangle (got {code})", code == 3)
     cl.check("dst output carries an 'inconsistent' flag", "inconsistent" in out)
 

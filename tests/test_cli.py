@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -28,6 +29,7 @@ from hyperbelief.cli import (
     EXIT_INPUT_ERROR,
     EXIT_LIMIT,
     EXIT_OK,
+    EXIT_WRITE_ERROR,
     ScenarioError,
     _Stop,
     _enumeration_lines,
@@ -140,15 +142,18 @@ def tp2_with(path: tuple, value) -> str:
     return json.dumps(blob, ensure_ascii=False)
 
 
-def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
+def run_main(argv: list[str], stdin: str | bytes = b"") -> tuple[int, str, str]:
     """``main(argv)`` with ``stdin`` as standard input; returns (code, stdout, stderr).
 
-    Standard output encodes as strict UTF-8, as a terminal or pipe does, so
-    text that cannot be encoded fails here as it would there.
+    Standard input is a stream of bytes, as a pipe is; text is given to it
+    as UTF-8.  Standard output encodes as strict UTF-8, as a terminal or pipe
+    does, so text that cannot be encoded fails here as it would there.
     """
+    data = stdin.encode("utf-8") if type(stdin) is str else stdin
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
     err = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+    with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     out.flush()
     return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
@@ -298,7 +303,7 @@ _HOSTILE = st.one_of(
     fmt=st.sampled_from(["table", "json", "csv"]),
 )
 def test_one_hostile_node_never_crashes(path, value, command, fmt):
-    text = json.dumps(value) if not path else tp2_with(path, value)
+    text = json.dumps(value) if not path else json.dumps(json.loads(tp2_with(path, value)))  # escaped
     text = text.replace('"1e400"', "1e400")  # a float literal past the float range
     code, _, err = run_main([command, "-", "--format", fmt], text)
     assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_INCONSISTENT)
@@ -587,12 +592,10 @@ def test_fuse_bundled_scenario(capsys):
     assert "dsm" in out and "dst" in out and "bayes" in out
 
 
-def test_fuse_reads_stdin(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(TP2_TEXT))
-    assert main(["fuse", "-", "--format", "csv"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("engine,query,bel,pl,note")
+def test_fuse_reads_stdin():
+    code, out, _ = run_main(["fuse", "-", "--format", "csv"], TP2_TEXT)
+    assert code == EXIT_OK
+    assert out.startswith("engine,query,bel,pl,note")
 
 
 def test_engine_override(capsys):
@@ -613,12 +616,10 @@ def test_engine_override_names_the_flag_and_the_missing_field(engine):
     )
 
 
-def test_total_conflict_exits_three(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(tweaked(r0=1.0, r1=1.0)))
-    assert main(["fuse", "-", "--engine", "dst"]) == EXIT_INCONSISTENT
-    assert "inconsistent" in capsys.readouterr().out
+def test_total_conflict_exits_three():
+    code, out, _ = run_main(["fuse", "-", "--engine", "dst"], tweaked(r0=1.0, r1=1.0))
+    assert code == EXIT_INCONSISTENT
+    assert "inconsistent" in out
 
 
 def one_rule_dst(observations) -> str:
@@ -635,14 +636,12 @@ def one_rule_dst(observations) -> str:
     )
 
 
-def test_dst_one_source_is_normalised_like_many(capsys, monkeypatch):
-    import io
-
+def test_dst_one_source_is_normalised_like_many():
     answers = []
     for observations in ([], [[["f"], ["nf"]]]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(one_rule_dst(observations)))
-        assert main(["fuse", "-", "--format", "json"]) == EXIT_OK
-        (result,) = json.loads(capsys.readouterr().out)["results"]
+        code, out, _ = run_main(["fuse", "-", "--format", "json"], one_rule_dst(observations))
+        assert code == EXIT_OK
+        (result,) = json.loads(out)["results"]
         (row,) = result["queries"]
         answers.append((result["conflict_mass"], result["normalization_constant"], row["bel"], row["pl"]))
     assert answers[0] == answers[1]
@@ -650,22 +649,18 @@ def test_dst_one_source_is_normalised_like_many(capsys, monkeypatch):
     assert (conflict, k, bel, pl) == pytest.approx((0.9, 0.1, 1.0, 1.0), abs=1e-12)
 
 
-def test_dst_observation_without_atoms_exits_three(capsys, monkeypatch):
-    import io
-
+def test_dst_observation_without_atoms_exits_three():
     blob = json.loads(one_rule_dst([[["f", "nf"]]]))
     blob["rules"] = []
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
-    assert main(["fuse", "-"]) == EXIT_INCONSISTENT
-    assert "inconsistent" in capsys.readouterr().out
+    code, out, _ = run_main(["fuse", "-"], json.dumps(blob))
+    assert code == EXIT_INCONSISTENT
+    assert "inconsistent" in out
 
 
-def test_degenerate_dsm_stays_ok(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(tweaked(r0=1.0, r1=1.0)))
-    assert main(["fuse", "-", "--engine", "dsm", "--format", "csv"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
+def test_degenerate_dsm_stays_ok():
+    code, out, _ = run_main(["fuse", "-", "--engine", "dsm", "--format", "csv"], tweaked(r0=1.0, r1=1.0))
+    assert code == EXIT_OK
+    lines = out.splitlines()
     assert lines[1] == "dsm,f,0,1,"
     assert lines[2] == "dsm,nf,0,1,"
 
@@ -676,28 +671,66 @@ def test_compare_runs_supported_engines(capsys):
     assert engines == {"bayes", "dst", "dsm"}
 
 
-def test_compare_skips_dst_without_axes(capsys, monkeypatch):
-    import io
-
+def test_compare_skips_dst_without_axes():
     blob = json.loads(TP2_TEXT)
     del blob["dst_axes"]
     blob["engines"] = ["dsm"]
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
-    assert main(["compare", "-", "--format", "csv"]) == EXIT_OK
-    captured = capsys.readouterr()
-    engines = {line.split(",")[0] for line in captured.out.splitlines()[1:]}
+    code, out, err = run_main(["compare", "-", "--format", "csv"], json.dumps(blob))
+    assert code == EXIT_OK
+    engines = {line.split(",")[0] for line in out.splitlines()[1:]}
     assert engines == {"bayes", "dsm"}
-    assert "dst skipped" in captured.err
+    assert "dst skipped" in err
 
 
-def test_input_error_exit_codes(capsys, monkeypatch, tmp_path):
-    import io
+@pytest.mark.parametrize("argv", [["compare", "-"], ["fuse", "-", "--engine", "dsm"]])
+def test_the_file_engines_are_checked_before_compare_or_an_override(argv):
+    # compare skips dst only for a file whose own engines do without it, and
+    # --engine replaces the file's engines only once they passed
+    blob = json.loads(TP2_TEXT)
+    del blob["dst_axes"]
+    blob["engines"] = ["dst"]
+    assert run_main(argv, json.dumps(blob)) == (
+        EXIT_INPUT_ERROR, "", "error: missing required field dst_axes, which the dst engine needs\n"
+    )
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("{broken"))
-    assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
-    assert main(["fuse", str(tmp_path / "missing.json")]) == EXIT_INPUT_ERROR
-    assert main(["nonsense"]) == EXIT_INPUT_ERROR
-    capsys.readouterr()
+
+def test_input_error_exit_codes(tmp_path):
+    assert run_main(["fuse", "-"], "{broken")[0] == EXIT_INPUT_ERROR
+    for path, code in ((tmp_path / "missing.json", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        err = f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
+        assert run_main(["fuse", str(path)]) == (EXIT_INPUT_ERROR, "", err)
+    assert run_main(["nonsense"])[0] == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC], ids=["broken-pipe", "disk-full"])
+@pytest.mark.parametrize("argv", [["fuse", str(TP2_PATH)], ["enumerate", "--n", "3"]], ids=["fuse", "enumerate"])
+def test_a_report_that_cannot_be_written_exits_one(argv, code):
+    # exit 2 is bad input or usage; a closed pipe or a full disk is neither
+    error = OSError(code, os.strerror(code))  # an EPIPE OSError is a BrokenPipeError
+    err = io.StringIO()
+    with mock.patch("sys.stdout", mock.Mock(write=mock.Mock(side_effect=error))), redirect_stderr(err):
+        assert main(argv) == EXIT_WRITE_ERROR
+    assert err.getvalue() == f"error: {error}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["fuse", str(TP2_PATH)], ["enumerate", "--n", "5"], ["--help"]])
+def test_a_buffered_report_that_cannot_be_written_exits_one(argv):
+    # stdout to a pipe or file is block-buffered unless PYTHONUNBUFFERED is
+    # set, so a short report fails only when flushed: main must flush it, and
+    # the exit's flush of what is left must not fail again
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(TP2_PATH.parent.parent / "src")
+    read, write = os.pipe()
+    os.close(read)
+    with open("/dev/full", "wb") as full:
+        for sink, code in ((write, errno.EPIPE), (full, errno.ENOSPC)):
+            run = subprocess.run(
+                [sys.executable, "-m", "hyperbelief", *argv], stdout=sink, stderr=subprocess.PIPE, env=env, timeout=60
+            )
+            err = f"error: [Errno {code}] {os.strerror(code)}\n".encode()
+            assert (run.returncode, run.stderr) == (EXIT_WRITE_ERROR, err)
+    os.close(write)
 
 
 # ----------------------------------------------------- what a rule asserts
@@ -794,16 +827,27 @@ def test_a_file_that_is_not_utf8_exits_two(tmp_path):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(TP2_TEXT.replace('"p"', '"p\u00e9"').encode("latin-1"))
     at = latin1.read_bytes().index(b"\xe9")
-    assert run_main(["fuse", str(latin1)], "") == (
+    assert run_main(["fuse", str(latin1)]) == (
         EXIT_INPUT_ERROR, "", f"error: not valid UTF-8: invalid continuation byte (byte {at})\n"
     )
     data = TP2_TEXT.replace('"p"', '"鳥"').encode("utf-8")
     at = data.index("鳥".encode("utf-8"))
     cut = tmp_path / "cut.json"
     cut.write_bytes(data[: at + 1])  # the first of the character's three bytes
-    assert run_main(["compare", str(cut)], "") == (
+    assert run_main(["compare", str(cut)]) == (
         EXIT_INPUT_ERROR, "", f"error: not valid UTF-8: unexpected end of data (byte {at})\n"
     )
+
+
+def test_stdin_is_read_as_bytes_whatever_its_text_decoder():
+    # the locale or PYTHONIOENCODING picks stdin's text decoder, strict or
+    # surrogateescape; the reader takes stdin's bytes, so neither ever runs
+    for encoding in ("utf-8:strict", "utf-8:surrogateescape"):
+        env = {**os.environ, "PYTHONPATH": str(TP2_PATH.parent.parent / "src"), "PYTHONIOENCODING": encoding}
+        argv = [sys.executable, "-m", "hyperbelief", "fuse", "-"]
+        run = subprocess.run(argv, input=b'{"frame": ["p\xe9"]}', env=env, capture_output=True, timeout=60)
+        err = b"error: not valid UTF-8: invalid continuation byte (byte 13)\n"
+        assert (run.returncode, run.stdout, run.stderr) == (EXIT_INPUT_ERROR, b"", err)
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
@@ -812,7 +856,7 @@ def test_a_file_reads_its_line_ends_as_text_mode_does(tmp_path, end):
     path.write_bytes(TP2_TEXT.replace("\n", end).encode("utf-8"))
     assert end.encode() in path.read_bytes()
     for fmt in ("table", "json"):
-        assert run_main(["fuse", str(path), "--format", fmt], "") == run_main(["fuse", str(TP2_PATH), "--format", fmt], "")
+        assert run_main(["fuse", str(path), "--format", fmt]) == run_main(["fuse", str(TP2_PATH), "--format", fmt])
 
 
 _RENAMES = ("p", "b", "pé", "ñ", "鳥", "Ω", "x y")
@@ -847,18 +891,23 @@ def scenario_bytes(draw) -> bytes:
 @settings(max_examples=200, deadline=None)
 @given(data=scenario_bytes(), command=st.sampled_from(("fuse", "compare")), fmt=st.sampled_from(("table", "json", "csv")))
 def test_file_reader_matches_the_text_mode_reference(tmp_path_factory, data, command, fmt):
-    # the bytes read once and decoded once give what text mode gave, in exit
-    # code, stdout and stderr; a file that is not UTF-8 escaped text mode as a
-    # UnicodeDecodeError, and is now an input error naming the same byte
+    # the bytes read once and decoded once, from the file or on stdin, give
+    # what text mode gave, in exit code, stdout and stderr; bytes that are not
+    # UTF-8 escaped text mode as a UnicodeDecodeError, and are now an input
+    # error naming the same byte; and stdin gives what the file gives
     path = tmp_path_factory.mktemp("read") / "scenario.json"
     path.write_bytes(data)
-    argv = [command, str(path), "--format", fmt]
-    try:
-        with mock.patch.object(cli, "_read_input", oracle.read_input):
-            want = run_main(argv, "")
-    except UnicodeDecodeError as exc:
-        want = (EXIT_INPUT_ERROR, "", f"error: not valid UTF-8: {exc.reason} (byte {exc.start})\n")
-    assert run_main(argv, "") == want
+    runs = []
+    for source in (str(path), "-"):
+        argv = [command, source, "--format", fmt]
+        try:
+            with mock.patch.object(cli, "_read_input", oracle.read_input):
+                want = run_main(argv, data)
+        except UnicodeDecodeError as exc:
+            want = (EXIT_INPUT_ERROR, "", f"error: not valid UTF-8: {exc.reason} (byte {exc.start})\n")
+        runs.append(run_main(argv, data))
+        assert runs[-1] == want
+    assert runs[0] == runs[1]
 
 
 _NAME_VALUES = st.one_of(
@@ -1078,44 +1127,38 @@ def test_verbose_writes_to_stderr(capsys):
     assert "running" in capsys.readouterr().err
 
 
-def test_contradicted_inputs_exit_two(capsys, monkeypatch):
-    import io
-
+def test_contradicted_inputs_exit_two():
     blob = json.loads(TP2_TEXT)
     blob["rules"][1]["then"] = [["f", "nf"]]
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
-    assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
-    assert "rules[1]" in capsys.readouterr().err
+    code, _, err = run_main(["fuse", "-"], json.dumps(blob))
+    assert code == EXIT_INPUT_ERROR
+    assert "rules[1]" in err
 
     blob = json.loads(TP2_TEXT)
     blob["observations"].append([["p", "f", "nf"]])
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
-    assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
-    assert "observations[1]" in capsys.readouterr().err
+    code, _, err = run_main(["fuse", "-"], json.dumps(blob))
+    assert code == EXIT_INPUT_ERROR
+    assert "observations[1]" in err
 
 
 @pytest.mark.parametrize(
     ("owner", "field"),
     [((), "observation"), (("rules", 2), "rules[2].wieght"), (("dst_axes",), "dst_axes.maps")],
 )
-def test_unknown_keys_exit_two(capsys, monkeypatch, owner, field):
-    import io
-
+def test_unknown_keys_exit_two(owner, field):
     blob = json.loads(TP2_TEXT)
     target = blob
     for step in owner:
         target = target[step]
     target[field.rsplit(".", 1)[-1]] = []
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
-    assert main(["fuse", "-"]) == EXIT_INPUT_ERROR
-    assert f"unknown field {field}" in capsys.readouterr().err
+    code, _, err = run_main(["fuse", "-"], json.dumps(blob))
+    assert code == EXIT_INPUT_ERROR
+    assert f"unknown field {field}" in err
 
 
-def test_repeated_calls_read_argv_alike(capsys):
+def test_repeated_calls_read_argv_alike():
     def call(*argv):
-        code = main(list(argv))
-        out, err = capsys.readouterr()
-        return code, out, err
+        return run_main(list(argv))
 
     fresh = call("fuse", str(TP2_PATH))
     usage = call("fuse")
@@ -1309,7 +1352,7 @@ options:
     ],
 )
 def test_help_texts_are_pinned(argv, text):
-    assert run_main(argv, "") == (EXIT_OK, text, "")
+    assert run_main(argv) == (EXIT_OK, text, "")
 
 
 @pytest.mark.parametrize(
@@ -1345,7 +1388,7 @@ def test_help_texts_are_pinned(argv, text):
     ],
 )
 def test_usage_errors_are_pinned(argv, err):
-    assert run_main(argv, "") == (EXIT_INPUT_ERROR, "", err)
+    assert run_main(argv) == (EXIT_INPUT_ERROR, "", err)
 
 
 @pytest.mark.parametrize(
@@ -1359,7 +1402,7 @@ def test_usage_errors_are_pinned(argv, err):
     ],
 )
 def test_argv_forms_argparse_reads_differently(argv, message):
-    code, out, err = run_main(argv, "")
+    code, out, err = run_main(argv)
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert err.partition(": error: ")[2].startswith(message)
 

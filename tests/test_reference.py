@@ -3,19 +3,17 @@ against ``perfbench/reference.py``, which reads the scenario JSON and does not
 import the package."""
 
 import importlib.util
-import io
 import json
 import random
-from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import run_main
 
-from hyperbelief.cli import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, main
+from hyperbelief.cli import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
 
 ROOT = Path(__file__).resolve().parent.parent
 NAMES = "abcdef"
@@ -74,10 +72,7 @@ def generated(seed: int = 7, count: int = 3000, engine: str = "dsm") -> list[dic
 
 
 def fuse(text: str, engine: str = "dsm") -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
-        code = main(["fuse", "-", "--engine", engine, "--format", "json"])
-    return code, out.getvalue(), err.getvalue()
+    return run_main(["fuse", "-", "--engine", engine, "--format", "json"], text)
 
 
 def test_generated_dsm_scenarios_match_the_reference():
@@ -117,6 +112,47 @@ def test_generated_dst_scenarios_match_the_reference():
             wrong.append((i, problem))
     assert (codes.count(EXIT_OK), codes.count(EXIT_INCONSISTENT)) == (307, 1241)
     assert wrong == []
+
+
+def answers(out: str) -> list:
+    """Each engine's conflicts, K and query Bel and Pl in a ``--format json`` report."""
+    return [
+        (r["conflict_mass"], r["stage_conflicts"], r["normalization_constant"], [(q["bel"], q["pl"]) for q in r["queries"]])
+        for r in json.loads(out)["results"]
+    ]
+
+
+def focals(out: str, scale: int = 1) -> list:
+    """Each engine's fused focals in a ``--format json`` report, as (atom count × scale, mass)."""
+    return [
+        [(len(focal["prop"]) * scale, focal["mass"]) for focal in (r["fused"] or {"masses": []})["masses"]]
+        for r in json.loads(out)["results"]
+    ]
+
+
+# Two laws of the rules hold exactly, compared with ==, on the seed-7
+# generator: a frame singleton that nothing mentions changes no dsm Bel, Pl or
+# conflict, and an axis that no singleton maps to changes no dst Bel, Pl,
+# conflict or K and doubles every fused focal's atoms.  A third, that
+# reversing the rules changes nothing, does not hold yet: each stage rounds to
+# floats, and reversal moves some value in 624 dsm and 62 dst scenarios.  It
+# waits for exact masses.
+@pytest.mark.parametrize(
+    ("engine", "field", "wider"),
+    [("dsm", "frame", [*NAMES, "g"]), ("dst", "dst_axes", {**DST_AXES, "axes": [*DST_AXES["axes"], ["g", "g_"]]})],
+    ids=["dsm-unused-singleton", "dst-unused-axis"],
+)
+def test_an_unused_singleton_or_axis_changes_no_answer(engine, field, wider):
+    valid, differ = 0, []
+    for i, scenario in enumerate(generated(engine=engine)):
+        code, out, _ = fuse(json.dumps(scenario), engine)
+        if code == EXIT_INPUT_ERROR:
+            continue
+        valid += 1
+        again = fuse(json.dumps({**scenario, field: wider}), engine)
+        if again[0] != code or answers(again[1]) != answers(out) or engine == "dst" and focals(again[1]) != focals(out, 2):
+            differ.append(i)
+    assert (valid, differ) == (1548, [])
 
 
 def relabelled_triangles(seed: int = 11, count: int = 2000) -> list[tuple[dict, tuple[float, float, float]]]:
