@@ -349,6 +349,8 @@ def _read_input(path: str) -> str:
     """
     try:
         if path == "-":
+            if sys.stdin is None:  # closed before start-up
+                raise ScenarioError("stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb", buffering=0) as handle:
@@ -363,10 +365,26 @@ def _read_input(path: str) -> str:
     return text
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout; a stdout closed before start-up is None, and raises OSError as a failed write does."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    sys.stdout.write(text)
+
+
+def _warn(text: str) -> None:
+    """Write ``text`` to stderr if it takes it: a diagnostic that cannot be shown changes no exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            pass
+
+
 def _report(scenario: Scenario, fmt: str) -> int:
     """Run the scenario and print its report; exit 3 if an engine found it inconsistent."""
     report = run_scenario(scenario)
-    sys.stdout.write(emit_report(report, fmt))
+    _write(emit_report(report, fmt))
     if any(result.status == "inconsistent" for result in report.results):
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -379,10 +397,9 @@ def _run_fuse(args: dict) -> int:
         engines = ENGINES if engine == "all" else (engine,)
         scenario = _checked(f"--engine {engine}", scenario.with_engines, engines)
     if args["verbose"]:
-        print(
+        _warn(
             f"running {', '.join(scenario.engines)} on {len(scenario.rules)} rule(s), "
-            f"{len(scenario.observations)} observation(s)",
-            file=sys.stderr,
+            f"{len(scenario.observations)} observation(s)\n"
         )
     return _report(scenario, args["fmt"])
 
@@ -395,7 +412,7 @@ def _run_compare(args: dict) -> int:
         if engine != "dst" or scenario.dst_axes is not None
     )
     if "dst" not in engines:
-        print("note: dst skipped (scenario declares no dst_axes)", file=sys.stderr)
+        _warn("note: dst skipped (scenario declares no dst_axes)\n")
     return _report(_checked("", scenario.with_engines, engines), args["fmt"])
 
 
@@ -429,8 +446,8 @@ def _run_enumerate(args: dict) -> int:
     count = 0
     for block in _antichains(n):  # one write per block: n = 6 never holds its output at once
         count += len(block)
-        sys.stdout.write("\n".join(render(block)) + "\n")
-    sys.stdout.write(f"total {count}\n")
+        _write("\n".join(render(block)) + "\n")
+    _write(f"total {count}\n")
     return EXIT_OK
 
 
@@ -439,7 +456,7 @@ def _run_check_logic(args: dict) -> int:
     for name, text in CLASSICAL_PRINCIPLES.items():
         holds = tautology_check(parse_formula(text))
         all_hold &= holds
-        print(f"{name:20s} {text:45s} {'tautology' if holds else 'FALSIFIABLE'}")
+        _write(f"{name:20s} {text:45s} {'tautology' if holds else 'FALSIFIABLE'}\n")
     return EXIT_OK if all_hold else 1
 
 
@@ -687,21 +704,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             command, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
         except _Stop as stop:
-            (sys.stdout if stop.code == EXIT_OK else sys.stderr).write(stop.text)
+            (_write if stop.code == EXIT_OK else _warn)(stop.text)
             code = stop.code
         else:
             code = _PARSERS[command][0](args)
-        sys.stdout.flush()  # a block-buffered report fails here, not at exit
+        if sys.stdout is not None:  # a block-buffered report fails here, not at exit
+            sys.stdout.flush()
         return code
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}\n")
         return EXIT_LIMIT
     except OSError as exc:  # the report could not be written
-        print(f"error: {exc}", file=sys.stderr)
-        if sys.stdout is sys.__stdout__:  # so exit's flush of the rest cannot fail again
+        _warn(f"error: {exc}\n")
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:  # so exit's flush of the rest cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_WRITE_ERROR
 

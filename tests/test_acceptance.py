@@ -10,22 +10,17 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from pathlib import Path
 
 import oracle
 import test_belief
 import test_lattice
-from test_cli import run_main
+from harness import B, F, NF, P, TP2_TEXT, TPMODEL, run_main, tp2_scenario, triangle_rules
 
 from hyperbelief import (
-    AtomFrame,
     BBA,
-    DstAxes,
     Frame,
     Model,
-    Scenario,
     TotalConflictError,
-    WeightedRule,
     belief,
     canonicalize,
     conjunctive_combine,
@@ -45,20 +40,8 @@ from hyperbelief.analysis import (
     pearl_flying_bound,
     tautology_check,
 )
-from hyperbelief.cli import main
 
 GRID = (1e-3, 1e-2, 0.05, 0.1, 0.3)
-
-TPFRAME = Frame(("p", "b", "f", "nf"))
-P, B, F, NF = (TPFRAME.singleton(name) for name in TPFRAME.names)
-TPMODEL = Model.from_constraints(TPFRAME, [(2, 3)])
-TPAXES = DstAxes(
-    AtomFrame((("f", "nf"), ("b", "b'"), ("p", "p'"))),
-    {"f": (0, 0), "nf": (0, 1), "b": (1, 0), "p": (2, 0)},
-)
-TP2_TEXT = (Path(__file__).resolve().parent.parent / "scenarios" / "tp2.json").read_text(
-    encoding="utf-8"
-)
 
 
 class Checklist:
@@ -82,29 +65,10 @@ class Checklist:
         assert not self.failed, f"criterion {self.number}: " + " | ".join(self.failed)
 
 
-def triangle_rules(e1, e2, e3):
-    return (
-        WeightedRule(P, NF, 1 - e1),
-        WeightedRule(B, F, 1 - e2),
-        WeightedRule(P, B, 1 - e3),
-    )
-
-
 def triangle_sources(e1, e2, e3):
     return tuple(
         rule_to_conditional_bba(rule, TPMODEL)
         for rule in triangle_rules(e1, e2, e3)
-    )
-
-
-def tp2_scenario(e1, e2, e3, engines):
-    return Scenario(
-        model=TPMODEL,
-        rules=triangle_rules(e1, e2, e3),
-        observations=(P & B,),
-        queries=(F, NF),
-        engines=engines,
-        dst_axes=TPAXES if "dst" in engines else None,
     )
 
 
@@ -394,12 +358,11 @@ def test_criterion_7_algebraic_law_suite():
 # --------------------------------------------------------------------- 8
 
 
-def test_criterion_8_logic_suite(capsys):
+def test_criterion_8_logic_suite():
     cl = Checklist(8, "classical-principle tautologies")
     for name, text in CLASSICAL_PRINCIPLES.items():
         cl.check(f"{name} ({text}) is a tautology", tautology_check(text))
-    code = main(["check-logic"])
-    capsys.readouterr()
+    code = run_main(["check-logic"])[0]
     cl.check(f"check-logic exits 0 (got {code})", code == 0)
     cl.conclude()
 

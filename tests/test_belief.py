@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracle
 from hyperbelief import (
-    AtomFrame,
     BBA,
     Frame,
     Model,
@@ -38,6 +37,7 @@ from hyperbelief.belief import (
     belief_intervals,
     fsum_by_key,
 )
+from harness import B, F, NF, P, TPAXES, TPFRAME, TPMODEL
 from strategies import (
     bbas,
     dsm_scale_sources,
@@ -49,15 +49,10 @@ from strategies import (
     wide_models,
 )
 
-TPFRAME = Frame(("p", "b", "f", "nf"))
-P, B, F, NF = (TPFRAME.singleton(n) for n in TPFRAME.names)
-TPMODEL = Model.from_constraints(TPFRAME, [(2, 3)])
 H1 = (B & F) | P
 H2 = (P & NF) | (B & F) | (P & B)
 
-TPAXES = AtomFrame((("f", "nf"), ("b", "b'"), ("p", "p'")))
-TPLITERALS = {"f": (0, 0), "nf": (0, 1), "b": (1, 0), "p": (2, 0)}
-ATOMFRAME = oracle.to_frame(TPAXES)
+ATOMFRAME = oracle.to_frame(TPAXES.axes)
 SHAFER = Model.shafer(ATOMFRAME)
 
 EXACT = pytest.approx
@@ -73,7 +68,7 @@ def rule_sources(e1, e2, e3):
 
 def lifted_query(prop):
     """``prop`` as a union of atom singletons on the eight-atom exclusive frame."""
-    return canonicalize(ATOMFRAME, [[i] for i in refine_to_atoms(prop, TPAXES, TPLITERALS)])
+    return canonicalize(ATOMFRAME, [[i] for i in refine_to_atoms(prop, TPAXES.axes, TPAXES.literal_map)])
 
 
 def lift(bba):

@@ -8,13 +8,11 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 from unittest import mock
 
 import oracle
@@ -43,10 +41,8 @@ from hyperbelief.cli import (
 from hyperbelief import cli, rulebase
 from hyperbelief.lattice import _absorb, _term_order
 from hyperbelief.rulebase import AtomMasses, EngineResult, FusionReport, QueryResult, run_scenario
+from harness import ROOT, TP2_PATH, TP2_TEXT, run_main, run_process, tp2_scenario
 from strategies import models, propositions
-
-TP2_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "tp2.json"
-TP2_TEXT = TP2_PATH.read_text(encoding="utf-8")
 
 
 def tweaked(**weights) -> str:
@@ -68,6 +64,10 @@ def test_bundled_scenario_parses():
     assert scenario.engines == ("bayes", "dst", "dsm")
     assert scenario.dst_axes is not None
     assert scenario.model.kind == "hybrid"
+
+
+def test_bundled_scenario_is_the_triangle_fixture():
+    assert parse_scenario(TP2_TEXT) == tp2_scenario(0.1, 0.1, 0.1)
 
 
 def test_engines_default_to_dsm():
@@ -109,7 +109,7 @@ def test_parse_errors_name_the_field(text, needle):
     assert str(excinfo.value).startswith(needle)
 
 
-def test_frame_name_with_a_connective_is_refused(capsys, tmp_path):
+def test_frame_name_with_a_connective_is_refused(tmp_path):
     cases = [
         # the table would print the singleton a∩b and the term a∩b under one label
         (
@@ -126,10 +126,10 @@ def test_frame_name_with_a_connective_is_refused(capsys, tmp_path):
     for scenario, message in cases:
         path = tmp_path / "ambiguous.json"
         path.write_text(json.dumps(scenario, ensure_ascii=False), encoding="utf-8")
-        assert main(["fuse", str(path)]) == EXIT_INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {message}")
+        code, out, err = run_main(["fuse", str(path)])
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 def tp2_with(path: tuple, value) -> str:
@@ -142,23 +142,7 @@ def tp2_with(path: tuple, value) -> str:
     return json.dumps(blob, ensure_ascii=False)
 
 
-def run_main(argv: list[str], stdin: str | bytes = b"") -> tuple[int, str, str]:
-    """``main(argv)`` with ``stdin`` as standard input; returns (code, stdout, stderr).
-
-    Standard input is a stream of bytes, as a pipe is; text is given to it
-    as UTF-8.  Standard output encodes as strict UTF-8, as a terminal or pipe
-    does, so text that cannot be encoded fails here as it would there.
-    """
-    data = stdin.encode("utf-8") if type(stdin) is str else stdin
-    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
-    err = io.StringIO()
-    with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    out.flush()
-    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
-
-
+SCENARIOS = ROOT / "scenarios"
 LONG = "x" * 100_000
 
 
@@ -586,9 +570,9 @@ def test_unknown_format_rejected():
 # ------------------------------------------------------------------- driver
 
 
-def test_fuse_bundled_scenario(capsys):
-    assert main(["fuse", str(TP2_PATH)]) == EXIT_OK
-    out = capsys.readouterr().out
+def test_fuse_bundled_scenario():
+    code, out, _ = run_main(["fuse", str(TP2_PATH)])
+    assert code == EXIT_OK
     assert "dsm" in out and "dst" in out and "bayes" in out
 
 
@@ -598,9 +582,10 @@ def test_fuse_reads_stdin():
     assert out.startswith("engine,query,bel,pl,note")
 
 
-def test_engine_override(capsys):
-    assert main(["fuse", str(TP2_PATH), "--engine", "dsm", "--format", "csv"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
+def test_engine_override():
+    code, out, _ = run_main(["fuse", str(TP2_PATH), "--engine", "dsm", "--format", "csv"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
     assert all(line.startswith("dsm,") for line in lines[1:])
 
 
@@ -665,9 +650,10 @@ def test_degenerate_dsm_stays_ok():
     assert lines[2] == "dsm,nf,0,1,"
 
 
-def test_compare_runs_supported_engines(capsys):
-    assert main(["compare", str(TP2_PATH), "--format", "csv"]) == EXIT_OK
-    engines = {line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]}
+def test_compare_runs_supported_engines():
+    code, out, _ = run_main(["compare", str(TP2_PATH), "--format", "csv"])
+    assert code == EXIT_OK
+    engines = {line.split(",")[0] for line in out.splitlines()[1:]}
     assert engines == {"bayes", "dst", "dsm"}
 
 
@@ -719,18 +705,38 @@ def test_a_buffered_report_that_cannot_be_written_exits_one(argv):
     # stdout to a pipe or file is block-buffered unless PYTHONUNBUFFERED is
     # set, so a short report fails only when flushed: main must flush it, and
     # the exit's flush of what is left must not fail again
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(TP2_PATH.parent.parent / "src")
     read, write = os.pipe()
     os.close(read)
     with open("/dev/full", "wb") as full:
         for sink, code in ((write, errno.EPIPE), (full, errno.ENOSPC)):
-            run = subprocess.run(
-                [sys.executable, "-m", "hyperbelief", *argv], stdout=sink, stderr=subprocess.PIPE, env=env, timeout=60
-            )
+            run = run_process("-m", "hyperbelief", *argv, stdout=sink)
             err = f"error: [Errno {code}] {os.strerror(code)}\n".encode()
             assert (run.returncode, run.stderr) == (EXIT_WRITE_ERROR, err)
     os.close(write)
+
+
+_CLOSED = b"error: %s is closed\n"
+
+
+@pytest.mark.parametrize(
+    ("fd", "argv", "code", "err"),
+    [
+        (0, ["fuse", "-"], EXIT_INPUT_ERROR, _CLOSED % b"stdin"),
+        (1, ["fuse", str(TP2_PATH)], EXIT_WRITE_ERROR, _CLOSED % b"stdout"),
+        (1, ["enumerate", "--n", "3"], EXIT_WRITE_ERROR, _CLOSED % b"stdout"),
+        (1, ["check-logic"], EXIT_WRITE_ERROR, _CLOSED % b"stdout"),
+        (1, ["--help"], EXIT_WRITE_ERROR, _CLOSED % b"stdout"),
+        (2, ["fuse", str(SCENARIOS / "missing.json")], EXIT_INPUT_ERROR, b""),
+        (2, ["enumerate", "--n", "9"], EXIT_LIMIT, b""),
+    ],
+    ids=["stdin-fuse", "stdout-fuse", "stdout-enumerate", "stdout-check-logic", "stdout-help", "stderr-fuse", "stderr-enumerate"],
+)
+def test_a_closed_standard_stream_ends_in_an_error_line(fd, argv, code, err):
+    # a stream closed before start-up is None in sys: no scenario to read is an
+    # input error, a report with nowhere to go exits 1, and an error line that
+    # cannot be written changes no exit code and never lands on stdout
+    run = run_process("-m", "hyperbelief", *argv, preexec_fn=lambda: os.close(fd))
+    assert (run.returncode, run.stdout, run.stderr) == (code, b"", err)
 
 
 # ----------------------------------------------------- what a rule asserts
@@ -766,21 +772,7 @@ def test_tp2_rules_assert_p_and_b_without_the_observation(observations):
 
 def test_rules_with_exclusive_antecedents_conflict_totally():
     # as conditionals a→x and d→y are compatible, but each asserts its antecedent and a∩d = ∅
-    scenario = {
-        "frame": ["a", "d", "x", "y"],
-        "constraints": [["a", "d"]],
-        "rules": [
-            {"if": [["a"]], "then": [["x"]], "weight": 0.9},
-            {"if": [["d"]], "then": [["y"]], "weight": 0.9},
-        ],
-        "queries": [[["x"]], [["y"]]],
-        "engines": ["dst", "dsm"],
-        "dst_axes": {
-            "axes": [["a", "a_"], ["d", "d_"], ["x", "x_"], ["y", "y_"]],
-            "map": {"a": [0, 0], "d": [1, 0], "x": [2, 0], "y": [3, 0]},
-        },
-    }
-    assert run_main(["fuse", "-"], json.dumps(scenario)) == (
+    assert run_main(["fuse", str(SCENARIOS / "exclusive_antecedents.json")]) == (
         EXIT_INCONSISTENT,
         "engine  status        conflict  K  flags\n"
         "dst     inconsistent  1            inconsistent (total conflict): the rules admit no common world\n"
@@ -797,25 +789,27 @@ def test_rules_with_exclusive_antecedents_conflict_totally():
 
 def test_the_nixon_diamond_prints_the_penguin_triangle_numbers():
     # q→pa and r→npa with q∩r observed: tp2's two clashing rules, with their meet observed and no third rule
-    scenario = {
-        "frame": ["q", "r", "pa", "npa"],
-        "constraints": [["pa", "npa"]],
-        "rules": [
-            {"if": [["q"]], "then": [["pa"]], "weight": 0.9},
-            {"if": [["r"]], "then": [["npa"]], "weight": 0.9},
-        ],
-        "observations": [[["q", "r"]]],
-        "queries": [[["pa"]], [["npa"]]],
-        "engines": ["dst", "dsm"],
-        "dst_axes": {
-            "axes": [["pa", "npa"], ["q", "q_"], ["r", "r_"]],
-            "map": {"pa": [0, 0], "npa": [0, 1], "q": [1, 0], "r": [2, 0]},
-        },
-    }
-    code, out, err = run_main(["fuse", "-", "--format", "csv"], json.dumps(scenario))
+    code, out, err = run_main(["fuse", str(SCENARIOS / "nixon.json"), "--format", "csv"])
     assert (code, err) == (EXIT_OK, "")
     renamed = [row.replace(",nf,", ",npa,").replace(",f,", ",pa,") for row in TP2_EVIDENTIAL_ROWS]
     assert out.splitlines()[1:] == renamed
+
+
+def test_the_penguin_chain_prints_the_penguin_triangle_numbers():
+    # e→p, p→b, p→nf and b→f with e observed: f and nf read as in tp2; dst keeps p certain,
+    # while dsm rests only 0.19 inside p, as most of its mass is on (e∩p) ∪ (e∩b∩f) and on e
+    code, out, err = run_main(["fuse", str(SCENARIOS / "penguin_chain.json"), "--format", "csv"])
+    assert (code, err) == (EXIT_OK, "")
+    note = "not applicable: scenario is not a three-rule triangle with one observation"
+    assert out.splitlines()[1:] == [
+        f"bayes,f,,,{note}",
+        f"bayes,nf,,,{note}",
+        f"bayes,p,,,{note}",
+        *TP2_EVIDENTIAL_ROWS[:2],
+        "dst,p,1,1,",
+        *TP2_EVIDENTIAL_ROWS[2:],
+        "dsm,p,0.19,1,",
+    ]
 
 
 # ------------------------------------------------------------------- reading
@@ -843,9 +837,7 @@ def test_stdin_is_read_as_bytes_whatever_its_text_decoder():
     # the locale or PYTHONIOENCODING picks stdin's text decoder, strict or
     # surrogateescape; the reader takes stdin's bytes, so neither ever runs
     for encoding in ("utf-8:strict", "utf-8:surrogateescape"):
-        env = {**os.environ, "PYTHONPATH": str(TP2_PATH.parent.parent / "src"), "PYTHONIOENCODING": encoding}
-        argv = [sys.executable, "-m", "hyperbelief", "fuse", "-"]
-        run = subprocess.run(argv, input=b'{"frame": ["p\xe9"]}', env=env, capture_output=True, timeout=60)
+        run = run_process("-m", "hyperbelief", "fuse", "-", input=b'{"frame": ["p\xe9"]}', env={"PYTHONIOENCODING": encoding})
         err = b"error: not valid UTF-8: invalid continuation byte (byte 13)\n"
         assert (run.returncode, run.stdout, run.stderr) == (EXIT_INPUT_ERROR, b"", err)
 
@@ -938,9 +930,10 @@ def test_name_check_matches_the_reference(value, where):
     assert outcome(_name) == outcome(oracle.checked_name)
 
 
-def test_enumerate_prints_all_propositions(capsys):
-    assert main(["enumerate", "--n", "4"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
+def test_enumerate_prints_all_propositions():
+    code, out, _ = run_main(["enumerate", "--n", "4"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
     assert lines[-1] == "total 167"
     assert len(lines) == 168
     assert lines[0] == "∅"
@@ -948,10 +941,11 @@ def test_enumerate_prints_all_propositions(capsys):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_enumerate_lines_are_the_propositions(capsys, n):
-    assert main(["enumerate", "--n", str(n)]) == EXIT_OK
+def test_enumerate_lines_are_the_propositions(n):
+    code, out, _ = run_main(["enumerate", "--n", str(n)])
+    assert code == EXIT_OK
     props = enumerate_hyper_power_set(Frame(tuple("abcde"[:n])))
-    assert capsys.readouterr().out.splitlines() == [str(p) for p in props] + [f"total {len(props)}"]
+    assert out.splitlines() == [str(p) for p in props] + [f"total {len(props)}"]
 
 
 SIX = Frame(tuple("abcdef"))
@@ -976,9 +970,10 @@ def test_enumerate_six_renders_each_antichain_as_its_proposition(floor, drawn):
         (5, 465141, "403e8fc2ff75f004fb3ee1de4dd8f85557a5520d824a600244bf0d0534e81c2d"),
     ],
 )
-def test_enumerate_output_bytes_are_pinned(capsys, n, size, digest):
-    assert main(["enumerate", "--n", str(n)]) == EXIT_OK
-    out = capsys.readouterr().out.encode("utf-8")
+def test_enumerate_output_bytes_are_pinned(n, size, digest):
+    code, out, _ = run_main(["enumerate", "--n", str(n)])
+    assert code == EXIT_OK
+    out = out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
@@ -1004,11 +999,12 @@ DSM_SCENARIO = {
 }
 
 
-def test_dsm_output_bytes_are_pinned(capsys, tmp_path):
+def test_dsm_output_bytes_are_pinned(tmp_path):
     path = tmp_path / "dsm.json"
     path.write_text(json.dumps(DSM_SCENARIO), encoding="utf-8")
-    assert main(["fuse", str(path), "--format", "json"]) == EXIT_OK
-    out = capsys.readouterr().out.encode("utf-8")
+    code, out, _ = run_main(["fuse", str(path), "--format", "json"])
+    assert code == EXIT_OK
+    out = out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (
         6723,
         "5b9ff2bc67cc48b6db2779b4797e061d295d24f263004e7ba1a155ed77469b70",
@@ -1028,11 +1024,12 @@ UNSTRUCTURED_SCENARIO = {
 }
 
 
-def test_unstructured_dsm_output_bytes_are_pinned(capsys, tmp_path):
+def test_unstructured_dsm_output_bytes_are_pinned(tmp_path):
     path = tmp_path / "unstructured.json"
     path.write_text(json.dumps(UNSTRUCTURED_SCENARIO), encoding="utf-8")
-    assert main(["fuse", str(path), "--format", "json"]) == EXIT_OK
-    out = capsys.readouterr().out.encode("utf-8")
+    code, out, _ = run_main(["fuse", str(path), "--format", "json"])
+    assert code == EXIT_OK
+    out = out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (
         204718,
         "67603c5fc936b57e7f9c79d7ae0e20fd7f250be5ab4b0964935c401d9c2bd80d",
@@ -1042,9 +1039,10 @@ def test_unstructured_dsm_output_bytes_are_pinned(capsys, tmp_path):
 # tp2 selects all three engines, so both commands print the bayes estimates,
 # the dst atom sets and the dsm lattice keys.
 @pytest.mark.parametrize("command", ["fuse", "compare"])
-def test_tp2_json_bytes_are_pinned(capsys, command):
-    assert main([command, str(TP2_PATH), "--format", "json"]) == EXIT_OK
-    out = capsys.readouterr().out.encode("utf-8")
+def test_tp2_json_bytes_are_pinned(command):
+    code, out, _ = run_main([command, str(TP2_PATH), "--format", "json"])
+    assert code == EXIT_OK
+    out = out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (
         3539,
         "df3e9f30aaae157beee05ab37d79579c30e3a8cc15ced9406fa16335809cb8a9",
@@ -1078,53 +1076,54 @@ DST_WIDE_SCENARIO = {
 }
 
 
-def test_wide_dst_output_bytes_are_pinned(capsys, tmp_path):
+def test_wide_dst_output_bytes_are_pinned(tmp_path):
     path = tmp_path / "dst64.json"
     path.write_text(json.dumps(DST_WIDE_SCENARIO), encoding="utf-8")
-    assert main(["fuse", str(path), "--format", "json"]) == EXIT_OK
-    out = capsys.readouterr().out.encode("utf-8")
+    code, out, _ = run_main(["fuse", str(path), "--format", "json"])
+    assert code == EXIT_OK
+    out = out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (
         2973,
         "d27f08a90013cd2bc80a6732b4e70fff0083c4600c90222ba0378cfffbf42390",
     )
 
 
-def test_dst_frame_past_the_atom_limit_exits_four(capsys, tmp_path):
+def test_dst_frame_past_the_atom_limit_exits_four(tmp_path):
     # 2^43 atoms: building one atom mask would exhaust memory
     blob = json.loads(TP2_TEXT)
     blob["dst_axes"]["axes"] += [[f"x{i}", f"y{i}"] for i in range(40)]
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(blob), encoding="utf-8")
     start = time.perf_counter()
-    assert main(["fuse", str(path)]) == EXIT_LIMIT
+    code, out, err = run_main(["fuse", str(path)])
+    assert code == EXIT_LIMIT
     assert time.perf_counter() - start < 1.0
-    out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: dst_axes: the axes span 8796093022208 atoms, more than the limit of 524288\n"
-    assert main(["fuse", str(path), "--engine", "dsm"]) == EXIT_OK  # only the dst engine builds atoms
-    capsys.readouterr()
+    assert run_main(["fuse", str(path), "--engine", "dsm"])[0] == EXIT_OK  # only the dst engine builds atoms
     blob["rules"], blob["observations"] = [], []  # the vacuous state is the first mask built
     path.write_text(json.dumps(blob), encoding="utf-8")
-    assert main(["fuse", str(path), "--engine", "dst"]) == EXIT_LIMIT
-    assert capsys.readouterr().err.startswith("error: dst_axes: the axes span 8796093022208 atoms")
+    code, _, err = run_main(["fuse", str(path), "--engine", "dst"])
+    assert code == EXIT_LIMIT
+    assert err.startswith("error: dst_axes: the axes span 8796093022208 atoms")
 
 
-def test_enumerate_limits(capsys):
-    assert main(["enumerate", "--n", "6"]) == EXIT_LIMIT
-    assert main(["enumerate", "--n", "7", "--allow-large"]) == EXIT_LIMIT
-    assert main(["enumerate", "--n", "0"]) == EXIT_INPUT_ERROR
-    capsys.readouterr()
+def test_enumerate_limits():
+    assert run_main(["enumerate", "--n", "6"])[0] == EXIT_LIMIT
+    assert run_main(["enumerate", "--n", "7", "--allow-large"])[0] == EXIT_LIMIT
+    assert run_main(["enumerate", "--n", "0"])[0] == EXIT_INPUT_ERROR
 
 
-def test_check_logic_exits_zero(capsys):
-    assert main(["check-logic"]) == EXIT_OK
-    out = capsys.readouterr().out
+def test_check_logic_exits_zero():
+    code, out, _ = run_main(["check-logic"])
+    assert code == EXIT_OK
     assert out.count("tautology") == 6
 
 
-def test_verbose_writes_to_stderr(capsys):
-    assert main(["-v", "fuse", str(TP2_PATH)]) == EXIT_OK
-    assert "running" in capsys.readouterr().err
+def test_verbose_writes_to_stderr():
+    code, _, err = run_main(["-v", "fuse", str(TP2_PATH)])
+    assert code == EXIT_OK
+    assert "running" in err
 
 
 def test_contradicted_inputs_exit_two():
@@ -1183,10 +1182,7 @@ def test_the_command_line_loads_no_argparse():
         " main(['check-logic']), main(['--help'])]\n"
         "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(TP2_PATH.parent.parent / "src")}
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    run = run_process("-S", "-c", code, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0, 0, 0] []\n"
 

@@ -27,16 +27,11 @@ from hyperbelief import (
 from hyperbelief.lattice import ATOM_LIMIT, _Allowed, _antichains, _rank_tables, _term_order
 
 import oracle
+from harness import B, F, NF, P, TPAXES, TPFRAME, TPMODEL
 from strategies import frames, framed_models, modeled_props, propositions, wide_models
 
-TPFRAME = Frame(("p", "b", "f", "nf"))
-P, B, F, NF = (TPFRAME.singleton(n) for n in ("p", "b", "f", "nf"))
-TPMODEL = Model.from_constraints(TPFRAME, [(2, 3)])
 H1 = (B & F) | P
 H2 = (P & NF) | (B & F) | (P & B)
-
-TPAXES = AtomFrame((("f", "nf"), ("b", "b'"), ("p", "p'")))
-TPLITERALS = {"f": (0, 0), "nf": (0, 1), "b": (1, 0), "p": (2, 0)}
 
 
 # --- canonical form ---------------------------------------------------------
@@ -480,11 +475,11 @@ def test_canonicalize_is_idempotent(case):
 
 
 def test_atom_frame_order_and_names():
-    assert TPAXES.atom_count == 8
-    assert TPAXES.atom_name(0) == "f∩b∩p"
-    assert TPAXES.atom_name(4) == "nf∩b∩p"
-    assert TPAXES.atom_name(7) == "nf∩b'∩p'"
-    assert len(oracle.to_frame(TPAXES)) == 8  # the eight names are distinct
+    assert TPAXES.axes.atom_count == 8
+    assert TPAXES.axes.atom_name(0) == "f∩b∩p"
+    assert TPAXES.axes.atom_name(4) == "nf∩b∩p"
+    assert TPAXES.axes.atom_name(7) == "nf∩b_∩p_"
+    assert len(oracle.to_frame(TPAXES.axes)) == 8  # the eight names are distinct
 
 
 def test_single_value_axis_rejected():
@@ -508,31 +503,31 @@ def test_axis_values_must_be_strings(axes):
 
 
 def test_refine_conjunction_pins_axes():
-    assert refine_to_atoms(B & P, TPAXES, TPLITERALS) == frozenset({0, 4})
+    assert refine_to_atoms(B & P, TPAXES.axes, TPAXES.literal_map) == frozenset({0, 4})
 
 
 def test_refine_singleton_leaves_other_axes_free():
-    assert refine_to_atoms(F, TPAXES, TPLITERALS) == frozenset({0, 1, 2, 3})
+    assert refine_to_atoms(F, TPAXES.axes, TPAXES.literal_map) == frozenset({0, 1, 2, 3})
 
 
 def test_refine_union_of_terms():
-    got = refine_to_atoms((P & NF) | (B & F), TPAXES, TPLITERALS)
+    got = refine_to_atoms((P & NF) | (B & F), TPAXES.axes, TPAXES.literal_map)
     assert got == frozenset({0, 1, 4, 6})
 
 
 def test_contradictory_term_contributes_no_atoms():
-    assert refine_to_atoms(F & NF, TPAXES, TPLITERALS) == frozenset()
-    assert refine_to_atoms((F & NF) | P, TPAXES, TPLITERALS) == frozenset({0, 2, 4, 6})
+    assert refine_to_atoms(F & NF, TPAXES.axes, TPAXES.literal_map) == frozenset()
+    assert refine_to_atoms((F & NF) | P, TPAXES.axes, TPAXES.literal_map) == frozenset({0, 2, 4, 6})
 
 
 def test_unmapped_singleton_rejected():
     with pytest.raises(ValueError, match="no axis mapping"):
-        refine_to_atoms(P, TPAXES, {"f": (0, 0)})
+        refine_to_atoms(P, TPAXES.axes, {"f": (0, 0)})
 
 
 def test_out_of_range_mapping_rejected():
     with pytest.raises(ValueError, match="out of range"):
-        refine_to_atoms(P, TPAXES, {"p": (5, 0)})
+        refine_to_atoms(P, TPAXES.axes, {"p": (5, 0)})
 
 
 @st.composite
@@ -557,8 +552,8 @@ def refinement_cases(draw):
     return draw(propositions(frame)), axes, literal_map
 
 
-@example(((F & NF) | P, TPAXES, TPLITERALS))  # one term pins the f axis twice
-@example(((F & NF) | (B & P), TPAXES, {"f": (0, 0), "nf": (0, 1), "b": (1, 0)}))  # p unmapped
+@example(((F & NF) | P, TPAXES.axes, TPAXES.literal_map))  # one term pins the f axis twice
+@example(((F & NF) | (B & P), TPAXES.axes, {"f": (0, 0), "nf": (0, 1), "b": (1, 0)}))  # p unmapped
 @given(refinement_cases())
 def test_refinement_matches_atom_enumeration(case):
     # the mask refinement against listing every atom of every term one by one

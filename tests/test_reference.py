@@ -6,22 +6,14 @@ import importlib.util
 import json
 import random
 from functools import cache
-from pathlib import Path
 
+import oracle
 import pytest
+from harness import DST_AXES, NAMES, ROOT, generated, run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cli import run_main
 
-from hyperbelief.cli import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK
-
-ROOT = Path(__file__).resolve().parent.parent
-NAMES = "abcdef"
-# a and d exclude each other, and so do b, c and e: the axes imply both constraints
-DST_AXES = {
-    "axes": [["a", "d"], ["b", "c", "e"], ["f", "f_"]],
-    "map": {"a": [0, 0], "d": [0, 1], "b": [1, 0], "c": [1, 1], "e": [1, 2], "f": [2, 0]},
-}
+from hyperbelief.cli import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, parse_scenario
 
 
 @cache
@@ -30,45 +22,6 @@ def _load_reference():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def generated(seed: int = 7, count: int = 3000, engine: str = "dsm") -> list[dict]:
-    """Random scenarios on six singletons with constraints a∩d and b∩c∩e.
-
-    Each has 2-10 rules of weight U(0.01, 0.99), 0-2 observations and 6
-    queries; every proposition is a single, a two-way ∩ or a two-way ∪.  With
-    ``engine="dst"`` the same draws run on the engine dst and declare DST_AXES.
-    """
-    rng = random.Random(seed)
-
-    def proposition() -> list[list[str]]:
-        shape = rng.choice(("single", "inter", "union"))
-        if shape == "single":
-            return [[rng.choice(NAMES)]]
-        x, y = rng.sample(NAMES, 2)
-        return [[x, y]] if shape == "inter" else [[x], [y]]
-
-    scenarios = []
-    for _ in range(count):
-        rules = [
-            {"if": proposition(), "then": proposition(), "weight": rng.uniform(0.01, 0.99)}
-            for _ in range(rng.randint(2, 10))
-        ]
-        observations = [proposition() for _ in range(rng.randint(0, 2))]
-        queries = [proposition() for _ in range(6)]
-        scenarios.append(
-            {
-                "frame": list(NAMES),
-                "constraints": [["a", "d"], ["b", "c", "e"]],
-                "rules": rules,
-                "observations": observations,
-                "queries": queries,
-                "engines": [engine],
-            }
-        )
-        if engine == "dst":
-            scenarios[-1]["dst_axes"] = DST_AXES
-    return scenarios
 
 
 def fuse(text: str, engine: str = "dsm") -> tuple[int, str, str]:
@@ -112,6 +65,36 @@ def test_generated_dst_scenarios_match_the_reference():
             wrong.append((i, problem))
     assert (codes.count(EXIT_OK), codes.count(EXIT_INCONSISTENT)) == (307, 1241)
     assert wrong == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda path: path.stem)
+def test_the_scenario_files_match_the_references(path):
+    # dsm against the reference's dsm_reference; dst against oracle.naive_dst,
+    # which starts from the atoms the declared constraints allow, as the engine
+    # does: dst_reference starts from every atom, and the axes of
+    # exclusive_antecedents.json do not imply its constraint a∩d
+    blob = json.loads(path.read_text(encoding="utf-8"))
+    text = json.dumps({**blob, "engines": ["dsm"]})
+    code, out, err = fuse(text)
+    assert _load_reference().Checker().check({"file": text, "expect": {"kind": "ok", "fmt": "json"}}, code, out, err) is None
+
+    scenario = parse_scenario(json.dumps(blob))
+    code, out, err = fuse(json.dumps(blob), "dst")
+    (result,) = json.loads(out)["results"]
+    try:
+        fused, conflict, k, intervals = oracle.naive_dst(scenario)
+    except ZeroDivisionError:
+        assert (code, result["status"]) == (EXIT_INCONSISTENT, "inconsistent")
+        return
+    assert (code, err, result["status"]) == (EXIT_OK, "", "ok")
+    axes = scenario.dst_axes.axes
+    atom = {axes.atom_name(i): i for i in range(axes.atom_count)}
+    got = {frozenset(atom[name] for (name,) in focal["prop"]): focal["mass"] for focal in result["fused"]["masses"]}
+    assert got.keys() == fused.keys()
+    assert [got[focal] for focal in fused] == pytest.approx(list(fused.values()), abs=1e-9)
+    assert (result["conflict_mass"], result["normalization_constant"]) == pytest.approx((conflict, k), abs=1e-9)
+    for row, interval in zip(result["queries"], intervals, strict=True):
+        assert (row["bel"], row["pl"]) == pytest.approx(interval, abs=1e-9)
 
 
 def answers(out: str) -> list:

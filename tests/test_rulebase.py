@@ -38,36 +38,10 @@ from hyperbelief.belief import _merged
 from hyperbelief.cli import emit_report, parse_scenario
 from hyperbelief.lattice import _Allowed, _meet, _reduce_masks
 from hyperbelief.rulebase import _rule_masses
+from harness import B, F, NF, P, TPAXES, TPFRAME, TPMODEL, generated, tp2_scenario, triangle_rules
 from strategies import dst_identity_scenarios, framed_models, propositions, wide_models
-from test_reference import generated
 
-TPFRAME = Frame(("p", "b", "f", "nf"))
-P, B, F, NF = (TPFRAME.singleton(n) for n in TPFRAME.names)
-TPMODEL = Model.from_constraints(TPFRAME, [(2, 3)])
-TPAXES = DstAxes(
-    AtomFrame((("f", "nf"), ("b", "b'"), ("p", "p'"))),
-    {"f": (0, 0), "nf": (0, 1), "b": (1, 0), "p": (2, 0)},
-)
 APPROX = dict(abs=1e-12)
-
-
-def triangle_rules(e1, e2, e3):
-    return (
-        WeightedRule(P, NF, 1 - e1),
-        WeightedRule(B, F, 1 - e2),
-        WeightedRule(P, B, 1 - e3),
-    )
-
-
-def tp2_scenario(e1, e2, e3, engines=("bayes", "dst", "dsm"), observations=(P & B,)):
-    return Scenario(
-        model=TPMODEL,
-        rules=triangle_rules(e1, e2, e3),
-        observations=observations,
-        queries=(F, NF),
-        engines=engines,
-        dst_axes=TPAXES if "dst" in engines else None,
-    )
 
 
 # ------------------------------------------------------------------- encoding

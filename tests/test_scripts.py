@@ -5,47 +5,25 @@ runs read correct."""
 import hashlib
 import importlib.util
 import json
-import os
 import shlex
 import shutil
-import subprocess
-import sys
-from pathlib import Path
+
+from harness import ROOT, TP2_PATH, run_main, run_process
 
 from hyperbelief import BBA, AtomFrame, Frame, Model, canonicalize, lattice
-from hyperbelief.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def run_python(*args):
-    """Run a fresh interpreter that imports the package from this checkout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    env["PYTHONIOENCODING"] = "utf-8"  # the enumeration prints ∅, ∩ and ∪
-    return subprocess.run(
-        [sys.executable, *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        encoding="utf-8",
-        timeout=120,
-    )
 
 
 def run_script(name, *args):
-    done = run_python(str(ROOT / "scripts" / name), *args)
+    done = run_process(str(ROOT / "scripts" / name), *args, encoding="utf-8")
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
 
 def test_module_entry_point_passes_exit_codes_through():
-    done = run_python("-m", "hyperbelief", "enumerate", "--n", "2")
+    done = run_process("-m", "hyperbelief", "enumerate", "--n", "2", encoding="utf-8")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["∅", "a∩b", "a", "b", "a ∪ b", "total 5"]
-    refused = run_python("-m", "hyperbelief", "enumerate", "--n", "6")
+    refused = run_process("-m", "hyperbelief", "enumerate", "--n", "6", encoding="utf-8")
     assert refused.returncode == 4
     assert refused.stdout == ""
     assert "--allow-large" in refused.stderr
@@ -98,9 +76,9 @@ def test_side_by_side_timing_refuses_trees_that_print_other_bytes(tmp_path):
     text = cli_path.read_text(encoding="utf-8")
     assert text.count(":.12g}") == 1
     cli_path.write_text(text.replace(":.12g}", ":.11g}"), encoding="utf-8")
-    done = run_python(
+    done = run_process(
         str(ROOT / "scripts" / "ab_inprocess.py"), str(ROOT), str(tmp_path), "--workload", "tp2-sweep",
-        "--seeds", "1", "--ops", "20", "--passes", "1",
+        "--seeds", "1", "--ops", "20", "--passes", "1", encoding="utf-8",
     )
     assert done.returncode == 1, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["differ"] > 0
@@ -118,26 +96,25 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
-def test_readme_command_line_block_is_what_fuse_prints(capsys, monkeypatch):
+def test_readme_command_line_block_is_what_fuse_prints(monkeypatch):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
     command, printed = block.split("\n", 1)
     assert command.startswith("$ hyperbelief ")
     monkeypatch.chdir(ROOT)  # the command names its scenario relative to the checkout
-    assert main(shlex.split(command)[2:]) == 0
-    assert capsys.readouterr().out == printed
+    assert run_main(shlex.split(command)[2:])[:2] == (0, printed)
 
 
-def test_benchmark_tracer_wraps_the_package(capsys):
+def test_benchmark_tracer_wraps_the_package():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    argv = ["fuse", str(ROOT / "scenarios" / "tp2.json"), "--format", "json"]
-    untraced = (main(argv), capsys.readouterr())
+    argv = ["fuse", str(TP2_PATH), "--format", "json"]
+    untraced = run_main(argv)
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
-        traced = (main(argv), capsys.readouterr())
+        traced = run_main(argv)
         # the tracer reads .terms before __post_init__ absorbs the masks
         absorbed = canonicalize(Frame(("a", "b")), [{0, 1}, {0}])
         # the engines build BBAs through BBA._trusted; the public constructor is traced

@@ -3,13 +3,12 @@ dependency, its modules import each other without a cycle, and the CLI
 starts without the heavy introspection modules."""
 
 import ast
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import ROOT, TP2_PATH, run_process
+
 SOURCES = sorted((ROOT / "src" / "hyperbelief").glob("*.py"))
 
 
@@ -84,7 +83,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
     process (no site hooks loading modules of their own) imports the CLI, then
     runs one op of each subcommand, help and a usage error.  Those runs import
     no module at all: a lazy import would move its compile time into a run."""
-    tp2 = str(ROOT / "scenarios" / "tp2.json")
+    tp2 = str(TP2_PATH)
     runs = [
         ["fuse", tp2, "--format", "json"],
         ["compare", tp2],
@@ -93,7 +92,6 @@ def test_cli_import_skips_dataclasses_and_inspect():
         ["--help"],
         ["fuse"],
     ]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = (
         "import io, sys, hyperbelief.cli as cli\n"
         "loaded = set(sys.modules)\n"
@@ -103,8 +101,6 @@ def test_cli_import_skips_dataclasses_and_inspect():
         "print(codes, sorted({'argparse', 'copy', 'dataclasses', 'inspect', 'weakref'} & set(sys.modules)),"
         " sorted(set(sys.modules) - loaded))"
     )
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    run = run_process("-S", "-c", code, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[0, 0, 0, 0, 0, 2] [] []"
