@@ -83,6 +83,7 @@ def _checked(where: str, build: Callable, *args, at: tuple = ()):
 _SCENARIO_FIELDS = frozenset(("frame", "constraints", "rules", "observations", "queries", "engines", "dst_axes"))
 _RULE_FIELDS = frozenset(("if", "then", "weight"))
 _AXES_FIELDS = frozenset(("axes", "map"))
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc
 
 
 def _path(where: str, at: tuple) -> str:
@@ -194,6 +195,9 @@ def parse_scenario(text: str) -> Scenario:
         # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
         if "∩" in name or "∪" in name:
             raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {_brief(repr(name))}")
+        # the table prints one row per line in space-aligned columns, which a newline or tab breaks
+        if _CONTROL.search(name):
+            raise ScenarioError(f"frame[{i}] must not contain a control character, got {_brief(repr(name))}")
         if name == "∅":  # the reports print the empty proposition as ∅
             raise ScenarioError(f"frame[{i}] must not be ∅, the name of the empty proposition")
     frame = _checked("frame", Frame, names)

@@ -3,6 +3,7 @@ generator, and the two ways to run the command line, in this process
 (``run_main``) and in a fresh interpreter (``run_process``)."""
 
 import io
+import json
 import os
 import random
 import subprocess
@@ -46,6 +47,18 @@ def tp2_scenario(e1, e2, e3, engines=("bayes", "dst", "dsm"), observations=(P & 
         engines=engines,
         dst_axes=TPAXES if "dst" in engines else None,
     )
+
+
+def tp2_with(*edits) -> str:
+    """The bundled scenario as JSON text with nodes replaced: ``edits``
+    alternate a path of keys and indices and the value for the node there."""
+    blob = json.loads(TP2_TEXT)
+    for path, value in zip(edits[::2], edits[1::2]):
+        target = blob
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return json.dumps(blob, ensure_ascii=False)
 
 
 NAMES = "abcdef"

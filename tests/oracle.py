@@ -18,11 +18,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import fsum
-from typing import Mapping, Sequence
 
 from hyperbelief import Frame
 from hyperbelief.analysis import BayesEstimates, ModusTollensPosteriors
-from hyperbelief.belief import Masks
 from hyperbelief.cli import _DECODER, ScenarioError, _path, _typed
 from hyperbelief.lattice import (
     AtomFrame,
@@ -60,6 +58,11 @@ def covered_regions(prop):
 def semantic(prop, model):
     """Regions covered by ``prop`` that survive the model's constraints."""
     return covered_regions(prop) - empty_regions(model)
+
+
+def region_masses(result, model):
+    """A combined BBA as {surviving regions: mass}, comparable with the naive rules' output."""
+    return {semantic(key, model): mass for key, mass in result.items()}
 
 
 def naive_leq(a, b, model):
@@ -164,87 +167,6 @@ def absorb_fold(bbas, model):
                 step.setdefault((reduced, _absorb(join + p)), []).append(mass * m)
         states = {k: fsum(v) for k, v in step.items()}
     return states
-
-
-def pair_keyed_fold(
-    sources: Sequence[Mapping[Masks, float]], model: Model
-) -> dict[tuple[Masks, Masks], float]:
-    """The reference for ``belief._fold``, which keys a rerouted state by its join bits alone.
-
-    Here every state, live or rerouted, is keyed by its (meet, join bits)
-    pair, and its meet goes through the meet memo at every step; the engine
-    must return the same items, in the same order, with the same floats.
-    ``_absorb`` is this module's, which returns what ``lattice._absorb``
-    returns.
-
-    Each source maps reduced, absorbed, ascending term-mask tuples to
-    masses, in focal order.  Each step pairs every state with every focal of
-    the next source and merges equal states by ``fsum``, so the table stays
-    as small as the distinct states allow instead of growing with the
-    product of the sources.
-
-    A meet is a term-mask tuple.  Its meet with a focal drops every term
-    union that contains a constraint, and is computed once per (focal, meet);
-    whether a union contains a constraint is settled once per distinct
-    union in the fold.
-
-    A join is a union of focals, so its terms are among the sources' own
-    terms T, sorted ascending.  The fold holds a join as an int whose bit j
-    is set iff one of its terms lies inside T[j]: the OR of ``up[t]`` =
-    {j : t ⊆ T[j]} over its terms t.  A join step is then one ``|``, and
-    equal joins are equal ints, so states merge exactly as they would on
-    absorbed term tuples, in the same order and with the same ``fsum``
-    groups.  Source keys are reduced, so joins need no reduction.  Each
-    distinct final join is decoded once: its lowest bit is a minimal term
-    (a subset is a smaller int), and clearing that term's ``up`` removes it
-    and every term above it.
-    """
-    constraints = model.masks
-    terms = sorted({t for source in sources for p in source for t in p})
-    up = dict.fromkeys(terms, 0)
-    for j, u in enumerate(terms):
-        for t in terms[: j + 1]:  # a subset is never a larger int
-            if u & t == t:
-                up[t] |= 1 << j
-    coded = []  # per source: (focal masks, join bits, mass, meet memo) per focal
-    for source in sources:
-        focals = []
-        for p, m in source.items():
-            bits = 0
-            for t in p:
-                bits |= up[t]
-            focals.append((p, bits, m, {}))
-        coded.append(focals)
-    allowed: dict[int, bool] = {}  # union mask -> it contains no constraint
-    states = {(p, bits): m for p, bits, m, _ in coded[0]}
-    for focals in coded[1:]:
-        step: dict[tuple[Masks, int], list[float]] = {}
-        for (meet, join), mass in states.items():
-            for p, bits, m, meets in focals:
-                reduced = meets.get(meet)
-                if reduced is None:
-                    unions = []
-                    for t in meet:
-                        for s in p:
-                            u = t | s
-                            ok = allowed.get(u)
-                            if ok is None:
-                                ok = allowed[u] = all(u & c != c for c in constraints)
-                            if ok:
-                                unions.append(u)
-                    reduced = meets[meet] = _absorb(unions)
-                step.setdefault((reduced, join | bits), []).append(mass * m)
-        states = {k: fsum(v) for k, v in step.items()}
-    decoded: dict[int, Masks] = {}
-    for _, join in states:
-        if join not in decoded:
-            kept, bits = [], join
-            while bits:
-                t = terms[(bits & -bits).bit_length() - 1]
-                kept.append(t)
-                bits &= ~up[t]
-            decoded[join] = tuple(kept)
-    return {(meet, decoded[join]): m for (meet, join), m in states.items()}
 
 
 def naive_antichains(n):

@@ -5,7 +5,6 @@ reports every failing clause at once instead of stopping at the first.  The
 terminal summary (see conftest) echoes one PASS/FAIL line per criterion.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -14,7 +13,7 @@ from itertools import combinations, product
 import oracle
 import test_belief
 import test_lattice
-from harness import B, F, NF, P, TP2_TEXT, TPMODEL, run_main, tp2_scenario, triangle_rules
+from harness import B, F, NF, P, TPMODEL, run_main, tp2_scenario, tp2_with, triangle_rules
 
 from hyperbelief import (
     BBA,
@@ -261,10 +260,6 @@ def _random_bba(rng, model, allow_conflict_mass):
     return BBA(model, {p: m / total for p, m in focals.items()})
 
 
-def _regions(result, model):
-    return {oracle.semantic(key, model): mass for key, mass in result.items()}
-
-
 def _mismatch(got, want, tol=1e-9):
     return any(
         abs(got.get(key, 0.0) - want.get(key, 0.0)) > tol for key in set(got) | set(want)
@@ -285,7 +280,7 @@ def test_criterion_6_oracle_equivalence():
 
         conj = conjunctive_combine(sources)
         want, want_conflict = oracle.naive_conjunctive(model, dicts)
-        got = _regions(conj.result, model)
+        got = oracle.region_masses(conj.result, model)
         if conj.conflict_mass:
             got[frozenset()] = conj.result.mass_on_empty()
         if _mismatch(got, want) or abs(conj.conflict_mass - want_conflict) > 1e-9:
@@ -300,13 +295,13 @@ def test_criterion_6_oracle_equivalence():
             except TotalConflictError:
                 pass
         else:
-            got_dempster = _regions(dempster_combine(sources).result, model)
+            got_dempster = oracle.region_masses(dempster_combine(sources).result, model)
             if _mismatch(got_dempster, want_dempster):
                 bad.append(f"case {case}: dempster")
 
         hybrid = dsm_hybrid_combine(sources)
         want_hybrid, _ = oracle.naive_hybrid(model, dicts)
-        if _mismatch(_regions(hybrid.result, model), want_hybrid):
+        if _mismatch(oracle.region_masses(hybrid.result, model), want_hybrid):
             bad.append(f"case {case}: hybrid")
     cl.check(
         "250 random pair/triple fusions match the reference within 1e-9 per focal"
@@ -372,10 +367,8 @@ def test_criterion_8_logic_suite():
 
 def test_criterion_9_consistency_signaling():
     cl = Checklist(9, "degenerate certainty is signaled, not hidden")
-    blob = json.loads(TP2_TEXT)
-    blob["rules"][0]["weight"] = 1.0
-    blob["rules"][1]["weight"] = 1.0
-    code, out, _ = run_main(["fuse", "-", "--engine", "dst"], json.dumps(blob))
+    certain = tp2_with(("rules", 0, "weight"), 1.0, ("rules", 1, "weight"), 1.0)
+    code, out, _ = run_main(["fuse", "-", "--engine", "dst"], certain)
     cl.check(f"dst exits 3 on the all-certain triangle (got {code})", code == 3)
     cl.check("dst output carries an 'inconsistent' flag", "inconsistent" in out)
 

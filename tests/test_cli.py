@@ -41,16 +41,8 @@ from hyperbelief.cli import (
 from hyperbelief import cli, rulebase
 from hyperbelief.lattice import _absorb, _term_order
 from hyperbelief.rulebase import AtomMasses, EngineResult, FusionReport, QueryResult, run_scenario
-from harness import ROOT, TP2_PATH, TP2_TEXT, run_main, run_process, tp2_scenario
+from harness import ROOT, TP2_PATH, TP2_TEXT, run_main, run_process, tp2_scenario, tp2_with
 from strategies import models, propositions
-
-
-def tweaked(**weights) -> str:
-    """The bundled scenario with selected rule weights replaced."""
-    blob = json.loads(TP2_TEXT)
-    for index, weight in weights.items():
-        blob["rules"][int(index[1:])]["weight"] = weight
-    return json.dumps(blob)
 
 
 # ------------------------------------------------------------------- parsing
@@ -86,6 +78,7 @@ def test_engines_default_to_dsm():
         ('{"frame": ["a", 3], "queries": [[["a"]]]}', "frame[1]"),
         ('{"frame": ["a", "a"], "queries": [[["a"]]]}', "frame:"),
         ('{"frame": ["a", "b∪c"], "queries": [[["a"]]]}', "frame[1]"),
+        ('{"frame": ["a\\nb", "c"], "queries": [[["c"]]]}', "frame[0] must not contain a control character, got 'a\\nb'"),
         ('{"frame": ["a", "b"], "queries": [[["z"]]]}', "queries[0]"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "rules": [{"then": [["a"]], "weight": 1}]}', "missing required field rules[0].if"),
         ('{"frame": ["a", "b"], "queries": [[["a"]]], "rules": [{"if": [["a"]], "then": [["b"]], "weight": "high"}]}', "rules[0].weight"),
@@ -132,14 +125,26 @@ def test_frame_name_with_a_connective_is_refused(tmp_path):
         assert err.startswith(f"error: {message}")
 
 
-def tp2_with(path: tuple, value) -> str:
-    """The bundled scenario with the node at ``path`` replaced by ``value``."""
-    blob = json.loads(TP2_TEXT)
-    target = blob
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
-    return json.dumps(blob, ensure_ascii=False)
+def _named(name: str) -> str:
+    """A scenario whose first singleton is ``name``, with one rule from it to c, and both queried."""
+    return json.dumps(
+        {"frame": [name, "c"], "rules": [{"if": [[name]], "then": [["c"]], "weight": 0.9}], "queries": [[["c"]], [[name]]]}
+    )
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("char", ["\x00", "\t", "\n", "\x1f", "\x7f", "\x85", "\x9f"])
+def test_frame_name_with_a_control_character_is_refused(char, fmt):
+    # a newline would print the row of dsm a\nb over two lines, and a tab would misalign its columns
+    name = f"a{char}b"
+    err = f"error: frame[0] must not contain a control character, got {name!r}\n"
+    assert run_main(["fuse", "-", "--format", fmt], _named(name)) == (EXIT_INPUT_ERROR, "", err)
+
+
+@pytest.mark.parametrize("char", ["\u00a0", "\u2028"], ids=["no-break-space", "line-separator"])
+def test_frame_name_with_a_separator_that_is_no_control_character_is_kept(char):
+    code, _, err = run_main(["fuse", "-"], _named(f"a{char}b"))
+    assert (code, err) == (EXIT_OK, "")
 
 
 SCENARIOS = ROOT / "scenarios"
@@ -602,7 +607,7 @@ def test_engine_override_names_the_flag_and_the_missing_field(engine):
 
 
 def test_total_conflict_exits_three():
-    code, out, _ = run_main(["fuse", "-", "--engine", "dst"], tweaked(r0=1.0, r1=1.0))
+    code, out, _ = run_main(["fuse", "-", "--engine", "dst"], tp2_with(("rules", 0, "weight"), 1.0, ("rules", 1, "weight"), 1.0))
     assert code == EXIT_INCONSISTENT
     assert "inconsistent" in out
 
@@ -643,7 +648,7 @@ def test_dst_observation_without_atoms_exits_three():
 
 
 def test_degenerate_dsm_stays_ok():
-    code, out, _ = run_main(["fuse", "-", "--engine", "dsm", "--format", "csv"], tweaked(r0=1.0, r1=1.0))
+    code, out, _ = run_main(["fuse", "-", "--engine", "dsm", "--format", "csv"], tp2_with(("rules", 0, "weight"), 1.0, ("rules", 1, "weight"), 1.0))
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[1] == "dsm,f,0,1,"
@@ -963,20 +968,6 @@ def test_enumerate_six_renders_each_antichain_as_its_proposition(floor, drawn):
     assert SIX_LINES([bits]) == [str(Proposition(SIX, tuple(masks)))]
 
 
-@pytest.mark.parametrize(
-    "n,size,digest",
-    [
-        (4, 4620, "5e0a42836ba26bfcf6a5d250975ea87fb4933b0a76ef77bed951840253c2f34c"),
-        (5, 465141, "403e8fc2ff75f004fb3ee1de4dd8f85557a5520d824a600244bf0d0534e81c2d"),
-    ],
-)
-def test_enumerate_output_bytes_are_pinned(n, size, digest):
-    code, out, _ = run_main(["enumerate", "--n", str(n)])
-    assert code == EXIT_OK
-    out = out.encode("utf-8")
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
-
-
 # Six singletons, ten rules, one exclusive pair and one exclusive triple; the
 # last query is not reduced (a∩d is declared empty).
 DSM_SCENARIO = {
@@ -999,18 +990,6 @@ DSM_SCENARIO = {
 }
 
 
-def test_dsm_output_bytes_are_pinned(tmp_path):
-    path = tmp_path / "dsm.json"
-    path.write_text(json.dumps(DSM_SCENARIO), encoding="utf-8")
-    code, out, _ = run_main(["fuse", str(path), "--format", "json"])
-    assert code == EXIT_OK
-    out = out.encode("utf-8")
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (
-        6723,
-        "5b9ff2bc67cc48b6db2779b4797e061d295d24f263004e7ba1a155ed77469b70",
-    )
-
-
 # Twelve singletons and eighteen single-literal rules with no observation:
 # the rule fold ends with 256 states, whose joins hold up to 16 terms.
 UNSTRUCTURED_SCENARIO = {
@@ -1022,31 +1001,6 @@ UNSTRUCTURED_SCENARIO = {
     ],
     "queries": [[["a"]], [["c"], ["f"]], [["d", "g"]]],
 }
-
-
-def test_unstructured_dsm_output_bytes_are_pinned(tmp_path):
-    path = tmp_path / "unstructured.json"
-    path.write_text(json.dumps(UNSTRUCTURED_SCENARIO), encoding="utf-8")
-    code, out, _ = run_main(["fuse", str(path), "--format", "json"])
-    assert code == EXIT_OK
-    out = out.encode("utf-8")
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (
-        204718,
-        "67603c5fc936b57e7f9c79d7ae0e20fd7f250be5ab4b0964935c401d9c2bd80d",
-    )
-
-
-# tp2 selects all three engines, so both commands print the bayes estimates,
-# the dst atom sets and the dsm lattice keys.
-@pytest.mark.parametrize("command", ["fuse", "compare"])
-def test_tp2_json_bytes_are_pinned(command):
-    code, out, _ = run_main([command, str(TP2_PATH), "--format", "json"])
-    assert code == EXIT_OK
-    out = out.encode("utf-8")
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (
-        3539,
-        "df3e9f30aaae157beee05ab37d79579c30e3a8cc15ced9406fa16335809cb8a9",
-    )
 
 
 # 2 × 2 × 2 × 2 × 4 = 64 atoms, named by non-ASCII axis values.
@@ -1076,16 +1030,29 @@ DST_WIDE_SCENARIO = {
 }
 
 
-def test_wide_dst_output_bytes_are_pinned(tmp_path):
-    path = tmp_path / "dst64.json"
-    path.write_text(json.dumps(DST_WIDE_SCENARIO), encoding="utf-8")
-    code, out, _ = run_main(["fuse", str(path), "--format", "json"])
+FUSE_JSON = ["fuse", "-", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "stdin", "size", "digest"),
+    [
+        (["enumerate", "--n", "4"], "", 4620, "5e0a42836ba26bfcf6a5d250975ea87fb4933b0a76ef77bed951840253c2f34c"),
+        (["enumerate", "--n", "5"], "", 465141, "403e8fc2ff75f004fb3ee1de4dd8f85557a5520d824a600244bf0d0534e81c2d"),
+        (FUSE_JSON, json.dumps(DSM_SCENARIO), 6723, "5b9ff2bc67cc48b6db2779b4797e061d295d24f263004e7ba1a155ed77469b70"),
+        (FUSE_JSON, json.dumps(UNSTRUCTURED_SCENARIO), 204718, "67603c5fc936b57e7f9c79d7ae0e20fd7f250be5ab4b0964935c401d9c2bd80d"),
+        # tp2 selects all three engines, so both commands print the bayes
+        # estimates, the dst atom sets and the dsm lattice keys.
+        (FUSE_JSON, TP2_TEXT, 3539, "df3e9f30aaae157beee05ab37d79579c30e3a8cc15ced9406fa16335809cb8a9"),
+        (["compare", "-", "--format", "json"], TP2_TEXT, 3539, "df3e9f30aaae157beee05ab37d79579c30e3a8cc15ced9406fa16335809cb8a9"),
+        (FUSE_JSON, json.dumps(DST_WIDE_SCENARIO), 2973, "d27f08a90013cd2bc80a6732b4e70fff0083c4600c90222ba0378cfffbf42390"),
+    ],
+    ids=["enumerate-4", "enumerate-5", "dsm", "unstructured-dsm", "tp2-fuse", "tp2-compare", "wide-dst"],
+)
+def test_output_bytes_are_pinned(argv, stdin, size, digest):
+    code, out, _ = run_main(argv, stdin)
     assert code == EXIT_OK
     out = out.encode("utf-8")
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (
-        2973,
-        "d27f08a90013cd2bc80a6732b4e70fff0083c4600c90222ba0378cfffbf42390",
-    )
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_dst_frame_past_the_atom_limit_exits_four(tmp_path):
@@ -1109,9 +1076,12 @@ def test_dst_frame_past_the_atom_limit_exits_four(tmp_path):
 
 
 def test_enumerate_limits():
-    assert run_main(["enumerate", "--n", "6"])[0] == EXIT_LIMIT
-    assert run_main(["enumerate", "--n", "7", "--allow-large"])[0] == EXIT_LIMIT
-    assert run_main(["enumerate", "--n", "0"])[0] == EXIT_INPUT_ERROR
+    for argv, code, err in (
+        (["--n", "6"], EXIT_LIMIT, "enumeration over 6 singletons exceeds the limit of 5 (pass --allow-large for n=6)"),
+        (["--n", "7", "--allow-large"], EXIT_LIMIT, "enumeration over 7 singletons exceeds the limit of 6"),
+        (["--n", "0"], EXIT_INPUT_ERROR, "--n must be at least 1"),
+    ):
+        assert run_main(["enumerate", *argv]) == (code, "", f"error: {err}\n")
 
 
 def test_check_logic_exits_zero():
@@ -1127,15 +1097,11 @@ def test_verbose_writes_to_stderr():
 
 
 def test_contradicted_inputs_exit_two():
-    blob = json.loads(TP2_TEXT)
-    blob["rules"][1]["then"] = [["f", "nf"]]
-    code, _, err = run_main(["fuse", "-"], json.dumps(blob))
+    code, _, err = run_main(["fuse", "-"], tp2_with(("rules", 1, "then"), [["f", "nf"]]))
     assert code == EXIT_INPUT_ERROR
     assert "rules[1]" in err
 
-    blob = json.loads(TP2_TEXT)
-    blob["observations"].append([["p", "f", "nf"]])
-    code, _, err = run_main(["fuse", "-"], json.dumps(blob))
+    code, _, err = run_main(["fuse", "-"], tp2_with(("observations",), [[["p", "b"]], [["p", "f", "nf"]]]))
     assert code == EXIT_INPUT_ERROR
     assert "observations[1]" in err
 
@@ -1145,12 +1111,7 @@ def test_contradicted_inputs_exit_two():
     [((), "observation"), (("rules", 2), "rules[2].wieght"), (("dst_axes",), "dst_axes.maps")],
 )
 def test_unknown_keys_exit_two(owner, field):
-    blob = json.loads(TP2_TEXT)
-    target = blob
-    for step in owner:
-        target = target[step]
-    target[field.rsplit(".", 1)[-1]] = []
-    code, _, err = run_main(["fuse", "-"], json.dumps(blob))
+    code, _, err = run_main(["fuse", "-"], tp2_with((*owner, field.rsplit(".", 1)[-1]), []))
     assert code == EXIT_INPUT_ERROR
     assert f"unknown field {field}" in err
 

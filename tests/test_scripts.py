@@ -1,4 +1,4 @@
-"""Smoke tests: the example scripts, the side-by-side timer, the README example
+"""Smoke tests: the example scripts, the side-by-side timer, the README examples
 and the benchmark tracer run against the package, and the committed benchmark
 runs read correct."""
 
@@ -97,12 +97,18 @@ def test_readme_library_example_prints_its_comments(capsys):
 
 
 def test_readme_command_line_block_is_what_fuse_prints(monkeypatch):
+    # each text block that runs hyperbelief shows its stdout, then "$ echo $?" and the exit code
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
-    command, printed = block.split("\n", 1)
-    assert command.startswith("$ hyperbelief ")
-    monkeypatch.chdir(ROOT)  # the command names its scenario relative to the checkout
-    assert run_main(shlex.split(command)[2:])[:2] == (0, printed)
+    blocks = [b.split("```", 1)[0] for b in readme.split("```text\n")[1:] if b.startswith("$ hyperbelief ")]
+    monkeypatch.chdir(ROOT)  # the commands name their scenarios relative to the checkout
+    files = []
+    for block in blocks:
+        command, rest = block.split("\n", 1)
+        printed, code = rest.rsplit("$ echo $?\n", 1)
+        argv = shlex.split(command)[2:]
+        assert run_main(argv)[:2] == (int(code), printed), command
+        files.append(argv[-1])
+    assert sorted(files) == sorted(f"scenarios/{p.name}" for p in (ROOT / "scenarios").glob("*.json"))
 
 
 def test_benchmark_tracer_wraps_the_package():
