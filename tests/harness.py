@@ -1,7 +1,9 @@
 """Fixtures the test modules share: the penguin triangle, the seed-7 scenario
-generator, and the two ways to run the command line, in this process
-(``run_main``) and in a fresh interpreter (``run_process``)."""
+generator, the benchmark's reference module, and the two ways to run the
+command line, in this process (``run_main``) and in a fresh interpreter
+(``run_process``)."""
 
+import importlib.util
 import io
 import json
 import os
@@ -18,6 +20,12 @@ from hyperbelief.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 TP2_PATH = ROOT / "scenarios" / "tp2.json"
 TP2_TEXT = TP2_PATH.read_text(encoding="utf-8")
+
+# perfbench/reference.py, which imports nothing from the package: its region
+# semantics serve the oracle's naive rules, and its Checker the differentials
+_spec = importlib.util.spec_from_file_location("perfbench_reference", ROOT / "perfbench" / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 # The penguin triangle of scenarios/tp2.json: p→nf, b→f and p→b, with f and
 # nf exclusive, p∩b observed, and f and nf queried.

@@ -1,27 +1,30 @@
 """Naive reference implementations used to cross-check the engine.
 
-Everything here works on region sets: a region is a non-empty subset V of
-singleton indices (one cell of the free Venn diagram), and a proposition
-covers V iff one of its terms is contained in V.  Meets and joins are then
-plain set intersection/union over covered regions, and a model simply
-deletes the regions that contain a declared-empty index set.  Two
-propositions are equal under a model iff they cover the same surviving
-regions, so region sets double as comparison keys for fused outputs.
+The naive rules work on the region masks of ``reference.RegionSpace``, which
+imports nothing from the package: a region is a non-empty set of singletons
+that contains no declared-empty set (one surviving cell of the Venn
+diagram), and a proposition is the int mask of the regions that contain one
+of its terms.  Meets and joins are then ``&`` and ``|``, and two
+propositions are equal under a model iff their masks are, so region masks
+double as comparison keys for fused outputs.
 """
 
 import argparse
 import io
 import json
 import sys
+import unicodedata
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import fsum
 
+from harness import reference
+
 from hyperbelief import Frame
 from hyperbelief.analysis import BayesEstimates, ModusTollensPosteriors
-from hyperbelief.cli import _DECODER, ScenarioError, _path, _typed
+from hyperbelief.cli import ScenarioError, _path, _typed
 from hyperbelief.lattice import (
     AtomFrame,
     Model,
@@ -37,65 +40,51 @@ from hyperbelief.lattice import (
 from hyperbelief.rulebase import ENGINES, DstAxes, EngineResult, QueryResult, Scenario, WeightedRule, _unanswered
 
 
-def all_regions(n):
-    return frozenset(
-        frozenset(c) for k in range(1, n + 1) for c in combinations(range(n), k)
-    )
+@cache
+def regions(model):
+    """The model's ``RegionSpace``: region r, bit r of a mask, is the singleton mask ``.regions[r]``."""
+    frame = model.frame
+    return reference.RegionSpace(list(frame.names), [_names(frame, c) for c in model.masks])
 
 
-def empty_regions(model):
-    n = len(model.frame)
-    return frozenset(
-        v for v in all_regions(n) if any(c <= v for c in model.empty_intersections)
-    )
-
-
-def covered_regions(prop):
-    n = len(prop.frame)
-    return frozenset(v for v in all_regions(n) if any(t <= v for t in prop.terms))
+def _names(frame, mask):
+    """The names of a mask's singletons, ascending."""
+    return [name for i, name in enumerate(frame.names) if mask >> i & 1]
 
 
 def semantic(prop, model):
-    """Regions covered by ``prop`` that survive the model's constraints."""
-    return covered_regions(prop) - empty_regions(model)
+    """The mask of the surviving regions ``prop`` covers, computed once per model and proposition."""
+    return regions(model).sem([_names(model.frame, t) for t in prop.masks])
 
 
 def region_masses(result, model):
-    """A combined BBA as {surviving regions: mass}, comparable with the naive rules' output."""
+    """A combined BBA as {region mask: mass}, comparable with the naive rules' output."""
     return {semantic(key, model): mass for key, mass in result.items()}
 
 
 def naive_leq(a, b, model):
-    return semantic(a, model) <= semantic(b, model)
+    return semantic(a, model) & ~semantic(b, model) == 0
 
 
-def _ignorance(model):
-    n = len(model.frame)
-    return all_regions(n) - empty_regions(model)
-
-
-def _union_semantic(indices, model):
-    # regions touched by at least one of the given singletons
-    n = len(model.frame)
-    return frozenset(
-        v for v in all_regions(n) if v & indices
-    ) - empty_regions(model)
+def _region_sources(model, sources):
+    return [[(semantic(p, model), m) for p, m in s.items()] for s in sources]
 
 
 def naive_conjunctive(model, sources):
-    """Triple-loop conjunctive combination keyed by surviving region sets.
+    """Triple-loop conjunctive combination keyed by region masks.
 
-    Returns (masses, conflict) where the empty region set holds the conflict.
+    Returns (masses, conflict) where the region mask 0 holds the conflict.
     """
+    ignorance = regions(model).ignorance
     acc = defaultdict(float)
-    for combo in product(*[list(s.items()) for s in sources]):
+    for combo in product(*_region_sources(model, sources)):
         pi = 1.0
-        meet = frozenset(all_regions(len(model.frame)))
-        for prop, mass in combo:
+        meet = ignorance
+        for region, mass in combo:
             pi *= mass
-            meet &= semantic(prop, model)
+            meet &= region
         acc[meet] += pi
-    return dict(acc), acc.get(frozenset(), 0.0)
+    return dict(acc), acc.get(0, 0.0)
 
 
 def naive_dempster(model, sources):
@@ -108,33 +97,26 @@ def naive_dempster(model, sources):
 
 def naive_hybrid(model, sources):
     """Sum-form hybrid rule: meets where possible, otherwise route the mass
-    to the joint ignorance of the sources (all-empty tuples) or to the join
-    of the inputs, falling back to total ignorance when even that is empty.
+    to the join of the inputs, falling back to total ignorance when even
+    that is empty.  A BBA's keys are reduced, so a key that covers no region
+    is ∅ itself, which mentions no singleton: the joint ignorance of an
+    all-∅ tuple is total ignorance too.
     """
-    ignorance = _ignorance(model)
+    ignorance = regions(model).ignorance
     acc = defaultdict(float)
     conflict = 0.0
-    for combo in product(*[list(s.items()) for s in sources]):
-        props = [p for p, _ in combo]
+    for combo in product(*_region_sources(model, sources)):
         pi = 1.0
-        for _, mass in combo:
+        meet, join = ignorance, 0
+        for region, mass in combo:
             pi *= mass
-        meet = frozenset(all_regions(len(model.frame)))
-        for p in props:
-            meet &= semantic(p, model)
+            meet &= region
+            join |= region
         if meet:
             acc[meet] += pi
             continue
         conflict += pi
-        if all(not semantic(p, model) for p in props):
-            mentioned = frozenset(chain.from_iterable(t for p in props for t in p.terms))
-            union = _union_semantic(mentioned, model)
-            acc[union if union else ignorance] += pi
-        else:
-            join = frozenset()
-            for p in props:
-                join |= semantic(p, model)
-            acc[join if join else ignorance] += pi
+        acc[join or ignorance] += pi
     return dict(acc), conflict
 
 
@@ -582,8 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
 # The check-then-resolve scenario parser, kept as the reference for
 # ``cli.parse_scenario``: every field's type is checked first, with its field
 # path built before the check, and each name list is then resolved again by
-# ``proposition_from_names``.  The two must refuse the same input with the
-# same message, or return equal scenarios.
+# ``proposition_from_names``.  It decodes with ``json.loads`` and its own
+# duplicate-key hook, and finds control characters by their Unicode category,
+# so a fault in ``cli``'s decoder or its control-character pattern is not on
+# both sides.  The two must refuse the same input with the same message, or
+# return equal scenarios.
 
 
 def _checked(where: str, build, *args):
@@ -634,6 +619,14 @@ def _fields(value, where: str, known: tuple[str, ...]) -> dict:
     return blob
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct; the first key given again is refused."""
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ScenarioError(f"key {_brief(repr(key))} is given twice")
+    return dict(pairs)
+
 
 def _proposition(frame: Frame, nested, where: str) -> Proposition:
     terms = _expect(nested, list, where)
@@ -647,9 +640,7 @@ def _proposition(frame: Frame, nested, where: str) -> Proposition:
 def parse_scenario(text: str) -> Scenario:
     """Validate scenario JSON, raising ScenarioError naming the broken field."""
     try:
-        if text.startswith("\ufeff"):  # as json.loads refuses it
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        data = _DECODER.decode(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except ScenarioError:
         raise
     except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long to read
@@ -668,6 +659,8 @@ def parse_scenario(text: str) -> Scenario:
         # the reports print terms as names joined by ∩ and ∪, so a name holding one is ambiguous
         if "∩" in name or "∪" in name:
             raise ScenarioError(f"frame[{i}] must not contain ∩ or ∪, got {_brief(repr(name))}")
+        if any(unicodedata.category(char) == "Cc" for char in name):
+            raise ScenarioError(f"frame[{i}] must not contain a control character, got {_brief(repr(name))}")
         if name == "∅":  # the reports print the empty proposition as ∅
             raise ScenarioError(f"frame[{i}] must not be ∅, the name of the empty proposition")
     frame = _checked("frame", Frame, tuple(names))

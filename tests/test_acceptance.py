@@ -282,7 +282,7 @@ def test_criterion_6_oracle_equivalence():
         want, want_conflict = oracle.naive_conjunctive(model, dicts)
         got = oracle.region_masses(conj.result, model)
         if conj.conflict_mass:
-            got[frozenset()] = conj.result.mass_on_empty()
+            got[0] = conj.result.mass_on_empty()
         if _mismatch(got, want) or abs(conj.conflict_mass - want_conflict) > 1e-9:
             bad.append(f"case {case}: conjunctive")
 

@@ -386,7 +386,8 @@ def _render(node) -> str:
 
 
 _MUTATIONS = (
-    "delete", "wrong type", "unknown name", "empty term", "[]", "lone surrogate", "unknown key", "key twice", "NaN", "1e400"
+    "delete", "wrong type", "unknown name", "empty term", "[]", "lone surrogate", "control character",
+    "unknown key", "key twice", "NaN", "1e400",
 )
 
 
@@ -407,6 +408,10 @@ def _mutated(blob, path: tuple, mutation: str, wrong):
         replacement = []
     elif mutation == "lone surrogate":
         replacement = node + "\udc00" if isinstance(node, str) else "p\ud800"
+    elif mutation == "control character":
+        if not isinstance(node, str):
+            return blob
+        replacement = node + "\n"
     elif mutation in ("unknown key", "key twice"):
         if not isinstance(node, dict) or not node:
             return blob
@@ -604,12 +609,6 @@ def test_engine_override_names_the_flag_and_the_missing_field(engine):
         "",
         f"error: --engine {engine}: missing required field dst_axes, which the dst engine needs\n",
     )
-
-
-def test_total_conflict_exits_three():
-    code, out, _ = run_main(["fuse", "-", "--engine", "dst"], tp2_with(("rules", 0, "weight"), 1.0, ("rules", 1, "weight"), 1.0))
-    assert code == EXIT_INCONSISTENT
-    assert "inconsistent" in out
 
 
 def one_rule_dst(observations) -> str:

@@ -2,26 +2,16 @@
 against ``perfbench/reference.py``, which reads the scenario JSON and does not
 import the package."""
 
-import importlib.util
 import json
 import random
-from functools import cache
 
 import oracle
 import pytest
-from harness import DST_AXES, NAMES, ROOT, generated, run_main
+from harness import DST_AXES, NAMES, ROOT, generated, reference, run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbelief.cli import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, parse_scenario
-
-
-@cache
-def _load_reference():
-    spec = importlib.util.spec_from_file_location("perfbench_reference", ROOT / "perfbench" / "reference.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def fuse(text: str, engine: str = "dsm") -> tuple[int, str, str]:
@@ -31,7 +21,7 @@ def fuse(text: str, engine: str = "dsm") -> tuple[int, str, str]:
 def test_generated_dsm_scenarios_match_the_reference():
     # the reference's checker compares every fused mass, Bel, Pl and the
     # largest stage conflict at its 1e-9 tolerance
-    checker = _load_reference().Checker()
+    checker = reference.Checker()
     valid, wrong = 0, []
     for i, scenario in enumerate(generated()):
         text = json.dumps(scenario)
@@ -51,7 +41,7 @@ def test_generated_dst_scenarios_match_the_reference():
     # the same draws on the atom frame of DST_AXES: the checker compares every
     # fused mass, Bel, Pl, the conflict and K, and exit 3 where the reference
     # finds total conflict
-    checker = _load_reference().Checker()
+    checker = reference.Checker()
     codes, wrong = [], []
     for i, scenario in enumerate(generated(engine="dst")):
         text = json.dumps(scenario)
@@ -76,7 +66,7 @@ def test_the_scenario_files_match_the_references(path):
     blob = json.loads(path.read_text(encoding="utf-8"))
     text = json.dumps({**blob, "engines": ["dsm"]})
     code, out, err = fuse(text)
-    assert _load_reference().Checker().check({"file": text, "expect": {"kind": "ok", "fmt": "json"}}, code, out, err) is None
+    assert reference.Checker().check({"file": text, "expect": {"kind": "ok", "fmt": "json"}}, code, out, err) is None
 
     scenario = parse_scenario(json.dumps(blob))
     code, out, err = fuse(json.dumps(blob), "dst")
@@ -172,7 +162,7 @@ def relabelled_triangles(seed: int = 11, count: int = 2000) -> list[tuple[dict, 
 def test_relabelled_triangles_match_the_bayes_reference():
     # whatever the names and the rule order, bayes finds the triangle and gives
     # the chain-rule estimates of its three weakenings
-    checker = _load_reference().Checker()
+    checker = reference.Checker()
     wrong = []
     for i, (scenario, eps) in enumerate(relabelled_triangles()):
         text = json.dumps(scenario)
@@ -223,5 +213,5 @@ def test_drawn_scenarios_match_the_reference(engine, data):
     if code == EXIT_INPUT_ERROR:  # an impossible antecedent, or a rule the constraints contradict
         assert err.startswith(("error: rules[", "error: observations[")), err
         return
-    problem = _load_reference().Checker().check({"file": text, "expect": {"kind": "ok", "fmt": "json"}}, code, out, err)
+    problem = reference.Checker().check({"file": text, "expect": {"kind": "ok", "fmt": "json"}}, code, out, err)
     assert problem is None

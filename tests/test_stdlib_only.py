@@ -1,6 +1,8 @@
 """The package imports nothing outside the standard library, declares no
 dependency, its modules import each other without a cycle, and the CLI
-starts without the heavy introspection modules."""
+starts without the heavy introspection modules.  The benchmark's reference,
+whose region semantics the oracle's naive rules run on, imports nothing from
+the package."""
 
 import ast
 import re
@@ -29,6 +31,14 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_the_reference_imports_nothing_from_the_package():
+    # the naive rules in tests/oracle.py are the engine's arbiters only while
+    # the regions they run on are computed without the engine
+    imported = list(absolute_imports(ROOT / "perfbench" / "reference.py"))
+    assert "json" in imported  # the walker sees the module's imports
+    assert [name for name in imported if name.split(".")[0] == "hyperbelief"] == []
 
 
 def package_imports(path: Path):
