@@ -24,9 +24,10 @@ three ways:
   on term masks: each rule side, the observation and each query is reduced
   under the constraints once, and the sides are compared and met as tuples.
 
-A scenario encodes each rule and each observation once, straight to a mask
-dict (see :mod:`~hyperbelief.belief`): reduced term-mask tuples mapped to
-their merged, non-zero masses, which sum to 1.  The dsm engine hands one
+A scenario encodes each rule and each observation once, straight to an
+exact ledger (see :mod:`~hyperbelief.belief`): a mask dict of reduced
+term-mask tuples mapped to their merged, non-zero int numerators, and the
+one denominator those numerators sum to.  The dsm engine hands one
 stage's mask dict to the next and builds a :class:`BBA` only for the result
 it reports; the dst engine refines the same dicts.  The public
 ``rule_to_conditional_bba`` and ``observation_to_bba`` wrap the same dicts.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 from functools import cached_property, reduce
 from itertools import permutations
-from math import fsum
+from math import prod
 from operator import or_
 from typing import Sequence
 
@@ -52,8 +53,8 @@ from .belief import (
     _dempster_normalise,
     _hybrid_step,
     _observe,
+    _summed,
     belief_intervals,
-    fsum_by_key,
 )
 from .json_report import render_json
 from .lattice import (
@@ -89,28 +90,29 @@ class WeightedRule(Value):
         return f"if {self.antecedent} then {self.consequent} (w={self.weight:g})"
 
 
-def _rule_masses(rule: WeightedRule, model: Model) -> dict[Masks, float]:
-    """The mask dict of :func:`rule_to_conditional_bba`."""
+def _rule_masses(rule: WeightedRule, model: Model) -> tuple[dict[Masks, int], int]:
+    """The ledger of :func:`rule_to_conditional_bba`: w = n / d exactly, so the
+    two focals get n and d − n over d, equal keys summed and zeros dropped."""
     allowed = model._allowed
     antecedent = _reduce_masks(rule.antecedent.masks, allowed)
     if not antecedent:
         raise ValueError(f"antecedent of [{_brief(str(rule))}] is impossible under the model")
     both = _meet(antecedent, rule.consequent.masks, allowed)
-    w = rule.weight
-    if not both and w > 0.0:
+    n, d = rule.weight.as_integer_ratio()
+    if not both and n:
         raise ValueError(f"rule [{_brief(str(rule))}] contradicts the model's constraints")
-    # WeightedRule bounds w to [0, 1], so the two masses sum to 1 and need no check
+    # WeightedRule bounds w to [0, 1], so 0 ≤ n ≤ d
     if both == antecedent:  # the antecedent implies the consequent
-        return {antecedent: fsum((w, 1.0 - w))}
-    return {masks: m for masks, m in ((both, w), (antecedent, 1.0 - w)) if m > 0.0}
+        return {antecedent: d}, d
+    return {masks: m for masks, m in ((both, n), (antecedent, d - n)) if m}, d
 
 
-def _observation_masses(obs: Proposition, model: Model) -> dict[Masks, float]:
-    """The mask dict of :func:`observation_to_bba`."""
+def _observation_masses(obs: Proposition, model: Model) -> tuple[dict[Masks, int], int]:
+    """The ledger of :func:`observation_to_bba`."""
     reduced = _reduce_masks(obs.masks, model._allowed)
     if not reduced:
         raise ValueError(f"observation {_brief(str(obs))} is impossible under the model")
-    return {reduced: 1.0}
+    return {reduced: 1}, 1
 
 
 def rule_to_conditional_bba(rule: WeightedRule, model: Model) -> BBA:
@@ -122,14 +124,14 @@ def rule_to_conditional_bba(rule: WeightedRule, model: Model) -> BBA:
     """
     if rule.antecedent.frame != model.frame:
         raise ValueError("rule does not live on the model's frame")
-    return BBA._trusted(model, _rule_masses(rule, model))
+    return BBA._trusted(model, *_rule_masses(rule, model))
 
 
 def observation_to_bba(obs: Proposition, model: Model) -> BBA:
     """Certain evidence: m(obs) = 1."""
     if obs.frame != model.frame:
         raise ValueError("observation does not live on the model's frame")
-    return BBA._trusted(model, _observation_masses(obs, model))
+    return BBA._trusted(model, *_observation_masses(obs, model))
 
 
 class DstAxes(Value):
@@ -205,13 +207,13 @@ class Scenario(Value):
                 )
 
     @cached_property
-    def _sources(self) -> tuple[tuple[dict[Masks, float], ...], tuple[dict[Masks, float], ...]]:
-        """The rules and the observations as mask dicts, in declared order.
+    def _sources(self) -> tuple[tuple[tuple[dict[Masks, int], int], ...], ...]:
+        """The rules and the observations as ledgers, in declared order.
 
         An input the model contradicts raises ValueError naming its field.
         """
 
-        def encode(field: str, items: Sequence, to_masses) -> tuple[dict[Masks, float], ...]:
+        def encode(field: str, items: Sequence, to_masses) -> tuple[tuple[dict[Masks, int], int], ...]:
             sources = []
             for i, item in enumerate(items):
                 try:
@@ -314,38 +316,38 @@ def _run_dsm(scenario: Scenario) -> EngineResult:
     """The rules in one hybrid step, then each observation in file order.
 
     An observation stage is the map :func:`~hyperbelief.belief._observe`,
-    which gives the floats of the two-source hybrid step.
+    which gives the numerators of the two-source hybrid step; every stage is
+    over the rules' denominator, since an observation's is 1.
     """
     model = scenario.model
     rules, observations = scenario._sources
-    fused, conflict = _hybrid_step(rules or ({total_ignorance(model.frame).masks: 1.0},), model)
-    stage_conflicts = [conflict]
-    for observation in observations:
-        (obs,) = observation  # one focal with mass 1
-        fused, conflict = _observe(fused, obs, model._allowed)
-        stage_conflicts.append(conflict)
-    fused = BBA._trusted(model, fused)
+    den = prod(d for _, d in rules)
+    fused, rerouted = _hybrid_step([num for num, _ in rules] or [{total_ignorance(model.frame).masks: 1}], model)
+    stage_rerouted = [rerouted]
+    for (obs,), _ in observations:  # one focal with mass 1
+        fused, rerouted = _observe(fused, obs, model._allowed)
+        stage_rerouted.append(rerouted)
+    fused = BBA._trusted(model, fused, den)
     flags = ()
-    if max(stage_conflicts) >= 1.0 - 1e-9:
+    if den in stage_rerouted:  # a stage rerouted all of its mass
         flags = ("all prior mass conflicts; the intervals below are uninformative",)
     return EngineResult(
         engine="dsm",
         status="ok",
         fused=fused,
-        stage_conflicts=tuple(stage_conflicts),
+        stage_conflicts=tuple(r / den for r in stage_rerouted),
         queries=_intervals(fused, scenario.queries),
         flags=flags,
     )
 
 
 def _run_dst(scenario: Scenario) -> EngineResult:
-    """Dempster's rule as one fold over atom masks.
+    """Dempster's rule as one fold over atom masks, on the sources' exact numerators.
 
     Each distinct term-mask tuple is refined once per run, since rules,
     observations and queries share propositions and a refinement on a wide
     frame ANDs and ORs long ints.  A source whose atom masks are distinct
-    keeps its masses as they are, since the ``fsum`` of one mass is that
-    mass.
+    keeps its numerators as they are, with no merge.
     """
     axes = scenario.dst_axes
     table = _literal_atoms(scenario.frame.names, axes.axes, axes.literal_map)  # checks ATOM_LIMIT first
@@ -360,31 +362,33 @@ def _run_dst(scenario: Scenario) -> EngineResult:
     forbidden = _atom_mask(scenario.model.masks, table)  # the atoms where some declared constraint holds
     rules, observations = scenario._sources
     sources = []
-    for b in (*rules, *observations):
-        source = {atoms(p): m for p, m in b.items()}
-        if len(source) < len(b):  # two focals refine to one atom set
-            source = fsum_by_key((atoms(p), m) for p, m in b.items())
+    for num, _ in (*rules, *observations):
+        source = {atoms(p): n for p, n in num.items()}
+        if len(source) < len(num):  # two focals refine to one atom set
+            source = _summed((atoms(p), n) for p, n in num.items())
         sources.append(source)
-    states = {((1 << axes.axes.atom_count) - 1) & ~forbidden: 1.0}
+    states = {((1 << axes.axes.atom_count) - 1) & ~forbidden: 1}
     for source in sources:
-        step: dict[int, list[float]] = {}
+        step: dict[int, int] = {}
         for s, ms in states.items():
             for f, m in source.items():
-                step.setdefault(s & f, []).append(ms * m)
-        states = {key: fsum(masses) for key, masses in step.items()}
+                key = s & f
+                step[key] = step.get(key, 0) + ms * m
+        states = step
     try:
-        conflict, k, kept = _dempster_normalise(states)
+        conflict, k, kept, total = _dempster_normalise(states, prod(d for _, d in (*rules, *observations)))
     except TotalConflictError:
         note = "inconsistent (total conflict)"
         flag = f"{note}: the rules admit no common world"
         return _unanswered(scenario, "dst", "inconsistent", note, flag, stage_conflicts=(1.0,))
-    fused = {focal: kept[focal] for focal in sorted(kept, key=_members)}
+    # like a BBA, the report drops a mass that rounds to 0.0
+    fused = {focal: m for focal in sorted(kept, key=_members) if (m := kept[focal] / total)}
     rows = []
     for q in scenario.queries:
         target = atoms(q.masks)
-        bel = fsum([m for focal, m in fused.items() if not focal & ~target])
-        pl = fsum([m for focal, m in fused.items() if focal & target])
-        rows.append(QueryResult(q, bel, pl, None, ""))
+        bel = sum([n for focal, n in kept.items() if not focal & ~target])
+        pl = sum([n for focal, n in kept.items() if focal & target])
+        rows.append(QueryResult(q, bel / total, pl / total, None, ""))
     return EngineResult(
         engine="dst",
         status="ok",

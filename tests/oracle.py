@@ -18,7 +18,6 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations, product
-from math import fsum
 
 from harness import reference
 
@@ -88,11 +87,13 @@ def naive_conjunctive(model, sources):
 
 
 def naive_dempster(model, sources):
+    """The conjunctive masses off ∅ over their total; ZeroDivisionError when no meet keeps mass."""
     masses, conflict = naive_conjunctive(model, sources)
-    k = 1.0 - conflict
-    if k <= 1e-12:
+    kept = {key: m for key, m in masses.items() if key}
+    total = sum(kept.values())
+    if not total:
         raise ZeroDivisionError("total conflict")
-    return {key: m / k for key, m in masses.items() if key}, conflict
+    return {key: m / total for key, m in kept.items()}, conflict
 
 
 def naive_hybrid(model, sources):
@@ -102,11 +103,18 @@ def naive_hybrid(model, sources):
     is ∅ itself, which mentions no singleton: the joint ignorance of an
     all-∅ tuple is total ignorance too.
     """
+    return _region_hybrid(model, _region_sources(model, sources))
+
+
+def _region_hybrid(model, sources):
+    """:func:`naive_hybrid` on sources given as lists of (region mask, mass):
+    (masses, conflict).  It only multiplies and adds the masses, so it is
+    exact on ``Fraction`` masses."""
     ignorance = regions(model).ignorance
-    acc = defaultdict(float)
-    conflict = 0.0
-    for combo in product(*_region_sources(model, sources)):
-        pi = 1.0
+    acc = defaultdict(int)
+    conflict = 0
+    for combo in product(*sources):
+        pi = 1
         meet, join = ignorance, 0
         for region, mass in combo:
             pi *= mass
@@ -120,6 +128,35 @@ def naive_hybrid(model, sources):
     return dict(acc), conflict
 
 
+def exact_dsm(scenario):
+    """The dsm engine exactly, by the naive hybrid rule on region masks:
+    (fused masses keyed by region masks, stage conflicts, [(Bel, Pl)] per
+    query), each a ``Fraction``.
+
+    A rule is {antecedent∧consequent: w, antecedent: 1−w}, with w the
+    ``Fraction`` of its float weight and a zero mass left out, and an
+    observation is {o: 1}.  The rules are one stage, total ignorance when
+    there is none, and each observation is one more stage, in file order.
+    """
+    model = scenario.model
+    rules = []
+    for rule in scenario.rules:
+        w = Fraction(rule.weight)
+        pairs = ((semantic(rule.antecedent & rule.consequent, model), w), (semantic(rule.antecedent, model), 1 - w))
+        rules.append([(region, m) for region, m in pairs if m])
+    fused, conflict = _region_hybrid(model, rules or [[(regions(model).ignorance, Fraction(1))]])
+    conflicts = [conflict]
+    for obs in scenario.observations:
+        fused, conflict = _region_hybrid(model, [list(fused.items()), [(semantic(obs, model), Fraction(1))]])
+        conflicts.append(conflict)
+    intervals = []
+    for q in scenario.queries:
+        region = semantic(q, model)
+        bel = sum(m for r, m in fused.items() if r and r & ~region == 0)
+        intervals.append((bel, sum(m for r, m in fused.items() if r & region)))
+    return fused, conflicts, intervals
+
+
 def _absorb(masks):
     """The antichain of the given term masks, ascending."""
     kept = []
@@ -130,24 +167,25 @@ def _absorb(masks):
 
 
 def absorb_fold(bbas, model):
-    """The combination fold on term-mask tuples: {(reduced meet, join): mass}.
+    """The combination fold on term-mask tuples: {(reduced meet, join): exact mass}.
 
     Every state keeps its join as an absorbed tuple and re-absorbs
-    ``join + focal`` at each step; equal states are merged by ``fsum`` in
-    first-seen order (source order, then focal order).  The engine's fold
-    must return the same keys, in the same order, with the same floats.
+    ``join + focal`` at each step; each mass is the ``Fraction`` of a source's
+    float, and equal states are summed exactly, in first-seen order (source
+    order, then focal order).  The engine's fold must return the same keys,
+    in the same order, with the same exact masses.
     """
     constraints = model.masks
-    sources = [[(p.masks, m) for p, m in b.items()] for b in bbas]
+    sources = [[(p.masks, Fraction(m)) for p, m in b.items()] for b in bbas]
     states = {(p, p): m for p, m in sources[0]}
     for source in sources[1:]:
-        step = {}
+        step = defaultdict(int)
         for (meet, join), mass in states.items():
             for p, m in source:
                 unions = (t | s for t in meet for s in p)
                 reduced = _absorb(u for u in unions if all(u & c != c for c in constraints))
-                step.setdefault((reduced, _absorb(join + p)), []).append(mass * m)
-        states = {k: fsum(v) for k, v in step.items()}
+                step[(reduced, _absorb(join + p))] += mass * m
+        states = dict(step)
     return states
 
 
@@ -419,17 +457,18 @@ def refine_to_atoms(prop, atom_frame, literal_map):
 
 
 def naive_dst(scenario):
-    """The dst engine on atom sets: (fused masses keyed by frozensets of atoms,
-    conflict, K, [(Bel, Pl)] per query).
+    """The dst engine on atom sets, exactly: (fused masses keyed by frozensets
+    of atoms, conflict, K, [(Bel, Pl)] per query), each a ``Fraction``.
 
     Each proposition is refined by :func:`refine_to_atoms` as written, and the
     atoms where every member of a declared constraint holds are deleted, as
     :func:`semantic` deletes the regions that contain one: with one binary
     axis per singleton the atoms are exactly the Venn regions plus the one
     where no singleton holds.  A constraint that names a singleton the map
-    omits is skipped.  A rule is {antecedent∧consequent: w, antecedent: 1−w}
-    and an observation {o: 1}; Dempster's rule folds them from every allowed
-    atom.  Raises ZeroDivisionError on total conflict.
+    omits is skipped.  A rule is {antecedent∧consequent: w, antecedent: 1−w},
+    with w the ``Fraction`` of its float weight, and an observation {o: 1};
+    Dempster's rule folds them from every allowed atom.  Raises
+    ZeroDivisionError on total conflict, when no atom set keeps any mass.
     """
     axes, literal_map = scenario.dst_axes.axes, scenario.dst_axes.literal_map
     frame = scenario.frame
@@ -441,30 +480,31 @@ def naive_dst(scenario):
     for c in scenario.model.empty_intersections:
         if all(frame.names[i] in literal_map for i in c):
             forbidden |= atoms(canonicalize(frame, [c]))
-    states = {frozenset(range(axes.atom_count)) - forbidden: 1.0}
+    states = {frozenset(range(axes.atom_count)) - forbidden: Fraction(1)}
     sources = [
-        [(atoms(r.antecedent & r.consequent), r.weight), (atoms(r.antecedent), 1.0 - r.weight)]
+        [(atoms(r.antecedent & r.consequent), Fraction(r.weight)), (atoms(r.antecedent), 1 - Fraction(r.weight))]
         for r in scenario.rules
     ]
-    sources += [[(atoms(o), 1.0)] for o in scenario.observations]
+    sources += [[(atoms(o), Fraction(1))] for o in scenario.observations]
     for source in sources:
-        step = defaultdict(list)
+        step = defaultdict(int)
         for state, m in states.items():
             for focal, f in source:
-                step[state & focal].append(m * f)
-        states = {key: fsum(masses) for key, masses in step.items()}
-    conflict = states.pop(frozenset(), 0.0)
-    if 1.0 - conflict <= 1e-12:
+                if f:
+                    step[state & focal] += m * f
+        states = dict(step)
+    conflict = states.pop(frozenset(), Fraction(0))
+    if not states:
         raise ZeroDivisionError("total conflict")
-    total = fsum(states.values())
-    fused = {key: m / total for key, m in states.items() if m > 0.0}
+    total = sum(states.values())
+    fused = {key: m / total for key, m in states.items()}
     intervals = []
     for q in scenario.queries:
         region = atoms(q)
         intervals.append(
-            (fsum(m for f, m in fused.items() if f <= region), fsum(m for f, m in fused.items() if f & region))
+            (sum(m for f, m in fused.items() if f <= region), sum(m for f, m in fused.items() if f & region))
         )
-    return fused, conflict, 1.0 - conflict, intervals
+    return fused, conflict, total, intervals
 
 
 def fused_tree(fused):

@@ -1,7 +1,6 @@
 """Shared hypothesis strategies for frames, propositions, models and BBAs."""
 
 from itertools import combinations
-from math import fsum
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -156,9 +155,9 @@ def emptying_cases(draw):
 
 @st.composite
 def observation_cases(draw):
-    """A model, a fused mask dict as a dsm stage hands it on, and two different
-    reduced observations of one to three terms, to apply in turn as dsm-rules
-    does at odd R.
+    """A model, a fused mask dict of int numerators as a dsm stage hands it
+    on, and two different reduced observations of one to three terms, to
+    apply in turn as dsm-rules does at odd R.
 
     The fused keys come from one of three draws: reduced propositions (∅
     allowed) on a small, wide or free model; antichains over a pool of four
@@ -171,7 +170,7 @@ def observation_cases(draw):
     kind = draw(st.sampled_from(("drawn", "pooled", "rule stage")))
     if kind == "rule stage":
         model, sources = draw(emptying_cases())
-        fused, _ = _hybrid_step([{p.masks: m for p, m in b.items()} for b in sources], model)
+        fused, _ = _hybrid_step([b._num for b in sources], model)
         used = sorted({t for key in fused for t in key})
         terms = st.one_of(st.sampled_from(used), st.integers(1, (1 << len(model.frame)) - 1))
     else:
@@ -186,9 +185,7 @@ def observation_cases(draw):
             terms = st.sampled_from(draw(pool))
             keys = [_absorb(draw(st.lists(terms, min_size=1, max_size=4))) for _ in range(draw(st.integers(1, 8)))]
         keys = list(dict.fromkeys(_reduce_masks(k, _Allowed(model.masks)) for k in keys))
-        weights = [draw(st.floats(0.01, 1.0)) for _ in keys]
-        total = fsum(weights)
-        fused = dict(zip(draw(st.permutations(keys)), (w / total for w in weights)))
+        fused = dict(zip(draw(st.permutations(keys)), (draw(st.integers(1, 1 << 60)) for _ in keys)))
     first, second = (
         _reduce_masks(_absorb(draw(st.lists(terms, min_size=1, max_size=3))), _Allowed(model.masks))
         for _ in range(2)

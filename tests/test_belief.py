@@ -3,7 +3,7 @@
 import re
 from fractions import Fraction
 from itertools import permutations
-from math import fsum, prod
+from math import fsum, lcm, prod
 
 import pytest
 from hypothesis import assume, given
@@ -29,13 +29,11 @@ from hyperbelief import (
     total_ignorance,
 )
 from hyperbelief.belief import (
-    TOTAL_CONFLICT_EPS,
     _fold,
     _hybrid_step,
-    _merged,
     _observe,
+    _summed,
     belief_intervals,
-    fsum_by_key,
 )
 from harness import B, F, NF, P, TPAXES, TPFRAME, TPMODEL
 from strategies import (
@@ -203,9 +201,22 @@ def test_total_conflict_raises():
         dempster_combine([m1, m2])
 
 
+def test_any_kept_mass_normalises():
+    # K = 2·2⁻⁴¹(1 − 2⁻⁴¹) ≈ 9.1e-13: total conflict means that no meet keeps
+    # mass, so a K this small normalises, exactly, where a 1e-12 threshold raised
+    frame = Frame(("a", "b"))
+    a, b = frame.singleton("a"), frame.singleton("b")
+    e = 2.0**-41
+    model = Model.shafer(frame)
+    rep = dempster_combine([BBA(model, {a: 1 - e, b: e}), BBA(model, {b: 1 - e, a: e})])
+    assert rep.normalization_constant == float(2 * Fraction(e) * (1 - Fraction(e)))
+    assert rep.result.masses == {a: 0.5, b: 0.5}
+
+
 def test_dempster_small_normalisation_constant_stays_normalised():
-    # K is about 3e-8, so 1 − conflict keeps only its leading digits; dividing
-    # by it left the masses summing to 1 + 3e-9 and the BBA check raised
+    # K is about 3e-8, so 1 − conflict would keep only its leading digits;
+    # dividing by it left the masses summing to 1 + 3e-9 and the BBA check
+    # raised.  K and each mass are the exact ratios, rounded once
     frame = Frame(("a", "b", "c"))
     a, b, c = (frame.singleton(n) for n in frame.names)
     e1, e2, w = 3.367627442655785e-08, 1.5286572032923147e-08, 0.3610723711593433
@@ -221,9 +232,8 @@ def test_dempster_small_normalisation_constant_stays_normalised():
     k = sum(exact.values())
     assert rep.result.focals() == [a, b, c]
     for prop, mass in exact.items():
-        assert rep.result.mass(prop) == pytest.approx(float(mass / k), rel=1e-12)
-    assert rep.normalization_constant == 1.0 - rep.conflict_mass
-    assert rep.normalization_constant == pytest.approx(float(k), rel=1e-6)
+        assert rep.result.mass(prop) == float(mass / k)
+    assert rep.normalization_constant == float(k)
 
 
 def test_conjunctive_keeps_conflict_on_empty():
@@ -408,13 +418,14 @@ def test_conjunctive_matches_naive_reference(case):
 
 @given(framed_models().flatmap(lambda model: bbas(model)))
 def test_a_fold_of_one_source_is_that_source(b):
-    # Dempster's rule divides by the kept mass, which is b's own total: b itself
-    # whenever its masses sum to exactly 1.0
-    total = fsum(b.masses.values())
+    # Dempster's rule divides by the kept mass, which is b's own exact total: b
+    # itself whenever its masses sum to exactly 1, and otherwise each mass over
+    # that total, rounded once
+    total = sum(map(Fraction, b.masses.values()))
     for combine, want in (
         (conjunctive_combine, [(p.masks, m.hex()) for p, m in b.items()]),
         (dsm_hybrid_combine, [(p.masks, m.hex()) for p, m in b.items()]),
-        (dempster_combine, [(p.masks, (m / total).hex()) for p, m in b.items()]),
+        (dempster_combine, [(p.masks, float(Fraction(m) / total).hex()) for p, m in b.items()]),
     ):
         rep = combine([b])
         assert [(p.masks, m.hex()) for p, m in rep.result.items()] == want
@@ -424,21 +435,24 @@ def test_a_fold_of_one_source_is_that_source(b):
 @given(combined_sources(draw_conflict=True))
 def test_dempster_is_the_conjunctive_rule_normalised(case):
     # Dempster's rule by its definition: drop ∅ from the conjunctive result and
-    # divide the rest by its total; same arithmetic, so the float bits agree
+    # divide the rest by its total; both are exact until each mass is rounded
+    # once, so every float is the correctly rounded exact ratio
     model, sources = case
     conj = conjunctive_combine(sources)
-    if 1.0 - conj.conflict_mass <= TOTAL_CONFLICT_EPS:
+    num, den = conj.result._num, conj.result._den
+    kept = {masks: n for masks, n in num.items() if masks}
+    if not kept:
         with pytest.raises(TotalConflictError, match=re.escape(f"conflict mass {conj.conflict_mass!r} ")):
             dempster_combine(sources)
         return
-    kept = [(p.masks, m) for p, m in conj.result.items() if not p.is_empty]
-    total = fsum(m for _, m in kept)
+    total = sum(kept.values())
     rep = dempster_combine(sources)
-    assert [(p.masks, m.hex()) for p, m in rep.result.items()] == [
-        (masks, (m / total).hex()) for masks, m in kept
+    want = {masks: float(Fraction(n, total)) for masks, n in kept.items()}
+    assert [(p.masks, m) for p, m in rep.result.items()] == [
+        (p.masks, want[p.masks]) for p in conj.result if p.masks and want[p.masks]
     ]
-    assert rep.conflict_mass.hex() == conj.conflict_mass.hex()
-    assert rep.normalization_constant.hex() == (1.0 - conj.conflict_mass).hex()
+    assert rep.conflict_mass == conj.conflict_mass == float(Fraction(num.get((), 0), den))
+    assert rep.normalization_constant == float(Fraction(total, den))
 
 
 @given(combined_sources())
@@ -492,50 +506,61 @@ def test_rules_match_naive_reference_at_dsm_scale(case):
 
 
 def mask_dicts(sources):
-    """Each BBA as the fold takes it: {term masks: mass}, in focal order."""
-    return [{p.masks: m for p, m in b.items()} for b in sources]
+    """The BBAs as the fold takes them: each as {term masks: int numerator}, in
+    focal order, over the least common denominator of its masses; and the
+    product of those denominators."""
+    dicts, den = [], 1
+    for b in sources:
+        exact = {p.masks: Fraction(m) for p, m in b.items()}
+        d = lcm(*(m.denominator for m in exact.values()))
+        dicts.append({masks: int(m * d) for masks, m in exact.items()})
+        den *= d
+    return dicts, den
 
 
 @pytest.mark.parametrize("cases", [fold_cases(), emptying_cases()], ids=["fold_cases", "emptying_cases"])
 @given(data=st.data())
 def test_fold_matches_the_absorb_reference_exactly(cases, data):
-    # same arithmetic in the same order, so keys, order and float bits agree;
-    # the reference keys every state, live or rerouted, by (meet, absorbed
-    # join) and tests each union against the constraints by a plain scan
+    # the same keys in the same order, and each numerator over the product of
+    # the denominators is the reference's exact Fraction; the reference keys
+    # every state, live or rerouted, by (meet, absorbed join) and tests each
+    # union against the constraints by a plain scan
     model, sources = data.draw(cases)
-    got = [(key, mass.hex()) for key, mass in _fold(mask_dicts(sources), model).items()]
-    want = [(key, mass.hex()) for key, mass in oracle.absorb_fold(sources, model).items()]
-    assert got == want
+    nums, den = mask_dicts(sources)
+    got = [(key, Fraction(n, den)) for key, n in _fold(nums, model).items()]
+    assert got == list(oracle.absorb_fold(sources, model).items())
 
 
 @given(observation_cases())
 def test_observation_map_equals_the_two_source_hybrid_step(case):
     # F∩O and F∪O determine F, so each state of the two-source fold holds one
-    # focal: the map reaches the same targets, order and bits, and rerouted
-    # mass; two different observations in turn, as a dsm run applies them
+    # focal: the map reaches the same targets, order and numerators, and
+    # rerouted mass; two different observations in turn, as a dsm run applies them
     model, fused, observations = case
     for obs in observations:
         got, got_rerouted = _observe(fused, obs, model._allowed)
-        want, want_rerouted = _hybrid_step([fused, {obs: 1.0}], model)
-        assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
-        assert got_rerouted.hex() == want_rerouted.hex()
+        want, want_rerouted = _hybrid_step([fused, {obs: 1}], model)
+        assert list(got.items()) == list(want.items())
+        assert got_rerouted == want_rerouted
         fused = want
 
 
 @given(fold_cases())
 def test_trusted_bba_equals_the_public_constructor(case):
     # the conjunctive and the hybrid keys of the same fold, wrapped as they are
-    # and through every check of the public constructor
+    # and, as the floats they round to, through every check of the public constructor
     model, sources = case
     frame = model.frame
     ignorance = tuple(1 << i for i in range(len(frame)))
-    states = _fold(mask_dicts(sources), model)
+    nums, den = mask_dicts(sources)
+    states = _fold(nums, model)
     for pairs in (
-        [(meet, m) for (meet, _), m in states.items()],
-        [(meet or join or ignorance, m) for (meet, join), m in states.items()],
+        [(meet, n) for (meet, _), n in states.items()],
+        [(meet or join or ignorance, n) for (meet, join), n in states.items()],
     ):
-        trusted = BBA._trusted(model, _merged(pairs))
-        public = BBA(model, {Proposition(frame, k): m for k, m in fsum_by_key(pairs).items()})
+        num = _summed(pairs)
+        trusted = BBA._trusted(model, num, den)
+        public = BBA(model, {Proposition(frame, k): n / den for k, n in num.items()})
         assert [(p.masks, m.hex()) for p, m in trusted.items()] == [
             (p.masks, m.hex()) for p, m in public.items()
         ]

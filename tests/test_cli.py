@@ -1037,13 +1037,13 @@ FUSE_JSON = ["fuse", "-", "--format", "json"]
     [
         (["enumerate", "--n", "4"], "", 4620, "5e0a42836ba26bfcf6a5d250975ea87fb4933b0a76ef77bed951840253c2f34c"),
         (["enumerate", "--n", "5"], "", 465141, "403e8fc2ff75f004fb3ee1de4dd8f85557a5520d824a600244bf0d0534e81c2d"),
-        (FUSE_JSON, json.dumps(DSM_SCENARIO), 6723, "5b9ff2bc67cc48b6db2779b4797e061d295d24f263004e7ba1a155ed77469b70"),
-        (FUSE_JSON, json.dumps(UNSTRUCTURED_SCENARIO), 204718, "67603c5fc936b57e7f9c79d7ae0e20fd7f250be5ab4b0964935c401d9c2bd80d"),
+        (FUSE_JSON, json.dumps(DSM_SCENARIO), 6625, "0299226ab8c4f20d4eec3a6004aea29d9f4b0a1a9512e0246273aa2538376e4c"),
+        (FUSE_JSON, json.dumps(UNSTRUCTURED_SCENARIO), 204734, "c7e561824c3870120a6cf578c3e382ef0ecfe093bc3ce21b9b877ea8fc523a57"),
         # tp2 selects all three engines, so both commands print the bayes
         # estimates, the dst atom sets and the dsm lattice keys.
         (FUSE_JSON, TP2_TEXT, 3539, "df3e9f30aaae157beee05ab37d79579c30e3a8cc15ced9406fa16335809cb8a9"),
         (["compare", "-", "--format", "json"], TP2_TEXT, 3539, "df3e9f30aaae157beee05ab37d79579c30e3a8cc15ced9406fa16335809cb8a9"),
-        (FUSE_JSON, json.dumps(DST_WIDE_SCENARIO), 2973, "d27f08a90013cd2bc80a6732b4e70fff0083c4600c90222ba0378cfffbf42390"),
+        (FUSE_JSON, json.dumps(DST_WIDE_SCENARIO), 2973, "7bd0a56ad7961cd6c1f9c2177fc8acbb9d568235b98154ce9bb2d4e1615ec8a7"),
     ],
     ids=["enumerate-4", "enumerate-5", "dsm", "unstructured-dsm", "tp2-fuse", "tp2-compare", "wide-dst"],
 )

@@ -11,6 +11,7 @@ from harness import DST_AXES, NAMES, ROOT, generated, reference, run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperbelief import run_scenario
 from hyperbelief.cli import EXIT_INCONSISTENT, EXIT_INPUT_ERROR, EXIT_OK, parse_scenario
 
 
@@ -103,13 +104,11 @@ def focals(out: str, scale: int = 1) -> list:
     ]
 
 
-# Two laws of the rules hold exactly, compared with ==, on the seed-7
+# Three laws of the rules hold exactly, compared with ==, on the seed-7
 # generator: a frame singleton that nothing mentions changes no dsm Bel, Pl or
-# conflict, and an axis that no singleton maps to changes no dst Bel, Pl,
-# conflict or K and doubles every fused focal's atoms.  A third, that
-# reversing the rules changes nothing, does not hold yet: each stage rounds to
-# floats, and reversal moves some value in 624 dsm and 62 dst scenarios.  It
-# waits for exact masses.
+# conflict; an axis that no singleton maps to changes no dst Bel, Pl,
+# conflict or K and doubles every fused focal's atoms; and the order of the
+# rules changes no byte of the report.
 @pytest.mark.parametrize(
     ("engine", "field", "wider"),
     [("dsm", "frame", [*NAMES, "g"]), ("dst", "dst_axes", {**DST_AXES, "axes": [*DST_AXES["axes"], ["g", "g_"]]})],
@@ -126,6 +125,73 @@ def test_an_unused_singleton_or_axis_changes_no_answer(engine, field, wider):
         if again[0] != code or answers(again[1]) != answers(out) or engine == "dst" and focals(again[1]) != focals(out, 2):
             differ.append(i)
     assert (valid, differ) == (1548, [])
+
+
+@pytest.mark.parametrize("engine", ["dsm", "dst"])
+def test_the_order_of_the_rules_changes_no_byte(engine):
+    # Dempster's rule is commutative (Shafer, A Mathematical Theory of
+    # Evidence, 1976), and so is the hybrid rule within a stage.  Masses stay
+    # exact until the report rounds each number once, so the rules reversed or
+    # shuffled give the same bytes.  dst folds the observations as sources
+    # too, so reversing them changes nothing either; dsm stages them in file
+    # order, which test_dsm_observation_order_is_pinned pins
+    valid, differ = 0, []
+    for i, scenario in enumerate(generated(engine=engine)):
+        printed = fuse(json.dumps(scenario), engine)
+        if printed[0] == EXIT_INPUT_ERROR:
+            continue
+        valid += 1
+        rules = scenario["rules"]
+        shuffled = random.Random(i).sample(rules, len(rules))
+        others = [{**scenario, "rules": order} for order in (rules[::-1], shuffled)]
+        if engine == "dst":
+            others.append({**scenario, "rules": shuffled, "observations": scenario["observations"][::-1]})
+        if any(fuse(json.dumps(other), engine) != printed for other in others):
+            differ.append(i)
+    assert (valid, differ) == (1548, [])
+
+
+@pytest.mark.parametrize("engine", ["dsm", "dst"])
+def test_no_generated_report_prints_a_value_above_one(engine):
+    # every fused mass, stage conflict, K, Bel and Pl lies in [0, 1] and
+    # Bel ≤ Pl, with no slack: each is an exact sum, divided once
+    valid, wrong = 0, []
+    for i, scenario in enumerate(generated(engine=engine)):
+        code, out, _ = fuse(json.dumps(scenario), engine)
+        if code == EXIT_INPUT_ERROR:
+            continue
+        valid += 1
+        for (conflict, stages, k, intervals), masses in zip(answers(out), focals(out)):
+            values = [conflict, *stages, *[m for _, m in masses]]
+            values += [k] if k is not None else []
+            values += [x for interval in intervals for x in interval if x is not None]
+            if not all(0.0 <= x <= 1.0 for x in values) or any(bel > pl for bel, pl in intervals if bel is not None):
+                wrong.append(i)
+    assert (valid, wrong) == (1548, [])
+
+
+def test_the_reports_that_printed_a_value_above_one_are_pinned():
+    # while each stage rounded to floats, dsm scenario 7 printed Pl =
+    # 1.0000000000000002 for every query, and dst scenario 312 printed Bel =
+    # Pl = 1.0000000000000002 for e and for f
+    code, out, _ = fuse(json.dumps(generated(count=8)[7]))
+    (result,) = json.loads(out)["results"]
+    assert (code, answers(out)) == (EXIT_OK, [(1.0, [1.0, 0.0], None, [(0.0, 1.0)] * 6)])
+    assert result["flags"] == ["all prior mass conflicts; the intervals below are uninformative"]
+    code, out, _ = fuse(json.dumps(generated(count=313, engine="dst")[312]), "dst")
+    inside = (0.023121577518718982, 0.060347451953619784)
+    assert (code, answers(out)) == (
+        EXIT_OK,
+        [
+            (
+                0.3685405695254901,
+                [0.3685405695254901],
+                0.6314594304745099,
+                [(0.0, 0.0), (1.0, 1.0), inside, (1.0, 1.0), inside, inside],
+            )
+        ],
+    )
+    assert [mass for _, mass in focals(out)[0]] == [0.9396525480463802, 0.0372258744349008, 0.023121577518718982]
 
 
 def relabelled_triangles(seed: int = 11, count: int = 2000) -> list[tuple[dict, tuple[float, float, float]]]:
@@ -215,3 +281,31 @@ def test_drawn_scenarios_match_the_reference(engine, data):
         return
     problem = reference.Checker().check({"file": text, "expect": {"kind": "ok", "fmt": "json"}}, code, out, err)
     assert problem is None
+
+
+@pytest.mark.parametrize("engine", ["dsm", "dst"])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_drawn_scenarios_equal_the_exact_reference(engine, data):
+    # every number the engine reports is its exact value rounded once: each
+    # stage conflict, K, fused mass, Bel and Pl is float() of the Fraction
+    # references, compared with ==; a mass that rounds to 0.0 is not reported
+    try:
+        scenario = parse_scenario(json.dumps(data.draw(drawn_scenarios(engine))))
+    except ValueError:  # an impossible antecedent, or a rule the constraints contradict
+        return
+    result = run_scenario(scenario).engine(engine)
+    if engine == "dsm":
+        fused, conflicts, intervals = oracle.exact_dsm(scenario)
+        assert list(result.stage_conflicts) == [float(c) for c in conflicts]
+        got = oracle.region_masses(result.fused, scenario.model)
+    else:
+        try:
+            fused, conflict, k, intervals = oracle.naive_dst(scenario)
+        except ZeroDivisionError:
+            assert result.status == "inconsistent"
+            return
+        assert (result.status, result.stage_conflicts, result.normalization_constant) == ("ok", (float(conflict),), float(k))
+        got = {frozenset(oracle.atoms_of(focal)): m for focal, m in result.fused.masses.items()}
+    assert got == {key: float(m) for key, m in fused.items() if float(m)}
+    assert [(row.bel, row.pl) for row in result.queries] == [(float(bel), float(pl)) for bel, pl in intervals]

@@ -34,7 +34,6 @@ from hyperbelief import (
     run_scenario,
     total_ignorance,
 )
-from hyperbelief.belief import _merged
 from hyperbelief.cli import emit_report, parse_scenario
 from hyperbelief.lattice import _Allowed, _meet, _reduce_masks
 from hyperbelief.rulebase import _rule_masses
@@ -120,8 +119,9 @@ def test_rule_belief_matches_weight(model, data):
 
 @given(st.one_of(framed_models(), wide_models()), st.data())
 def test_rule_masses_equal_the_merged_pairs(model, data):
-    # the rule's two focals built directly: the same keys, order and bits as
-    # merging (x∧y, w) and (x, 1 − w) and dropping a zero mass
+    # the rule's two focals built directly, with w = n / d exactly: the same
+    # keys, order and numerators as summing (x∧y, n) and (x, d − n) and
+    # dropping a zero, all over d
     frame, allowed = model.frame, _Allowed(model.masks)
     antecedent = data.draw(propositions(frame, allow_empty=False))
     consequent = data.draw(propositions(frame))
@@ -130,9 +130,13 @@ def test_rule_masses_equal_the_merged_pairs(model, data):
     assume(x)
     both = _meet(x, consequent.masks, allowed)
     assume(both or weight == 0.0)
-    got = _rule_masses(WeightedRule(antecedent, consequent, weight), model)
-    want = _merged([(both, weight), (x, 1.0 - weight)])
-    assert [(k, m.hex()) for k, m in got.items()] == [(k, m.hex()) for k, m in want.items()]
+    n, d = weight.as_integer_ratio()
+    want = {}
+    for key, m in ((both, n), (x, d - n)):
+        if m:
+            want[key] = want.get(key, 0) + m
+    num, den = _rule_masses(WeightedRule(antecedent, consequent, weight), model)
+    assert (list(num.items()), den) == (list(want.items()), d)
 
 
 # ----------------------------------------------------------------- validation
@@ -485,6 +489,17 @@ def test_dst_report_keeps_no_zero_masses():
     assert all(masses.values())
 
 
+def test_dsm_report_keeps_no_zero_masses():
+    # the dsm twin: a∩b∩c∩d's exact mass 1e-200 · 1e-200 rounds to 0.0, so the
+    # fused BBA, which the report prints, drops it
+    frame = Frame(("a", "b", "c", "d"))
+    a, b, c, d = map(frame.singleton, frame.names)
+    rules = (WeightedRule(a, b, 1e-200), WeightedRule(c, d, 1e-200))
+    masses = run_scenario(Scenario(Model.free(frame), rules, (), (a,))).engine("dsm").fused.masses
+    assert len(masses) == 3
+    assert all(masses.values())
+
+
 def test_evidential_intervals_stay_ordered():
     for eps in ((0.001, 0.3, 0.05), (0.3, 0.001, 0.5), (0.05, 0.05, 0.0)):
         report = run_scenario(tp2_scenario(*eps, engines=("dst", "dsm")))
@@ -589,7 +604,7 @@ def test_dst_answers_do_not_depend_on_source_order(
         )
         result = run_scenario(scenario).engine("dst")
         if result.status == "ok":
-            # both are fsums of non-negative masses, and Pl's focals include Bel's
+            # both are sums of non-negative numerators, and Pl's focals include Bel's
             assert all(row.bel <= row.pl for row in result.queries)
         return result
 
